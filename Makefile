@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-shard bench-parallel-smoke goroutine-audit vet lint lint-bench lint-fix-audit escape-audit escape-audit-check fuzz-smoke bench bench-speed bench-compare trace-smoke metrics-baseline metrics-compare serve-smoke ci
+.PHONY: all build test race goroutine-audit vet lint lint-bench lint-fix-audit escape-audit escape-audit-check fuzz-smoke bench bench-speed bench-compare trace-smoke metrics-baseline metrics-compare serve-smoke ci
 
 all: build
 
@@ -12,22 +12,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# Focused race-detector smoke of the parallel machinery: the sharded sim
-# core (worker pool, pipelined trace front-end, calendar-queue routing,
-# merge folds, probe/registry merge) and the parallel Merkle-level hashing
-# layer. The full `race` target subsumes it; this one fails fast when a
-# scheduling hazard lands in the concurrency-bearing paths specifically.
-race-shard:
-	$(GO) test -race -run 'TestSharded|TestPipeline|TestCalPool|TestFig4RunToRunDeterminism|TestHashWorkers|TestParallelMac' ./internal/harness ./internal/core
-
-# Parallel-throughput smoke for multi-core CI runners: asserts the sharded
-# end-to-end run at GOMAXPROCS workers is no slower than the serial model
-# and logs the measured speedup. Skips itself on single-CPU hosts, where
-# the sharded core cannot win by construction; the env var opts in because
-# wall-clock assertions are too flaky for the default test suite.
-bench-parallel-smoke:
-	SECMEM_PARALLEL_SMOKE=1 $(GO) test -run TestShardedThroughputBeatsSerial -v ./internal/harness
 
 # Dump every `go` statement in the repository with the termination signal
 # the goroutinelife analyzer recognized, and assert none is signal-less.
@@ -88,23 +72,19 @@ fuzz-smoke:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
 
-# Raw-speed artifact: crypto-kernel ns/op (fast path and its oracle), the
-# computed speedups, and end-to-end campaign numbers (serial and sharded),
-# written to BENCH_speed.json. Compare two artifacts (e.g. before/after a
-# kernel change) with bench-compare; kernels slower by more than TOL fail,
-# and the serial / parallel end-to-end throughputs each gate on their own
-# looser tolerance (ETOL / PTOL) since they carry more host noise.
+# Raw-speed artifact: crypto-kernel ns/op (fast path and its oracle) and the
+# computed speedups, written to BENCH_speed.json. Compare two artifacts
+# (e.g. before/after a kernel change) with bench-compare; kernels slower by
+# more than TOL fail. End-to-end wall time and throughput, with their
+# spread, come from `bash bench/run.sh`.
 bench-speed:
 	$(GO) run ./cmd/benchspeed -out BENCH_speed.json
 
 OLD ?= BENCH_speed.json
 NEW ?= BENCH_speed.new.json
 TOL ?= 0.25
-ETOL ?= 0.5
-PTOL ?= 0.6
-RTOL ?= 0.15
 bench-compare:
-	$(GO) run ./cmd/benchspeed -compare -tol $(TOL) -etol $(ETOL) -ptol $(PTOL) -rtol $(RTOL) $(OLD) $(NEW)
+	$(GO) run ./cmd/benchspeed -compare -tol $(TOL) $(OLD) $(NEW)
 
 # End-to-end observability smoke: run a tiny instrumented simulation with
 # time-series sampling, check the metrics/trace/timeseries artifact shape
@@ -181,4 +161,4 @@ serve-smoke:
 	kill $$pid 2>/dev/null || true; \
 	echo "serve-smoke: ok (live /metrics, /timeseries.json, /trace.json, pprof)"
 
-ci: build vet lint goroutine-audit escape-audit-check test race-shard race fuzz-smoke trace-smoke metrics-compare serve-smoke
+ci: build vet lint goroutine-audit escape-audit-check test race fuzz-smoke trace-smoke metrics-compare serve-smoke

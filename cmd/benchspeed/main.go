@@ -1,19 +1,15 @@
-// Command benchspeed runs the crypto-kernel and end-to-end speed benchmarks
-// and records the results as a machine-readable JSON artifact, so raw-speed
-// regressions are caught by diffing two artifacts instead of by noticing a
-// campaign got slow.
+// Command benchspeed runs the crypto-kernel speed benchmarks and records the
+// results as a machine-readable JSON artifact, so kernel regressions are
+// caught by diffing two artifacts. End-to-end wall time and simulated
+// instructions per second, with their spread, are measured by the
+// benchmark under bench/.
 //
 //	benchspeed -out BENCH_speed.json             # measure, write artifact
-//	benchspeed -benchtime 10ms -e2e=false        # quick kernel-only pass (CI smoke)
-//	benchspeed -compare -tol 0.25 -etol 0.5 -ptol 0.6 -rtol 0.15 old.json new.json
+//	benchspeed -benchtime 10ms                   # quick pass (CI smoke)
+//	benchspeed -compare -tol 0.25 old.json new.json
 //
 // Compare mode exits non-zero when any kernel's ns/op in new.json exceeds
-// old.json by more than -tol, when the serial (-etol) or parallel
-// sharded-core (-ptol) end-to-end throughput drops by more than its own
-// tolerance, or when the pipelined front-end's route_overhead_fraction or
-// pipeline_fill_fraction grows by more than -rtol absolute points —
-// independent knobs because the figures carry very different noise.
-// Campaign seconds and speedup ratios stay informational.
+// old.json by more than -tol. Speedup ratios stay informational.
 package main
 
 import (
@@ -24,13 +20,10 @@ import (
 	"runtime"
 	"sort"
 	"testing"
-	"time"
 
 	"secmem/internal/aescipher"
-	"secmem/internal/config"
 	"secmem/internal/gcmmode"
 	"secmem/internal/gf128"
-	"secmem/internal/harness"
 )
 
 // Artifact is the schema of BENCH_speed.json. Kernels are keyed by a stable
@@ -43,42 +36,12 @@ type Artifact struct {
 	Benchtime  string             `json:"benchtime"`
 	Kernels    map[string]Kernel  `json:"kernels"`
 	Speedups   map[string]float64 `json:"speedups"`
-	EndToEnd   *EndToEnd          `json:"end_to_end,omitempty"`
 }
 
 // Kernel is one testing.Benchmark result.
 type Kernel struct {
 	NsPerOp float64 `json:"ns_per_op"`
 	MBPerS  float64 `json:"mb_per_s,omitempty"`
-}
-
-// EndToEnd holds the whole-simulator numbers: one reduced Figure 4 campaign
-// and the simulated-instruction throughput of the default protected config,
-// measured through both the classic serial core and the sharded parallel
-// core (ShardSlices address slices on ParallelWorkers goroutines).
-type EndToEnd struct {
-	CampaignFig4Seconds float64 `json:"campaign_fig4_s"`
-	SimInstrPerSecond   float64 `json:"sim_instr_per_s"`
-	// SimInstrPerSecondParallel is the sharded-core throughput at
-	// ParallelWorkers workers (GOMAXPROCS at measurement time). On a
-	// single-core host this bounds below the serial figure — the sharded
-	// model routes the stream before simulating it — and scales with
-	// cores up to the slice count elsewhere.
-	SimInstrPerSecondParallel float64 `json:"sim_instr_per_s_parallel,omitempty"`
-	ParallelWorkers           int     `json:"parallel_workers,omitempty"`
-	// MergeOverheadFraction is shard-merge wall time over total sharded
-	// run time: the serial tail Amdahl charges the parallel core.
-	MergeOverheadFraction float64 `json:"merge_overhead_fraction,omitempty"`
-	// RouteOverheadFraction is the pipelined front-end's serial prefix:
-	// wall time until the first sealed calendar segment reached a slice,
-	// over total sharded run time. Before the pipeline, generation and
-	// routing ran to completion ahead of any simulation (measured at ~0.39
-	// of a one-worker sharded run); now only the first chunk is serial.
-	RouteOverheadFraction float64 `json:"route_overhead_fraction,omitempty"`
-	// PipelineFillFraction is wall time until routing completed, over
-	// total sharded run time: the span during which slice simulation
-	// overlaps generation and routing rather than running free.
-	PipelineFillFraction float64 `json:"pipeline_fill_fraction,omitempty"`
 }
 
 const schemaID = "secmem-bench-speed/v1"
@@ -126,13 +89,6 @@ func kernels() map[string]func(b *testing.B) {
 				gf128.GHASHTable8(&tbl, nil, buf)
 			}
 		},
-		"ghash_kb_table4": func(b *testing.B) {
-			tbl := gf128.NewProductTable(gf128.FromBytes(hb[:]))
-			b.SetBytes(int64(len(buf)))
-			for i := 0; i < b.N; i++ {
-				gf128.GHASHTable(&tbl, nil, buf)
-			}
-		},
 		"ghash_kb_serial": func(b *testing.B) {
 			h := gf128.FromBytes(hb[:])
 			b.SetBytes(int64(len(buf)))
@@ -166,7 +122,7 @@ func kernels() map[string]func(b *testing.B) {
 	}
 }
 
-func measure(benchtime string, e2e bool) (*Artifact, error) {
+func measure(benchtime string) (*Artifact, error) {
 	// testing.Benchmark reads the package-level -test.benchtime flag;
 	// testing.Init registers it so it can be set outside a test binary.
 	if err := flag.Set("test.benchtime", benchtime); err != nil {
@@ -199,61 +155,8 @@ func measure(benchtime string, e2e bool) (*Artifact, error) {
 	}
 	art.Speedups["aes_block_fast_vs_oracle"] = ratio("aes_block_oracle", "aes_block_fast")
 	art.Speedups["ghash_table_vs_serial"] = ratio("ghash_kb_serial", "ghash_kb_table")
-	art.Speedups["ghash_table8_vs_table4"] = ratio("ghash_kb_table4", "ghash_kb_table")
-	fmt.Printf("speedup aes_block %.2fx, ghash %.2fx (8-bit vs 4-bit table %.2fx)\n",
-		art.Speedups["aes_block_fast_vs_oracle"], art.Speedups["ghash_table_vs_serial"],
-		art.Speedups["ghash_table8_vs_table4"])
-
-	if e2e {
-		// Functional mode makes every simulated transfer pay real pad
-		// generation, MAC, and tree maintenance — the figure campaigns
-		// themselves run timing-only and would not see kernel changes.
-		t0 := time.Now()
-		r := harness.New(harness.Options{
-			Instructions: 300_000, Seed: 1,
-			Benches:    []string{"swim", "mcf", "crafty"},
-			Functional: true,
-		})
-		r.Fig4()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		campaign := time.Since(t0).Seconds()
-
-		r2 := harness.New(harness.Options{Instructions: 1_000_000, Seed: 1})
-		t0 = time.Now()
-		out := r2.Run("swim", config.Default())
-		ips := float64(out.CPU.Instructions) / time.Since(t0).Seconds()
-
-		// The same workload through the sharded parallel core, at one
-		// worker per available CPU. Best of three: the figure is a
-		// capability claim, and a single run on a loaded machine
-		// understates it.
-		workers := runtime.GOMAXPROCS(0)
-		r3 := harness.New(harness.Options{Instructions: 1_000_000, Seed: 1, Shards: workers})
-		var pips, mergeFrac, routeFrac, fillFrac float64
-		for try := 0; try < 3; try++ {
-			t0 = time.Now()
-			pout := r3.Run("swim", config.Default())
-			el := time.Since(t0)
-			if got := float64(pout.CPU.Instructions) / el.Seconds(); got > pips {
-				pips = got
-				mergeFrac = float64(r3.MergeNanos()) / float64(el.Nanoseconds())
-				routeFrac, fillFrac = r3.PipelineStats()
-			}
-		}
-		art.EndToEnd = &EndToEnd{
-			CampaignFig4Seconds:       campaign,
-			SimInstrPerSecond:         ips,
-			SimInstrPerSecondParallel: pips,
-			ParallelWorkers:           workers,
-			MergeOverheadFraction:     mergeFrac,
-			RouteOverheadFraction:     routeFrac,
-			PipelineFillFraction:      fillFrac,
-		}
-		fmt.Printf("end-to-end: fig4 campaign %.2fs, %.0f sim instr/s serial, %.0f sim instr/s sharded (%d workers, merge %.2f%%, route overhead %.2f%%, pipeline fill %.2f%%)\n",
-			campaign, ips, pips, workers, mergeFrac*100, routeFrac*100, fillFrac*100)
-	}
+	fmt.Printf("speedup aes_block %.2fx, ghash %.2fx\n",
+		art.Speedups["aes_block_fast_vs_oracle"], art.Speedups["ghash_table_vs_serial"])
 	return art, nil
 }
 
@@ -283,13 +186,8 @@ func load(path string) (*Artifact, error) {
 	return &a, nil
 }
 
-// compare gates on kernel ns/op (tol), serial end-to-end throughput (etol),
-// and parallel sharded-core throughput (ptol) — three independent
-// tolerances, because the three figures have very different noise: kernels
-// are tight, end-to-end numbers track machine load, and the parallel
-// figure additionally tracks how many CPUs the measuring host actually
-// has. Campaign seconds and speedup ratios stay informational.
-func compare(oldPath, newPath string, tol, etol, ptol, rtol float64) error {
+// compare gates on kernel ns/op; speedup ratios stay informational.
+func compare(oldPath, newPath string, tol float64) error {
 	oldA, err := load(oldPath)
 	if err != nil {
 		return err
@@ -316,51 +214,10 @@ func compare(oldPath, newPath string, tol, etol, ptol, rtol float64) error {
 		fmt.Printf("%-18s %12.2f -> %12.2f ns/op  %+6.1f%%  %s\n",
 			name, ok.NsPerOp, nk.NsPerOp, delta*100, mark)
 	}
-	if oldA.EndToEnd != nil && newA.EndToEnd != nil {
-		fmt.Printf("%-18s %12.2f -> %12.2f s (informational)\n",
-			"campaign_fig4", oldA.EndToEnd.CampaignFig4Seconds, newA.EndToEnd.CampaignFig4Seconds)
-		// Throughput figures gate on slowdown: old/new - 1 is the fraction
-		// of throughput lost.
-		gate := func(name string, old, new, tol float64) {
-			if old <= 0 || new <= 0 {
-				fmt.Printf("%-18s n/a (absent from one artifact)\n", name)
-				return
-			}
-			slow := old/new - 1
-			mark := "ok"
-			if slow > tol {
-				mark = "REGRESSION"
-				regressions++
-			}
-			fmt.Printf("%-18s %12.0f -> %12.0f instr/s  %+6.1f%%  %s (tol %.0f%%)\n",
-				name, old, new, (new/old-1)*100, mark, tol*100)
-		}
-		gate("sim_speed", oldA.EndToEnd.SimInstrPerSecond, newA.EndToEnd.SimInstrPerSecond, etol)
-		gate("sim_speed_parallel", oldA.EndToEnd.SimInstrPerSecondParallel, newA.EndToEnd.SimInstrPerSecondParallel, ptol)
-		// Route fractions gate on absolute growth: they are small numbers
-		// (first-chunk prefixes, a few percent) whose relative noise is
-		// huge, but a refactor that reintroduces a route-then-simulate
-		// barrier shows up as tens of points of absolute growth.
-		gateFrac := func(name string, old, new float64) {
-			if old <= 0 && new <= 0 {
-				return
-			}
-			mark := "ok"
-			if new-old > rtol {
-				mark = "REGRESSION"
-				regressions++
-			}
-			fmt.Printf("%-18s %11.2f%% -> %11.2f%%  %s (rtol %+.0f pts)\n",
-				name, old*100, new*100, mark, rtol*100)
-		}
-		gateFrac("route_overhead", oldA.EndToEnd.RouteOverheadFraction, newA.EndToEnd.RouteOverheadFraction)
-		gateFrac("pipeline_fill", oldA.EndToEnd.PipelineFillFraction, newA.EndToEnd.PipelineFillFraction)
-	}
 	if regressions > 0 {
 		return fmt.Errorf("%d figure(s) regressed beyond tolerance", regressions)
 	}
-	fmt.Printf("bench-compare: ok (kernels within %.0f%%, end-to-end within %.0f%%, parallel within %.0f%%)\n",
-		tol*100, etol*100, ptol*100)
+	fmt.Printf("bench-compare: ok (kernels within %.0f%%)\n", tol*100)
 	return nil
 }
 
@@ -369,12 +226,8 @@ func main() {
 	var (
 		out       = flag.String("out", "BENCH_speed.json", "write the benchmark artifact to this file")
 		benchtime = flag.String("benchtime", "1s", "per-kernel measurement time (testing -benchtime syntax)")
-		e2e       = flag.Bool("e2e", true, "also measure the end-to-end campaign and simulator throughput")
-		doCompare = flag.Bool("compare", false, "compare two artifacts: benchspeed -compare [-tol F] [-etol F] [-ptol F] old.json new.json")
+		doCompare = flag.Bool("compare", false, "compare two artifacts: benchspeed -compare [-tol F] old.json new.json")
 		tol       = flag.Float64("tol", 0.25, "allowed fractional slowdown per kernel in -compare mode")
-		etol      = flag.Float64("etol", 0.5, "allowed fractional serial end-to-end throughput loss in -compare mode")
-		ptol      = flag.Float64("ptol", 0.6, "allowed fractional parallel (sharded-core) throughput loss in -compare mode; looser than -etol because the figure also tracks the measuring host's core count")
-		rtol      = flag.Float64("rtol", 0.15, "allowed absolute growth (in fraction points) of route_overhead_fraction and pipeline_fill_fraction in -compare mode")
 	)
 	flag.Parse()
 
@@ -383,14 +236,14 @@ func main() {
 			fmt.Fprintln(os.Stderr, "usage: benchspeed -compare [-tol F] old.json new.json")
 			os.Exit(2)
 		}
-		if err := compare(flag.Arg(0), flag.Arg(1), *tol, *etol, *ptol, *rtol); err != nil {
+		if err := compare(flag.Arg(0), flag.Arg(1), *tol); err != nil {
 			fmt.Fprintf(os.Stderr, "benchspeed: %v\n", err)
 			os.Exit(1)
 		}
 		return
 	}
 
-	art, err := measure(*benchtime, *e2e)
+	art, err := measure(*benchtime)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchspeed: %v\n", err)
 		os.Exit(1)

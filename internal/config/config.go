@@ -164,15 +164,6 @@ type SystemConfig struct {
 	// the DRAM backing store (used by examples and correctness tests; the
 	// big sweeps run timing-only).
 	Functional bool
-
-	// HashWorkers, when greater than one, computes the MACs of independent
-	// Merkle levels on that many concurrent workers in the functional layer
-	// — the paper's "levels authenticated in parallel" applied to the
-	// byte-level simulation (verification chains, tree rebuilds, and
-	// whole-memory re-encryption). Zero or one keeps hashing serial. The
-	// knob only changes wall time: gathered chains hash out of order but
-	// compare in the serial walk's order, so results are byte-identical.
-	HashWorkers int
 }
 
 // Default returns the paper's baseline machine with the paper's preferred

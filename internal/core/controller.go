@@ -260,14 +260,18 @@ func (c *Controller) counterReady(now sim.Time, addr uint64) (ready, authDone si
 	if ev, evicted := c.ctrs.CacheFill(ctrBlk, arrive); evicted && ev.Dirty {
 		c.enqueueWB(arrive, ev.Addr)
 	}
+	// Install the fetched counters before the timing walk below: its Merkle
+	// node fills can evict a dirty data block whose write-back bumps a
+	// counter in this block, and unpacking the memory image after that
+	// would roll the bump back.
+	if c.fn != nil {
+		c.fn.onCounterFill(now, ctrBlk)
+	}
 	// Authenticate the fetched counters before they are trusted for
 	// encryption (the counter-replay fix). Derivative counter blocks live
 	// outside the tree and are only transitively protected.
 	if c.cfg.AuthenticateCounters && c.cfg.Auth != config.AuthNone && c.inTree(ctrBlk) {
 		authDone = c.authChain(now, ctrBlk, arrive)
-	}
-	if c.fn != nil {
-		c.fn.onCounterFill(now, ctrBlk)
 	}
 	return arrive, authDone
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -56,6 +57,100 @@ func TestRandomTamperAlwaysDetected(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestFunctionalReadBack checks read-back through the serial Merkle walk in
+// two workloads no other test covers: 48 scattered writes read back after
+// metadata-cache churn (honest, then with one bit flipped in DRAM, over
+// seeds 1-6), and 33 blocks read back after an 8-bit monolithic counter
+// wraps and forces a whole-memory re-encryption plus tree rebuild.
+func TestFunctionalReadBack(t *testing.T) {
+	t.Run("BitFlipSeeds", func(t *testing.T) {
+		run := func(seed int64, attack bool) (map[uint64][]byte, map[uint64][]byte, uint64, []Tamper) {
+			rng := rand.New(rand.NewSource(seed))
+			m := mustSystem(t, smallCfg())
+			var addrs []uint64
+			want := map[uint64][]byte{}
+			for i := 0; i < 48; i++ {
+				a := uint64(rng.Intn(4096)) * 64
+				data := make([]byte, 64)
+				rng.Read(data)
+				if _, err := m.WriteBytes(uint64(i)*500, a, data); err != nil {
+					t.Fatalf("seed %d: write: %v", seed, err)
+				}
+				addrs = append(addrs, a)
+				want[a] = data
+			}
+			m.Drain(100_000)
+			// Churn the metadata caches so read-back walks real off-chip chains.
+			for i := uint64(0); i < 64; i++ {
+				m.ReadBytes(150_000+i*300, 0x40000+i*4096, make([]byte, 8))
+			}
+			var victim uint64
+			if attack {
+				victim = addrs[rng.Intn(len(addrs))]
+				dram.NewAttacker(m.Controller().DRAM()).FlipBit(victim, rng.Intn(512))
+			}
+			got := map[uint64][]byte{}
+			for i, a := range addrs {
+				buf := make([]byte, 64)
+				m.ReadBytes(uint64(200_000+i*500), a, buf)
+				got[a] = buf
+			}
+			return want, got, victim, m.Controller().Tampers()
+		}
+		for seed := int64(1); seed <= 6; seed++ {
+			want, got, _, tampers := run(seed, false)
+			if len(tampers) != 0 {
+				t.Fatalf("seed %d: honest run logged tampers %v", seed, tampers)
+			}
+			for a, w := range want {
+				if !bytes.Equal(got[a], w) {
+					t.Fatalf("seed %d: block %#x read back wrong", seed, a)
+				}
+			}
+			_, _, victim, tampers := run(seed, true)
+			if len(tampers) == 0 || tampers[0].Addr != victim || tampers[0].Region != RegionData {
+				t.Fatalf("seed %d: flipped block %#x, tamper log %v", seed, victim, tampers)
+			}
+			if _, _, _, again := run(seed, true); !reflect.DeepEqual(again, tampers) {
+				t.Fatalf("seed %d: tamper log %v differs on rerun: %v", seed, tampers, again)
+			}
+		}
+	})
+	t.Run("Mono8Wrap", func(t *testing.T) {
+		cfg := smallCfg()
+		cfg.Enc = config.EncCounterMono
+		cfg.MonoCounterBits = 8
+		m := mustSystem(t, cfg)
+		want := map[uint64]byte{}
+		data := make([]byte, 64)
+		// 300 write-backs of one block wrap its 8-bit counter at least once;
+		// 32 neighbouring blocks are rewritten in between.
+		for i := 0; i < 300; i++ {
+			data[0] = byte(i)
+			for _, a := range []uint64{4096, uint64(64 * (i % 32))} {
+				if _, err := m.WriteBytes(uint64(i)*2000, a, data); err != nil {
+					t.Fatalf("write %#x: %v", a, err)
+				}
+				want[a] = byte(i)
+			}
+			m.Drain(uint64(i)*2000 + 1500)
+		}
+		if m.Controller().Stats.FullReencEvents == 0 {
+			t.Fatal("no whole-memory re-encryption; the rebuild path is unexercised")
+		}
+		buf := make([]byte, 64)
+		for a, w := range want {
+			m.ReadBytes(1_000_000+a, a, buf)
+			if buf[0] != w || !isZero(buf[1:]) {
+				t.Fatalf("block %#x read back %x, want first byte %#x", a, buf[:4], w)
+			}
+		}
+		if n := m.Controller().Stats.TamperDetected; n != 0 {
+			t.Fatalf("%d spurious tamper(s) after re-encryption", n)
+		}
+	})
 }
 
 // mustSystemQ is mustSystem without the *testing.T, for quick.Check bodies.

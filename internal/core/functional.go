@@ -42,23 +42,6 @@ type functional struct {
 
 	root    merkle.Root
 	tampers []Tamper
-
-	// chainBuf is the reusable gather buffer for parallel verification
-	// chains (HashWorkers > 1). verify is not reentrant on that path — the
-	// gathered walk replaces the recursion — so one buffer suffices.
-	chainBuf []chainLink
-}
-
-// chainLink is one node of a gathered verification chain: its memory image,
-// the counter bound into its MAC, its MAC slot within the parent node, and
-// (after the hash phase) the MAC itself.
-type chainLink struct {
-	addr    uint64
-	ctr     uint64
-	slot    int
-	content [BlockSize]byte
-	mac     [16]byte
-	macLen  int
 }
 
 func newFunctional(c *Controller) *functional {
@@ -168,9 +151,6 @@ func (f *functional) nodeContent(addr uint64, buf *[BlockSize]byte) (onChip bool
 // Unwritten blocks (never stored by this run) are skipped: their MACs were
 // never initialized, exactly like real memory before first use.
 func (f *functional) verify(now sim.Time, addr uint64, content []byte, ctr uint64) bool {
-	if f.c.cfg.HashWorkers > 1 {
-		return f.verifyGathered(now, addr, content, ctr)
-	}
 	if !f.c.mem.HasBlock(addr) && isZero(content) {
 		return true
 	}
@@ -200,83 +180,6 @@ func (f *functional) verify(now sim.Time, addr uint64, content []byte, ctr uint6
 	if subtle.ConstantTimeCompare(mac[:n], pbuf[lo:hi]) != 1 {
 		f.tamper(now, addr)
 		return false
-	}
-	return true
-}
-
-// verifyGathered is verify with the paper's level parallelism applied to
-// the functional walk: it gathers the whole off-chip verification chain
-// first (a serial, read-only ascent), computes every level's MAC
-// concurrently on HashWorkers workers, and then compares top-down. The
-// serial recursion also effectively compares top-down — each frame
-// verifies its parent before its own slot — so tamper order, the
-// first-failure early stop, the unwritten-ancestor early stop, and the
-// root-register cases all match the serial walk bit for bit.
-func (f *functional) verifyGathered(now sim.Time, addr uint64, content []byte, ctr uint64) bool {
-	if !f.c.mem.HasBlock(addr) && isZero(content) {
-		return true
-	}
-	geo := f.c.lay.Geo
-	links := f.chainBuf[:0]
-	var link chainLink
-	link.addr, link.ctr = addr, ctr
-	copy(link.content[:], content)
-	// atRoot: the top link's MAC lives in the root register. Otherwise the
-	// top link compares against parentContent — either a trusted on-chip
-	// ancestor or an unwritten one (all-zero, trusted like real memory
-	// before first use; the serial walk stops ascending there too).
-	atRoot := false
-	var parentContent [BlockSize]byte
-	for {
-		parent, slot, ok := geo.Parent(link.addr)
-		link.slot = slot
-		links = append(links, link)
-		if !ok {
-			atRoot = true
-			break
-		}
-		onChip := f.nodeContent(parent, &parentContent)
-		if onChip || (!f.c.mem.HasBlock(parent) && isZero(parentContent[:])) {
-			break
-		}
-		link = chainLink{addr: parent, ctr: f.counterFor(parent)}
-		link.content = parentContent
-	}
-	f.chainBuf = links // keep the grown buffer for the next chain
-
-	// Hash phase: every level's MAC is independent of the others, so they
-	// compute in parallel; computeMac touches only read-only generator
-	// state and the link's own slot (partitioned-index discipline).
-	parallelMac(f.c.cfg.HashWorkers, len(links), func(i int) {
-		l := &links[i]
-		l.macLen = f.computeMac(l.addr, l.content[:], l.ctr, &l.mac)
-	})
-
-	// Compare phase, top-down: link i checks against link i+1's gathered
-	// image (read before any comparison, exactly like the serial walk's
-	// pre-recursion fetch), the top link against parentContent or the root
-	// register. First mismatch records the tamper and stops.
-	for i := len(links) - 1; i >= 0; i-- {
-		l := &links[i]
-		var want []byte
-		if i == len(links)-1 && atRoot {
-			rootMac, set := f.root.Get()
-			if !set {
-				continue
-			}
-			want = rootMac
-		} else {
-			lo, hi := geo.MacOffset(l.slot)
-			if i == len(links)-1 {
-				want = parentContent[lo:hi]
-			} else {
-				want = links[i+1].content[lo:hi]
-			}
-		}
-		if subtle.ConstantTimeCompare(l.mac[:l.macLen], want) != 1 {
-			f.tamper(now, l.addr)
-			return false
-		}
 	}
 	return true
 }
@@ -432,52 +335,14 @@ func (f *functional) reencryptAll(now sim.Time) {
 		}
 		blocks = append(blocks, r)
 	})
-	// Phase 2: switch epochs and re-encrypt. Pad generation for distinct
-	// blocks is independent, so the blocks encrypt in parallel level-batch
-	// style and write back serially in address order — the same bytes the
-	// interleaved loop would produce, since encryption reads nothing a
-	// write-back changes.
+	// Phase 2: switch epochs and re-encrypt, in address order.
 	f.epoch++
 	f.rekey()
 	sort.Slice(blocks, func(i, j int) bool { return blocks[i].addr < blocks[j].addr })
-	cts := make([][BlockSize]byte, len(blocks))
-	switch f.c.cfg.Enc {
-	case config.EncNone, config.EncDirect:
-		parallelMac(f.c.cfg.HashWorkers, len(blocks), func(i int) {
-			f.encrypt(cts[i][:], blocks[i].pt[:], blocks[i].addr, f.counterFor(blocks[i].addr))
-		})
-	default:
-		// Counter modes: carve the sorted blocks into contiguous runs and
-		// generate each run's pads with one batched BlockPads call — the
-		// whole-memory re-encryption is the largest transfer the machine
-		// ever makes, so it is where amortized per-block seed setup pays.
-		ctrs := make([]uint64, len(blocks))
-		for i := range blocks {
-			ctrs[i] = f.counterFor(blocks[i].addr)
-		}
-		var runs [][2]int
-		for lo := 0; lo < len(blocks); {
-			hi := lo + 1
-			for hi < len(blocks) && blocks[hi].addr == blocks[hi-1].addr+BlockSize {
-				hi++
-			}
-			runs = append(runs, [2]int{lo, hi})
-			lo = hi
-		}
-		pads := make([]byte, len(blocks)*BlockSize)
-		parallelMac(f.c.cfg.HashWorkers, len(runs), func(r int) {
-			lo, hi := runs[r][0], runs[r][1]
-			f.pads.BlockPads(pads[lo*BlockSize:hi*BlockSize], blocks[lo].addr, ctrs[lo:hi])
-		})
-		for i := range blocks {
-			pad := pads[i*BlockSize : (i+1)*BlockSize]
-			for b := 0; b < BlockSize; b++ {
-				cts[i][b] = blocks[i].pt[b] ^ pad[b]
-			}
-		}
-	}
-	for i, r := range blocks {
-		f.c.mem.WriteBlock(r.addr, cts[i][:])
+	for _, r := range blocks {
+		var ct [BlockSize]byte
+		f.encrypt(ct[:], r.pt[:], r.addr, f.counterFor(r.addr))
+		f.c.mem.WriteBlock(r.addr, ct[:])
 	}
 	if f.c.cfg.Auth != config.AuthNone {
 		f.rebuildTree(now)
@@ -509,37 +374,20 @@ func (f *functional) rebuildTree(now sim.Time) {
 	for addr := range f.meta {
 		add(addr)
 	}
-	var batch []chainLink
 	for l := -1; l < geo.NumLevels(); l++ {
 		blocks := level[l]
 		sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-		// Level batch, in three phases. Applying a level's MACs only writes
-		// into the next level up (parent slots), never into this level, so
-		// gathering the whole level's contents up front reads exactly the
-		// bytes the one-at-a-time loop would.
-		batch = batch[:0]
 		for _, addr := range blocks {
-			var lk chainLink
+			var content [BlockSize]byte
 			if m, ok := f.meta[addr]; ok {
-				lk.content = *m
+				content = *m
 			} else if f.c.mem.HasBlock(addr) {
-				f.c.mem.ReadBlock(addr, lk.content[:])
+				f.c.mem.ReadBlock(addr, content[:])
 			} else {
 				continue
 			}
-			lk.addr, lk.ctr = addr, f.counterFor(addr)
-			batch = append(batch, lk)
-		}
-		// All MACs of one level are independent: hash them in parallel —
-		// the paper's "levels authenticated in parallel", here applied to
-		// the rebuild after an epoch change.
-		parallelMac(f.c.cfg.HashWorkers, len(batch), func(i int) {
-			lk := &batch[i]
-			lk.macLen = f.computeMac(lk.addr, lk.content[:], lk.ctr, &lk.mac)
-		})
-		for i := range batch {
-			addr := batch[i].addr
-			mac, n := batch[i].mac, batch[i].macLen
+			var mac [16]byte
+			n := f.computeMac(addr, content[:], f.counterFor(addr), &mac)
 			parent, slot, ok := geo.Parent(addr)
 			if !ok {
 				f.root.Set(mac[:n])

@@ -23,11 +23,6 @@ func TestHotPathsZeroAlloc(t *testing.T) {
 		fn   func()
 	}{
 		{"BlockPad", func() { p.BlockPad(0x40, 1) }},
-		{"BlockPads", func() {
-			var pads [8 * MemBlockSize]byte
-			var ctrs [8]uint64
-			p.BlockPads(pads[:], 0x40, ctrs[:])
-		}},
 		{"EncryptBlock", func() { p.EncryptBlock(ct, pt, 0x40, 1) }},
 		{"AuthPad", func() { p.AuthPad(0x40, 1) }},
 		{"MAC", func() { p.MAC(ct, 0x40, 1, 64) }},

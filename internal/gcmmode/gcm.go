@@ -157,41 +157,6 @@ func (p *PadGen) BlockPad(blockAddr, counter uint64) [MemBlockSize]byte {
 	return out
 }
 
-// BlockPads generates the encryption pads for a whole multi-block transfer
-// in one call: len(counters) consecutive 64-byte blocks starting at
-// blockAddr, where counters[i] belongs to block blockAddr+i*MemBlockSize.
-// dst receives the concatenated pads and must hold MemBlockSize bytes per
-// counter. One seed template serves the entire transfer — per block only
-// the 48-bit address field and the counter field are re-patched, and per
-// chunk only the chunk-index byte — so per-block setup is amortized across
-// the transfer. Touches only read-only receiver state and the caller's
-// buffers: safe for concurrent use and allocation-free.
-//
-//secmemlint:hotpath
-func (p *PadGen) BlockPads(dst []byte, blockAddr uint64, counters []uint64) {
-	if len(dst) < len(counters)*MemBlockSize {
-		panic("gcmmode: BlockPads needs MemBlockSize bytes of output per counter")
-	}
-	s := MakeSeed(blockAddr, 0, RoleEncrypt, 0, p.eiv)
-	for i, ctr := range counters {
-		ba := (blockAddr >> 6) + uint64(i)
-		s[0] = byte(ba >> 40)
-		s[1] = byte(ba >> 32)
-		s[2] = byte(ba >> 24)
-		s[3] = byte(ba >> 16)
-		s[4] = byte(ba >> 8)
-		s[5] = byte(ba)
-		binary.BigEndian.PutUint64(s[8:], ctr<<8)
-		s[15] = p.eiv // PutUint64 covers bytes 8..15; restore the IV byte
-		out := dst[i*MemBlockSize : (i+1)*MemBlockSize]
-		for c := 0; c < BlockChunks; c++ {
-			s[6] = byte(c)
-			pad := p.encryptBlk([16]byte(s))
-			copy(out[c*ChunkSize:(c+1)*ChunkSize], pad[:])
-		}
-	}
-}
-
 // EncryptBlock XORs plaintext with the block pad, producing ciphertext (and
 // vice versa: counter-mode decryption is the same operation).
 func (p *PadGen) EncryptBlock(dst, src []byte, blockAddr, counter uint64) {

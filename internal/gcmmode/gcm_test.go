@@ -245,58 +245,3 @@ func BenchmarkMAC64(b *testing.B) {
 		p.MAC(ct, 0x40, uint64(i), 64)
 	}
 }
-
-// TestBlockPadsMatchesBlockPad pins the batched transfer path to the
-// per-block one: the seed template patched across a run must reproduce
-// exactly the pads MakeSeed assembles from scratch, for transfers crossing
-// counter values, address carries, and single-block degenerate runs.
-func TestBlockPadsMatchesBlockPad(t *testing.T) {
-	p := newTestPadGen()
-	cases := []struct {
-		name string
-		base uint64
-		ctrs []uint64
-	}{
-		{"single", 0x40, []uint64{7}},
-		{"page", 0x1000, []uint64{0, 1, 2, 3, 1 << 40, 0x00ffffffffffffff, 9, 10}},
-		{"addr-carry", (1 << 14) - 2*64, []uint64{5, 6, 7, 8}},
-		{"high-addr", (1 << 47) - 64, []uint64{1, 2}},
-		{"empty", 0x40, nil},
-	}
-	for _, c := range cases {
-		got := make([]byte, len(c.ctrs)*MemBlockSize)
-		p.BlockPads(got, c.base, c.ctrs)
-		for i, ctr := range c.ctrs {
-			want := p.BlockPad(c.base+uint64(i)*MemBlockSize, ctr)
-			if !bytes.Equal(got[i*MemBlockSize:(i+1)*MemBlockSize], want[:]) {
-				t.Errorf("%s: block %d pad differs from BlockPad", c.name, i)
-			}
-		}
-	}
-}
-
-// TestBlockPadsShortDstPanics pins the output-size contract.
-func TestBlockPadsShortDstPanics(t *testing.T) {
-	p := newTestPadGen()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("short dst did not panic")
-		}
-	}()
-	p.BlockPads(make([]byte, MemBlockSize), 0, make([]uint64, 2))
-}
-
-func BenchmarkBlockPads(b *testing.B) {
-	p := newTestPadGen()
-	// One encryption page per call: the re-encryption transfer shape.
-	const blocks = 64
-	pads := make([]byte, blocks*MemBlockSize)
-	ctrs := make([]uint64, blocks)
-	for i := range ctrs {
-		ctrs[i] = uint64(i) * 3
-	}
-	b.SetBytes(blocks * MemBlockSize)
-	for i := 0; i < b.N; i++ {
-		p.BlockPads(pads, uint64(i%1024)<<12, ctrs)
-	}
-}

@@ -1,14 +1,17 @@
 package gf128
 
-// This file is the production GHASH multiplier: Shoup's 8-bit table method,
-// the ROADMAP's "4 KB, ~2x again" upgrade over the 4-bit table in table.go.
-// The construction is identical in shape — precompute i·H for every value i
-// of one lookup unit, then fold the accumulator one unit at a time — but the
-// unit is a byte, so a multiplication is 16 byte lookups plus 16
-// shift-and-reduce steps instead of 32 of each. The 4-bit table and the
-// bit-serial Mul remain as differential oracles (table8_test.go pins all
-// three together, and FuzzMulTable cross-checks every path on fuzzed
-// operands), mirroring how the T-table AES keeps its S-box reference.
+import "math/bits"
+
+// This file is the production GHASH multiplier: Shoup's 8-bit table method.
+// The bit-serial Mul in gf128.go walks all 128 bits of one operand; when
+// that operand is fixed (GHASH multiplies everything by the same subkey H),
+// the products i·H for every byte i can be precomputed once, turning each
+// multiplication into 16 byte lookups plus 16 shift-and-reduce steps. That
+// is the same trade hardware GHASH engines make (wider combinational
+// multiplier fed by a fixed H), so the fast path models the same machine as
+// the oracle — Mul stays as the independently-validated reference, and
+// table8_test.go and FuzzMulTable pin the two together, mirroring how the
+// T-table AES keeps its S-box reference.
 
 // ProductTable8 holds the 256 products i·H (i an 8-bit field element in GCM
 // bit order) for a fixed multiplicand H. It is 4 KB — the size/speed trade
@@ -22,19 +25,30 @@ type ProductTable8 struct {
 
 // reduce8 holds, for each byte shifted out the low end of the accumulator
 // during an 8-bit shift, the polynomial that folds back in at the top of the
-// high word. Entries are generated at init from mulX — the same reduction
-// primitive the 4-bit table and the bit-serial oracle use — rather than
-// hard-coded, so all three multipliers share one definition of the field.
+// high word. Entries are generated at init from mulX rather than
+// hard-coded, so the table and the bit-serial oracle share one definition
+// of the field.
 var reduce8 [256]uint64
 
 // rev8 reverses the bits of a byte: table indices are the byte as read from
 // the element words, whose bit significance is reflected relative to GCM
-// polynomial order (the 8-bit analogue of rev4).
+// polynomial order.
 var rev8 [256]byte
+
+// mulX returns e·x (one right shift in GCM bit order with reduction).
+func mulX(e Element) Element {
+	lsb := e.Lo & 1
+	e.Lo = e.Lo>>1 | e.Hi<<63
+	e.Hi >>= 1
+	if lsb == 1 { //secmemlint:ignore cttiming models the combinational GF multiplier's reduction mux; software bit timing out of scope
+		e.Hi ^= 0xe100000000000000
+	}
+	return e
+}
 
 func init() {
 	for i := 0; i < 256; i++ {
-		rev8[i] = rev4[i&0xf]<<4 | rev4[i>>4]
+		rev8[i] = bits.Reverse8(uint8(i))
 		// Shifting Element{Lo: i} right eight times folds each outgoing bit
 		// through the reduction polynomial; what accumulates in Hi is exactly
 		// the fold an 8-bit shift of a full accumulator must XOR back in
@@ -48,8 +62,7 @@ func init() {
 }
 
 // NewProductTable8 precomputes the 8-bit Shoup table for multiplicand h:
-// entry rev8[i] is i·h, filled by doubling (i even) and adding h (i odd),
-// exactly as NewProductTable does for nibbles.
+// entry rev8[i] is i·h, filled by doubling (i even) and adding h (i odd).
 func NewProductTable8(h Element) ProductTable8 {
 	var t ProductTable8
 	t.m[rev8[1]] = h
@@ -61,10 +74,9 @@ func NewProductTable8(h Element) ProductTable8 {
 }
 
 // MulTable8 returns e·h where t = NewProductTable8(h): 16 byte-wide table
-// lookups instead of the 4-bit path's 32 nibble lookups or Mul's 128 serial
-// iterations. The byte-indexed loads model the hardware multiplier's
-// parallel partial-product mux; like the oracle's data-dependent XORs, their
-// software cache timing is out of scope.
+// lookups instead of Mul's 128 serial iterations. The byte-indexed loads
+// model the hardware multiplier's parallel partial-product mux; like the
+// oracle's data-dependent XORs, their software cache timing is out of scope.
 //
 //secmemlint:hotpath
 func (e Element) MulTable8(t *ProductTable8) Element {
@@ -85,8 +97,8 @@ func (e Element) MulTable8(t *ProductTable8) Element {
 }
 
 // GHASHTable8 is GHASH_H(aad, ct) computed with a prebuilt 8-bit table for
-// H. It matches GHASH and GHASHTable byte for byte and never touches the
-// heap, so per-block MAC paths can call it at memory-traffic rates.
+// H. It matches GHASH byte for byte and never touches the heap, so
+// per-block MAC paths can call it at memory-traffic rates.
 //
 //secmemlint:hotpath
 func GHASHTable8(t *ProductTable8, aad, ct []byte) [16]byte {

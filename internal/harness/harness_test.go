@@ -78,6 +78,20 @@ func TestSplitBeatsMono64(t *testing.T) {
 	}
 }
 
+// TestHonestFunctionalRunHasNoTamper runs swim functionally on the default
+// machine at seeds where a Merkle node fill during a counter-block fetch
+// evicts a dirty data block. That block's write-back bumps a counter in
+// the counter block being fetched; installing the fetched memory image
+// after the bump rolled it back, and a later fill reported a tamper.
+func TestHonestFunctionalRunHasNoTamper(t *testing.T) {
+	for _, seed := range []int64{103694313, 265862674, 815158698} {
+		r := New(Options{Instructions: 1_000_000, Seed: seed, Functional: true})
+		if n := r.Run("swim", config.Default()).Ctl.TamperDetected; n != 0 {
+			t.Errorf("seed %d: %d tamper(s) on an honest run", seed, n)
+		}
+	}
+}
+
 func TestMcfIsTheCounterCacheOutlier(t *testing.T) {
 	// The paper singles out mcf: its enormous pointer-chased working set
 	// defeats the counter cache.

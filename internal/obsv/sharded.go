@@ -6,8 +6,8 @@ import "sort"
 // merges them deterministically afterwards. It exists because a Registry
 // is deliberately unsynchronized (the hot path is one predicted branch and
 // one add, and a shared atomic would put a contended cache line in every
-// subsystem): when the parallel simulator core or the secmemd shards run N
-// machines on N goroutines, each records into its own shard with zero
+// subsystem): when a campaign runs N machines on N goroutines
+// (harness.Runner.CampaignObserved), each records into its own shard with zero
 // cross-goroutine traffic, and the coordinator merges once at the end.
 //
 // The sharing discipline is the partitioned-index idiom the sharedstate

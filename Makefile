@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race goroutine-audit vet lint lint-bench lint-fix-audit escape-audit escape-audit-check fuzz-smoke bench bench-speed bench-compare trace-smoke metrics-baseline metrics-compare serve-smoke ci
+.PHONY: all build test race goroutine-audit vet lint lint-bench lint-fix-audit escape-audit escape-audit-check fuzz-smoke bench bench-speed bench-compare bench-check trace-smoke metrics-baseline metrics-compare serve-smoke ci
 
 all: build
 
@@ -86,6 +86,23 @@ TOL ?= 0.25
 bench-compare:
 	$(GO) run ./cmd/benchspeed -compare -tol $(TOL) $(OLD) $(NEW)
 
+# Fingerprint check of the benchmark in bench/: one untimed rep of each
+# workload at seed 2. Every rep's simulated statistics are checked against
+# bench/reference.json, and the last output line reports "correct":true
+# only if all of them matched, so a host-speed change that moves a
+# simulated number fails here. About 35 s on a 2-core host once built.
+BENCH_WORKLOADS = resident chase functional campaign
+bench-check:
+	@for w in $(BENCH_WORKLOADS); do \
+		last=$$(bash bench/run.sh --workload $$w --seed 2 --seconds 0 --trace 0 | tail -n 1); \
+		echo "$$w: $$last"; \
+		case "$$last" in \
+		*'"correct":true'*) ;; \
+		*) echo "bench-check: $$w does not match bench/reference.json"; exit 1 ;; \
+		esac; \
+	done; \
+	echo "bench-check: ok"
+
 # End-to-end observability smoke: run a tiny instrumented simulation with
 # time-series sampling, check the metrics/trace/timeseries artifact shape
 # with secmemobs -validate (including the sampled counter tracks the trace
@@ -161,4 +178,4 @@ serve-smoke:
 	kill $$pid 2>/dev/null || true; \
 	echo "serve-smoke: ok (live /metrics, /timeseries.json, /trace.json, pprof)"
 
-ci: build vet lint goroutine-audit escape-audit-check test race fuzz-smoke trace-smoke metrics-compare serve-smoke
+ci: build vet lint goroutine-audit escape-audit-check test race fuzz-smoke trace-smoke metrics-compare serve-smoke bench-check

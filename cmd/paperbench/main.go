@@ -39,6 +39,10 @@ func main() {
 		memProf = flag.String("memprofile", "", "write a heap profile taken after the campaign to this file")
 	)
 	flag.Parse()
+	if err := checkSelectors(*fig, *table); err != nil {
+		fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
+		os.Exit(2)
+	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
@@ -229,4 +233,16 @@ func main() {
 		f.Close()
 		fmt.Printf("structured results written to %s\n", *jsonOut)
 	}
+}
+
+// checkSelectors rejects a -fig or -table that names nothing paperbench
+// regenerates, before any run starts. Zero means the flag was not given.
+func checkSelectors(fig, table int) error {
+	if fig != 0 && (fig < 4 || fig > 10) {
+		return fmt.Errorf("-fig %d: no such figure (valid: 4, 5, 6, 7, 8, 9, 10)", fig)
+	}
+	if table != 0 && table != 2 {
+		return fmt.Errorf("-table %d: no such table (valid: 2)", table)
+	}
+	return nil
 }

@@ -187,7 +187,7 @@ func main() {
 	r := harness.New(harness.Options{Instructions: *instr, Seed: *seed, Benches: benches,
 		Functional: *funcMode})
 	tbl := stats.Table{
-		Title: fmt.Sprintf("secmemsim: %s, %s requirement, %d instructions", cfg.SchemeName(), cfg.Req, *instr),
+		Title: fmt.Sprintf("secmemsim: %s, %s requirement, %d instructions", cfg.SchemeName(), cfg.Req, r.Opt.Instructions),
 		Cols: []string{"bench", "IPC", "norm IPC", "L2 miss", "ctr hit", "timely pad",
 			"page reencs", "mac fetch", "tamper"},
 	}

@@ -263,6 +263,16 @@ func (c *Cache) find(addr uint64) int {
 	return -1
 }
 
+// Line returns the index of the line holding addr, or -1 if addr is not
+// resident, without touching LRU or stats. The index lies in [0, Lines())
+// and stays fixed while the block is resident, so a caller can keep its own
+// per-line state beside the cache: the counter store keeps each counter
+// block's fetch-completion cycle this way.
+func (c *Cache) Line(addr uint64) int { return c.find(addr) }
+
+// Lines returns the number of lines, sets times ways.
+func (c *Cache) Lines() int { return len(c.keys) }
+
 // Contains reports presence without touching LRU or stats. The RSR file
 // uses this to check whether a page's blocks are already on-chip, and the
 // Merkle walker to find the first cached tree node.

@@ -129,6 +129,33 @@ func TestContainsNoSideEffects(t *testing.T) {
 	}
 }
 
+func TestLine(t *testing.T) {
+	c := smallCache()
+	if c.Lines() != 8 {
+		t.Fatalf("Lines = %d, want 8", c.Lines())
+	}
+	if c.Line(0) != -1 {
+		t.Error("absent block has a line")
+	}
+	c.Fill(0, false)
+	c.Fill(256, false) // same set
+	before := c.Stats
+	l0, l1 := c.Line(0), c.Line(256)
+	if l0 < 0 || l1 < 0 || l0 >= c.Lines() || l1 >= c.Lines() || l0 == l1 {
+		t.Fatalf("lines = %d, %d, want two distinct lines in [0, 8)", l0, l1)
+	}
+	if c.Stats != before {
+		t.Error("Line mutated stats")
+	}
+	// Line must not refresh LRU: 0 is still LRU, and its line goes to
+	// the block that displaces it.
+	c.Fill(512, false)
+	if c.Line(0) != -1 || c.Line(512) != l0 || c.Line(256) != l1 {
+		t.Errorf("after eviction: lines 0→%d 512→%d 256→%d, want -1, %d, %d",
+			c.Line(0), c.Line(512), c.Line(256), l0, l1)
+	}
+}
+
 func TestSetDirtyAndCleanLine(t *testing.T) {
 	c := smallCache()
 	if c.SetDirty(0) {

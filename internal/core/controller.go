@@ -63,12 +63,14 @@ type Controller struct {
 	// invalidation. Set by MemSystem; nil in controller-only tests.
 	victimHook func(now sim.Time, ev cache.Eviction)
 
-	// wbQueue serializes eviction cascades so nested fills cannot recurse
-	// unboundedly; pendingWB marks queued blocks so a re-fetch can forward
-	// from the write-back buffer instead of reading stale DRAM.
-	wbQueue   []wbItem
-	pendingWB map[uint64]bool
-	draining  bool
+	// wbQueue is the write-back buffer, a FIFO drained from wbHead. It
+	// serializes eviction cascades so nested fills cannot recurse
+	// unboundedly, and a re-fetch of a queued block forwards from it
+	// instead of reading stale DRAM. It holds a few items at a time and is
+	// reused from empty after every drain.
+	wbQueue  []wbItem
+	wbHead   int
+	draining bool
 
 	// Observability handles (see obs.go); all nil when uninstrumented, so
 	// the hot path pays one predicted branch per hook.
@@ -89,6 +91,7 @@ type Controller struct {
 type wbItem struct {
 	now  sim.Time
 	addr uint64
+	live bool // neither forwarded nor written back yet
 }
 
 // NewController builds the controller and its owned substrates. The L2
@@ -99,9 +102,8 @@ func NewController(cfg config.SystemConfig) (*Controller, error) {
 	}
 	lay := NewLayout(cfg)
 	c := &Controller{
-		cfg:       cfg,
-		lay:       lay,
-		pendingWB: make(map[uint64]bool),
+		cfg: cfg,
+		lay: lay,
 		bus: bus.New(bus.Config{
 			WidthBytes:           cfg.BusWidthBytes,
 			CPUCyclesPerBusCycle: cfg.BusCPUCyclesPerBusCycle,
@@ -442,8 +444,7 @@ func (c *Controller) onL2Victim(now sim.Time, ev cache.Eviction) {
 
 // enqueueWB queues a dirty block's write-back.
 func (c *Controller) enqueueWB(now sim.Time, addr uint64) {
-	c.wbQueue = append(c.wbQueue, wbItem{now: now, addr: addr})
-	c.pendingWB[addr] = true
+	c.wbQueue = append(c.wbQueue, wbItem{now: now, addr: addr, live: true})
 }
 
 // forwardWB models a write-back buffer hit: the block is being re-fetched
@@ -452,35 +453,49 @@ func (c *Controller) enqueueWB(now sim.Time, addr uint64) {
 // functional on-chip copy was never discarded, so no bytes move. Reports
 // whether forwarding happened.
 func (c *Controller) forwardWB(addr uint64) bool {
-	if !c.pendingWB[addr] {
-		return false
+	return c.clearWB(addr)
+}
+
+// clearWB marks every live copy of addr still queued as done, reporting
+// whether there was one.
+func (c *Controller) clearWB(addr uint64) bool {
+	found := false
+	for i := c.wbHead; i < len(c.wbQueue); i++ {
+		if it := &c.wbQueue[i]; it.live && it.addr == addr {
+			it.live = false
+			found = true
+		}
 	}
-	delete(c.pendingWB, addr)
-	return true
+	return found
 }
 
 // drain processes queued write-backs. Processing one write-back can fetch
 // and fill further blocks, evicting more dirty victims onto the queue; the
 // loop is bounded because every iteration writes one dirty block out and
 // the dirty population is bounded by the cache sizes.
+//
+// A block re-installed dirty while its write-back is queued can be queued
+// twice. It is written back once, at its first copy's cycle, if any copy is
+// still live; a forward squashes only the copies already queued.
 func (c *Controller) drain() {
 	if c.draining {
 		return
 	}
 	c.draining = true
 	defer func() { c.draining = false }()
-	for guard := 0; len(c.wbQueue) > 0; guard++ {
+	for guard := 0; c.wbHead < len(c.wbQueue); guard++ {
 		if guard > 1<<20 {
 			panic("core: write-back cascade did not terminate")
 		}
-		item := c.wbQueue[0]
-		c.wbQueue = c.wbQueue[1:]
-		if !c.pendingWB[item.addr] {
-			continue // squashed by a write-back buffer forward
+		item := c.wbQueue[c.wbHead]
+		live := c.clearWB(item.addr) // false: squashed by a forward
+		c.wbHead++
+		if live {
+			c.writeBackAny(item.now, item.addr)
 		}
-		delete(c.pendingWB, item.addr)
-		c.writeBackAny(item.now, item.addr)
 	}
+	c.wbQueue = c.wbQueue[:0]
+	c.wbHead = 0
 }
 
 // HandleEviction is the memory system's entry point for dirty L2 evictions.

@@ -172,3 +172,75 @@ func TestSchemeNameOnRunOutput(t *testing.T) {
 	}
 	_ = config.Default()
 }
+
+// TestMissPathAllocationFree: once the write-back buffer and the counter
+// tables have grown, an L2 miss allocates nothing, including the dirty
+// victim's write-back with its counter bump and Merkle update.
+func TestMissPathAllocationFree(t *testing.T) {
+	m := mustSystem(t, config.Default())
+	// Stores to 2 MB of consecutive blocks, twice the L2: after the first
+	// pass every access misses and evicts a dirty block.
+	const blocks = 32768
+	now := uint64(0)
+	misses := 0
+	pass := func() {
+		misses = 0
+		for i := uint64(0); i < blocks; i++ {
+			r := m.Access(now, i*BlockSize, true)
+			if r.L2Miss {
+				misses++
+			}
+			now = r.DataReady
+		}
+	}
+	pass()
+	wbs := m.Controller().Stats.WriteBacks
+	if n := testing.AllocsPerRun(1, pass); n != 0 {
+		t.Errorf("%v heap allocations per pass of %d misses, want 0", n, blocks)
+	}
+	if misses != blocks {
+		t.Errorf("%d of %d accesses missed L2, want all", misses, blocks)
+	}
+	// AllocsPerRun makes a warm-up pass of its own: two passes, each
+	// writing back nearly one dirty data block per miss.
+	if got := m.Controller().Stats.WriteBacks - wbs; got < blocks {
+		t.Errorf("%d data write-backs over two passes, want at least %d", got, blocks)
+	}
+}
+
+// TestWriteBackBufferQueuedTwice pins the write-back buffer's semantics
+// for a block queued twice: one forward squashes both copies, and without
+// a forward the block is written back once.
+func TestWriteBackBufferQueuedTwice(t *testing.T) {
+	ctl := mustSystem(t, config.Default()).Controller()
+	const blk = 0x4000
+	ctl.enqueueWB(100, blk)
+	ctl.enqueueWB(200, blk)
+	if !ctl.forwardWB(blk) {
+		t.Fatal("forward of a queued block missed the buffer")
+	}
+	if ctl.forwardWB(blk) {
+		t.Fatal("second forward hit the buffer: the first left a live copy")
+	}
+	ctl.drain()
+	if n := ctl.Stats.WriteBacks; n != 0 {
+		t.Fatalf("drain wrote back %d forwarded blocks, want 0", n)
+	}
+	ctl.enqueueWB(300, blk)
+	ctl.enqueueWB(400, blk)
+	ctl.drain()
+	if n := ctl.Stats.WriteBacks; n != 1 {
+		t.Fatalf("block queued twice written back %d times, want 1", n)
+	}
+	// A copy queued after a forward is live again.
+	ctl.enqueueWB(500, blk)
+	ctl.forwardWB(blk)
+	ctl.enqueueWB(600, blk)
+	ctl.drain()
+	if n := ctl.Stats.WriteBacks; n != 2 {
+		t.Fatalf("re-queued block written back %d times in total, want 2", n)
+	}
+	if len(ctl.wbQueue) != 0 || ctl.wbHead != 0 {
+		t.Errorf("buffer not reset after drain: len %d, head %d", len(ctl.wbQueue), ctl.wbHead)
+	}
+}

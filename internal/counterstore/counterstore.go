@@ -171,8 +171,11 @@ type Store struct {
 	maxIncr  uint64
 	maxBlock uint64
 
-	cache   *cache.Cache
-	pending map[uint64]sim.Time // counter block addr -> fetch completion
+	cache *cache.Cache
+	// fillDone holds, per counter-cache line, the cycle at which the fetch
+	// that filled the line completes, or zero once a hit has seen it pass.
+	// A refill overwrites it, so it belongs to the block resident there.
+	fillDone []sim.Time
 
 	// Observability handles; nil-safe.
 	mHit      *obsv.Counter
@@ -203,15 +206,15 @@ func New(cfg Config) *Store {
 		panic(fmt.Sprintf("counterstore: bad counter width %d", cfg.Bits))
 	}
 	s := &Store{
-		cfg:     cfg,
-		minors:  make(map[uint64]uint64),
-		majors:  make(map[uint64]uint64),
-		values:  make(map[uint64]uint64),
-		incr:    make(map[uint64]uint64),
-		pending: make(map[uint64]sim.Time),
+		cfg:    cfg,
+		minors: make(map[uint64]uint64),
+		majors: make(map[uint64]uint64),
+		values: make(map[uint64]uint64),
+		incr:   make(map[uint64]uint64),
 	}
 	if cfg.Cache != nil {
 		s.cache = cache.New(*cfg.Cache)
+		s.fillDone = make([]sim.Time, s.cache.Lines())
 	}
 	return s
 }
@@ -406,21 +409,17 @@ func (s *Store) CacheLookup(addr uint64, now sim.Time) (res LookupResult, readyA
 		return Miss, 0, ctrBlock
 	}
 	if s.cache.Lookup(ctrBlock, false) {
-		// Skip the map probe outright when nothing is in flight — the
-		// common case once fetches complete. No bulk staleness sweep here:
-		// lookups are not monotone in now (background RSR fetches and
-		// write-backs probe at earlier timestamps), so an entry that looks
-		// stale to one access can still be a half-miss to another.
-		if len(s.pending) != 0 {
-			if t, ok := s.pending[ctrBlock]; ok {
-				if t > now {
-					s.Stats.HalfMisses++
-					s.mHalfMiss.Inc()
-					return HalfMiss, t, ctrBlock
-				}
-				delete(s.pending, ctrBlock)
-			}
+		// Lookups are not monotone in now (background RSR fetches and
+		// write-backs probe at earlier timestamps). A hit before the fill
+		// completes is a half miss; the first hit at or after it clears
+		// the cycle, so every later hit, at any timestamp, is a plain hit.
+		line := s.cache.Line(ctrBlock)
+		if t := s.fillDone[line]; t > now {
+			s.Stats.HalfMisses++
+			s.mHalfMiss.Inc()
+			return HalfMiss, t, ctrBlock
 		}
+		s.fillDone[line] = 0
 		s.Stats.Hits++
 		s.mHit.Inc()
 		return Hit, now, ctrBlock
@@ -436,8 +435,9 @@ func (s *Store) CacheFill(ctrBlock uint64, ready sim.Time) (ev cache.Eviction, e
 	if s.cache == nil {
 		return cache.Eviction{}, false
 	}
-	s.pending[ctrBlock] = ready
-	return s.cache.Fill(ctrBlock, false)
+	ev, evicted = s.cache.Fill(ctrBlock, false)
+	s.fillDone[s.cache.Line(ctrBlock)] = ready
+	return ev, evicted
 }
 
 // CacheDirty marks a resident counter block dirty (a counter increment

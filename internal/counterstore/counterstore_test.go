@@ -213,6 +213,48 @@ func TestCacheLookupHitMissHalfMiss(t *testing.T) {
 	if st.HitRate() != 1.0/3 {
 		t.Errorf("hit rate = %v", st.HitRate())
 	}
+	// Lookups are not monotone in time: once one has seen the fetch
+	// complete, an earlier-stamped lookup is a hit too.
+	res, ready, _ = s.CacheLookup(0, 200)
+	if res != Hit || ready != 200 {
+		t.Fatalf("lookup at 200 after completion = (%v, %d), want (Hit, 200)", res, ready)
+	}
+	// Counter blocks of every eighth page share a set of the 8-set cache.
+	// evict fills fresh ones into it until blk has left.
+	page := uint64(0)
+	evict := func(blk, fillDone uint64) (last uint64) {
+		for s.CacheContains(blk) {
+			page += 8
+			_, _, last = s.CacheLookup(page*64*BlockSize, 500)
+			s.CacheFill(last, fillDone)
+		}
+		return last
+	}
+	// Evicted and refilled: the refill's fetch makes it a half miss again.
+	evict(ctrBlk, 500)
+	if res, _, _ = s.CacheLookup(0, 700); res != Miss {
+		t.Fatalf("lookup after eviction = %v, want Miss", res)
+	}
+	s.CacheFill(ctrBlk, 900)
+	res, ready, _ = s.CacheLookup(0, 800)
+	if res != HalfMiss || ready != 900 {
+		t.Fatalf("lookup at 800 after refill = (%v, %d), want (HalfMiss, 900)", res, ready)
+	}
+	// Another counter block taking over the line starts from its own fill
+	// time, not the outstanding 900.
+	line := s.Cache().Line(ctrBlk)
+	other := evict(ctrBlk, 50)
+	if got := s.Cache().Line(other); got != line {
+		t.Fatalf("block %#x took line %d, want the evicted block's line %d", other, got, line)
+	}
+	otherAddr := page * 64 * BlockSize
+	res, ready, _ = s.CacheLookup(otherAddr, 40)
+	if res != HalfMiss || ready != 50 {
+		t.Fatalf("new block's lookup at 40 = (%v, %d), want (HalfMiss, 50)", res, ready)
+	}
+	if res, _, _ = s.CacheLookup(otherAddr, 60); res != Hit {
+		t.Fatalf("new block's lookup at 60 = %v, want Hit", res)
+	}
 }
 
 func TestCacheFillEviction(t *testing.T) {

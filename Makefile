@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race goroutine-audit vet lint lint-bench lint-fix-audit escape-audit escape-audit-check fuzz-smoke bench bench-speed bench-compare bench-check trace-smoke metrics-baseline metrics-compare serve-smoke ci
+.PHONY: all build test race goroutine-audit vet lint lint-bench lint-fix-audit fuzz-smoke bench bench-check trace-smoke metrics-baseline metrics-compare serve-smoke ci
 
 all: build
 
@@ -37,7 +37,7 @@ lint:
 	$(GO) run ./cmd/secmemlint ./...
 
 # Wall-time of a full-repository lint run (load + typecheck + call graph +
-# interprocedural summary fixpoint + all fourteen analyzers); every iteration
+# interprocedural summary fixpoint + all thirteen analyzers); every iteration
 # asserts the 5s budget, guarding against the suite becoming too slow to
 # keep in the default CI path.
 lint-bench:
@@ -48,17 +48,6 @@ lint-bench:
 lint-fix-audit:
 	$(GO) run ./cmd/secmemlint -suppressions ./...
 
-# Cross-check hotpathalloc's lexical zero-allocation verdicts against the
-# compiler's escape analysis: regenerate ESCAPE.json from `go build
-# -gcflags=-m` mapped onto the //secmemlint:hotpath closure. Commit the
-# diff after a deliberate hot-path change; escape-audit-check (CI) fails
-# when the committed artifact is stale or an unsanctioned escape appears.
-escape-audit:
-	$(GO) run ./cmd/escapeaudit
-
-escape-audit-check:
-	$(GO) run ./cmd/escapeaudit -check
-
 # Short native-fuzz passes over the attack surfaces that parse free-form
 # input (the lint annotation grammar) and the differential crypto oracle
 # (table-driven GF(2^128) multiply vs the bit-serial reference). One -fuzz
@@ -66,25 +55,10 @@ escape-audit-check:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCollectIgnores -fuzztime=10s ./internal/lint
 	$(GO) test -run='^$$' -fuzz=FuzzSecretAnnotation -fuzztime=10s ./internal/lint
-	$(GO) test -run='^$$' -fuzz=FuzzHotpathAnnotation -fuzztime=10s ./internal/lint
 	$(GO) test -run='^$$' -fuzz=FuzzMulTable -fuzztime=10s ./internal/gf128
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
-
-# Raw-speed artifact: crypto-kernel ns/op (fast path and its oracle) and the
-# computed speedups, written to BENCH_speed.json. Compare two artifacts
-# (e.g. before/after a kernel change) with bench-compare; kernels slower by
-# more than TOL fail. End-to-end wall time and throughput, with their
-# spread, come from `bash bench/run.sh`.
-bench-speed:
-	$(GO) run ./cmd/benchspeed -out BENCH_speed.json
-
-OLD ?= BENCH_speed.json
-NEW ?= BENCH_speed.new.json
-TOL ?= 0.25
-bench-compare:
-	$(GO) run ./cmd/benchspeed -compare -tol $(TOL) $(OLD) $(NEW)
 
 # Fingerprint check of the benchmark in bench/: one untimed rep of each
 # workload at seed 2. Every rep's simulated statistics are checked against
@@ -178,4 +152,4 @@ serve-smoke:
 	kill $$pid 2>/dev/null || true; \
 	echo "serve-smoke: ok (live /metrics, /timeseries.json, /trace.json, pprof)"
 
-ci: build vet lint goroutine-audit escape-audit-check test race fuzz-smoke trace-smoke metrics-compare serve-smoke bench-check
+ci: build vet lint goroutine-audit test race fuzz-smoke trace-smoke metrics-compare serve-smoke bench-check

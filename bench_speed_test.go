@@ -3,11 +3,10 @@
 // MAC) plus end-to-end campaign benchmarks, each fast path paired with the
 // oracle it replaced so a run prints the speedup directly.
 //
-// `make bench-speed` runs these through cmd/benchspeed, which records the
-// numbers (and computed fast/oracle ratios) in BENCH_speed.json;
-// `make bench-compare` diffs two such files with a tolerance, which is how
-// a perf regression shows up in review instead of in a campaign that got
-// mysteriously slow.
+// `go test -bench 'AESBlock|GHASH' -run '^$' .` prints each fast/oracle
+// pair side by side. The kernel timings with their spread, and the
+// end-to-end speed figures, come from the benchmark in bench/
+// (`bash bench/run.sh`).
 package secmem_test
 
 import (

@@ -22,10 +22,6 @@
 //	-dump-summaries   print the inferred interprocedural flow table
 //	                  (per-function result/param/global/field effects and
 //	                  sink facts) instead of findings, then exit 0
-//	-dump-hotpaths    print the //secmemlint:hotpath call-graph closure —
-//	                  one line (or JSON entry) per function hotpathalloc
-//	                  holds to the zero-allocation standard, the same view
-//	                  cmd/escapeaudit freezes into ESCAPE.json
 //	-dump-goroutines  print every go statement with its enclosing loop
 //	                  shape and the termination proof goroutinelife accepts
 //	-suppressions     list every "//secmemlint:ignore" comment with
@@ -58,7 +54,6 @@ func main() {
 	disable := flag.String("disable", "", "comma-separated analyzers to skip")
 	list := flag.Bool("list", false, "print the analyzer suite and exit")
 	dumpSummaries := flag.Bool("dump-summaries", false, "print the inferred interprocedural flow table and exit")
-	dumpHotpaths := flag.Bool("dump-hotpaths", false, "print the hotpath call-graph closure and exit")
 	dumpGoroutines := flag.Bool("dump-goroutines", false, "print every go statement with its loop shape and termination proof, then exit")
 	suppressions := flag.Bool("suppressions", false, "list every suppression comment with its reason and exit")
 	flag.Parse()
@@ -105,30 +100,6 @@ func main() {
 
 	if *dumpSummaries {
 		fmt.Print(lint.DumpSummaries(all))
-		return
-	}
-	if *dumpHotpaths {
-		hot := lint.HotPathAudit(all)
-		if *format == "json" {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(hot); err != nil {
-				fmt.Fprintln(os.Stderr, "secmemlint:", err)
-				os.Exit(2)
-			}
-			return
-		}
-		for _, h := range hot {
-			mark := ""
-			if h.Root {
-				mark = " [root]"
-			}
-			if h.Suppressed {
-				mark += " [suppressed]"
-			}
-			fmt.Printf("%s:%d-%d: %s%s (hot via %s)\n",
-				relFile(h.File), h.StartLine, h.EndLine, h.Func, mark, strings.Join(h.Roots, ", "))
-		}
 		return
 	}
 	if *dumpGoroutines {

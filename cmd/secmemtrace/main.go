@@ -54,9 +54,25 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
-func doRecord(bench string, seed int64, n uint64, out string) {
+// checkRecord rejects -record flags that name nothing to record, before
+// the output file is created.
+func checkRecord(bench string, n uint64, out string) error {
 	if out == "" {
-		fatalf("-record needs -o")
+		return fmt.Errorf("-record needs -o")
+	}
+	if _, ok := trace.Profiles()[bench]; !ok {
+		return fmt.Errorf("unknown benchmark %q; available: %s", bench, strings.Join(trace.Names(), " "))
+	}
+	if n == 0 {
+		return fmt.Errorf("-n 0: nothing to record")
+	}
+	return nil
+}
+
+func doRecord(bench string, seed int64, n uint64, out string) {
+	if err := checkRecord(bench, n, out); err != nil {
+		fmt.Fprintln(os.Stderr, "secmemtrace:", err)
+		os.Exit(2)
 	}
 	f, err := os.Create(out)
 	if err != nil {

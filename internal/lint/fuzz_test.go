@@ -5,7 +5,6 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -14,8 +13,7 @@ import (
 // the analyzers consume free-form user text. Each embeds the fuzz input
 // into a source file, parses it, and runs the real collectors: the grammar
 // must never panic, and malformed annotations must never register (a bare
-// ignore silently eating findings, or a glued hotpath prefix silently
-// widening the zero-alloc closure, would be a security-relevant bug).
+// ignore silently eating findings would be a security-relevant bug).
 
 func fuzzPackage(t *testing.T, src string) *Package {
 	t.Helper()
@@ -108,57 +106,5 @@ func FuzzSecretAnnotation(f *testing.F) {
 		// The index must be usable downstream: summary computation over the
 		// fuzzed package must also not panic.
 		computeInterproc([]*Package{pkg}, idx, collectIgnores(pkg))
-	})
-}
-
-func FuzzHotpathAnnotation(f *testing.F) {
-	f.Add("//secmemlint:hotpath\nfunc hot() {}")
-	f.Add("// MulTable multiplies.\n//secmemlint:hotpath per-block kernel\nfunc mul() {}")
-	f.Add("//secmemlint:hotpathglued must not register\nfunc g() {}")
-	f.Add("// secmemlint:hotpath spaced marker form\nfunc s() {}")
-	f.Add("//secmemlint:hotpath\nfunc root() { helper() }\nfunc helper() { _ = make([]byte, 1) }")
-	f.Add("func trailing() {} //secmemlint:hotpath not a doc comment")
-	f.Fuzz(func(t *testing.T, body string) {
-		pkg := fuzzPackage(t, "package p\n"+body+"\n")
-		pkgs := []*Package{pkg}
-		idx := collectSecrets(pkgs)
-		ip := computeInterproc(pkgs, idx, collectIgnores(pkg))
-		// A root must trace back to a doc comment whose marker is exactly
-		// the prefix or the prefix followed by a space — a glued suffix like
-		// "hotpathglued" widening the closure would silently hold the wrong
-		// code to the zero-alloc standard (or miss the right code).
-		for _, fn := range hotPathRoots(ip) {
-			decl := ip.graph.decls[fn]
-			if decl == nil || !hasHotPathDoc(decl.Doc) {
-				t.Fatalf("root %s registered without a well-formed hotpath doc comment", fn.Name())
-			}
-			found := false
-			for _, c := range decl.Doc.List {
-				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-				if text == hotPathPrefix || strings.HasPrefix(text, hotPathPrefix+" ") {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("root %s accepted from a malformed marker", fn.Name())
-			}
-		}
-		// The full audit must be well-formed on arbitrary input: valid line
-		// ranges, every closure member attributed to at least one root, and
-		// the root lists sorted (the artifact contract ESCAPE.json relies on).
-		for _, h := range HotPathAudit(pkgs) {
-			if h.Func == "" || h.File == "" {
-				t.Errorf("audit entry with empty identity: %+v", h)
-			}
-			if h.StartLine <= 0 || h.EndLine < h.StartLine {
-				t.Errorf("%s: impossible line range %d-%d", h.Func, h.StartLine, h.EndLine)
-			}
-			if len(h.Roots) == 0 {
-				t.Errorf("%s: in the hot closure but attributed to no root", h.Func)
-			}
-			if !sort.StringsAreSorted(h.Roots) {
-				t.Errorf("%s: unsorted root list %v", h.Func, h.Roots)
-			}
-		}
 	})
 }

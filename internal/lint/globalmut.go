@@ -6,25 +6,24 @@ import (
 )
 
 // GlobalMut bans mutable package-level state in the simulator-core
-// packages. The ROADMAP's parallel event-driven core shards the memory
-// system across worker goroutines and instantiates multiple tenants in
-// one process; any package-level variable in those packages is state
-// silently shared by every shard and tenant — a data race at worst and a
-// cross-tenant covert channel at best. Constants, error sentinels
+// packages. harness.parallelDo runs a campaign's simulations on worker
+// goroutines in one process; any package-level variable in those
+// packages is state silently shared by every machine — a data race at
+// worst and a cross-run dependence at best. Constants, error sentinels
 // (immutable by convention), and the blank identifier are fine; anything
 // else must live on a struct the caller owns.
 //
-// The package set mirrors ISSUE/ROADMAP: sim, core, engine, cache,
-// counterstore, merkle. Packages outside the set (harness, obsv, lint
-// itself) may keep globals — they run on the coordinator, not in shards.
+// The package set is sim, core, engine, cache, counterstore, merkle.
+// Packages outside the set (harness, obsv, lint itself) may keep globals —
+// they run on the coordinator, not inside a simulated machine.
 var GlobalMut = &Analyzer{
 	Name: "globalmut",
 	Doc:  "no mutable package-level state in the simulator-core packages",
 	Run:  runGlobalMut,
 }
 
-// globalMutPackages are the final path segments of the shard-instantiable
-// core packages.
+// globalMutPackages are the final path segments of the simulator-core
+// packages.
 var globalMutPackages = []string{"sim", "core", "engine", "cache", "counterstore", "merkle"}
 
 func runGlobalMut(pass *Pass) {
@@ -62,7 +61,7 @@ func runGlobalMut(pass *Pass) {
 						continue
 					}
 					pass.Reportf(name.Pos(),
-						"package-level variable %s makes every simulator shard and tenant share state; move it onto a struct the caller instantiates (parallel-core prerequisite)",
+						"package-level variable %s is shared by every machine a campaign runs in parallel; move it onto a struct the caller instantiates",
 						name.Name)
 				}
 			}

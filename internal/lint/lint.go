@@ -22,10 +22,7 @@
 //   - lockdiscipline: every Lock is released on all paths (defer
 //     preferred) and no lock is held across a blocking operation.
 //   - globalmut: no mutable package-level state in the simulator core
-//     packages, so shards and tenants stay independently instantiable.
-//   - hotpathalloc: code reachable from "//secmemlint:hotpath" roots (the
-//     per-access pad/MAC/multiply paths) must not heap-allocate;
-//     cross-checked against compiler escape analysis via ESCAPE.json.
+//     packages, so machines simulated side by side share nothing.
 //   - determinism: no map-iteration order, wall clock, or cross-goroutine
 //     float accumulation may reach simulation outputs.
 //   - goroutinelife: every go statement carries a provable termination
@@ -37,10 +34,11 @@
 // core, and extended across function boundaries by the interprocedural
 // summaries of summary.go over the call graph of callgraph.go. The
 // concurrency analyzers (sharedstate, lockdiscipline, globalmut,
-// determinism, goroutinelife) are the static merge gate for the parallel
-// event-driven simulator core (ROADMAP); hotpathalloc rides the same call
-// graph to hold the per-access closure to the zero-allocation budget the
-// speed benchmarks assume.
+// determinism, goroutinelife) guard the program's few concurrent pieces:
+// the harness.parallelDo fan-out that runs a campaign's simulations on
+// worker goroutines, the mutex of the obsv time-series sampler, and the
+// HTTP server goroutine of secmemsim -serve. The simulator itself is
+// serial.
 //
 // The compiler cannot see any of these properties; the analyzers keep all
 // packages honest through refactors. cmd/secmemlint is the CLI driver and
@@ -117,7 +115,6 @@ func All() []*Analyzer {
 		SharedState,
 		LockDiscipline,
 		GlobalMut,
-		HotPathAlloc,
 		Determinism,
 		GoroutineLife,
 	}

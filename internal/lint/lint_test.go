@@ -46,7 +46,6 @@ func TestViolationsAreDetected(t *testing.T) {
 		"sharedstate":    "sharedstate/racy",
 		"lockdiscipline": "lockdiscipline/leaky",
 		"globalmut":      "globalmut/core",
-		"hotpathalloc":   "hotpathalloc/hot",
 		"determinism":    "determinism/violating",
 		"goroutinelife":  "goroutinelife/leaky",
 	}
@@ -80,6 +79,24 @@ func TestSuppressionRequiresReason(t *testing.T) {
 				if !strings.HasSuffix(file, ".go") || line <= 0 {
 					t.Errorf("malformed ignore record %s:%d", file, line)
 				}
+			}
+		}
+	}
+}
+
+// TestSuppressionsNameAnalyzers: a suppression whose analyzer name is a
+// typo, or names an analyzer since deleted, silences nothing while still
+// reading as a reviewed exception, so every one must name an analyzer of
+// the suite or "all".
+func TestSuppressionsNameAnalyzers(t *testing.T) {
+	known := map[string]bool{"all": true}
+	for _, a := range All() {
+		known[a.Name] = true
+	}
+	for _, s := range Suppressions(loadRepo(t)) {
+		for _, name := range s.Analyzers {
+			if !known[name] {
+				t.Errorf("%s:%d: suppression names no analyzer: %q", s.File, s.Line, name)
 			}
 		}
 	}

@@ -26,7 +26,7 @@ type Digest struct {
 
 // New returns an initialized SHA-1 hash.
 func New() *Digest {
-	d := &Digest{} //secmemlint:ignore hotpathalloc SHA-1 is the paper's comparator baseline, not the GCM production path; one digest allocation per MAC is the cost being measured
+	d := &Digest{}
 	d.Reset()
 	return d
 }
@@ -75,7 +75,7 @@ func (d *Digest) Sum(prefix []byte) []byte {
 	for i, v := range c.h {
 		binary.BigEndian.PutUint32(out[4*i:], v)
 	}
-	return append(prefix, out[:]...) //secmemlint:ignore hotpathalloc SHA-1 is the paper's comparator baseline, not the GCM production path; MAC's Sum(mac[:0]) reuses the caller's fixed array
+	return append(prefix, out[:]...)
 }
 
 func (d *Digest) block(p []byte) {

@@ -1,7 +1,10 @@
-// bench_speed_test.go holds the raw-speed benchmark harness: kernel-level
+// bench_speed_test.go holds the raw-speed benchmarks: kernel-level
 // benchmarks for the crypto primitives (AES block, GHASH, pad generation,
-// MAC) plus end-to-end campaign benchmarks, each fast path paired with the
-// oracle it replaced so a run prints the speedup directly.
+// MAC), with the AES and GHASH fast paths each paired with the oracle it
+// replaced so a run prints the speedup directly, and one functional
+// Figure 4 campaign (BenchmarkCampaignFig4), which has no oracle.
+// Simulated instructions per second on the default machine is
+// BenchmarkSimulatorThroughput in bench_test.go.
 //
 // `go test -bench 'AESBlock|GHASH' -run '^$' .` prints each fast/oracle
 // pair side by side. The kernel timings with their spread, and the
@@ -14,7 +17,6 @@ import (
 	"testing"
 
 	"secmem/internal/aescipher"
-	"secmem/internal/config"
 	"secmem/internal/gcmmode"
 	"secmem/internal/gf128"
 	"secmem/internal/harness"
@@ -125,19 +127,4 @@ func BenchmarkCampaignFig4(b *testing.B) {
 		})
 		r.Fig4()
 	}
-}
-
-// BenchmarkEndToEndSimSpeed reports simulated instructions per second for
-// the paper's default protected configuration (Split+GCM with the
-// integrity tree) — the headline "how fast does the simulator go" number.
-func BenchmarkEndToEndSimSpeed(b *testing.B) {
-	r := harness.New(harness.Options{Instructions: 1_000_000, Seed: 1})
-	cfg := config.Default()
-	b.ResetTimer()
-	var instr uint64
-	for i := 0; i < b.N; i++ {
-		out := r.Run("swim", cfg)
-		instr += out.CPU.Instructions
-	}
-	b.ReportMetric(float64(instr)/b.Elapsed().Seconds(), "sim_instr/s")
 }

@@ -22,8 +22,6 @@
 //	-dump-summaries   print the inferred interprocedural flow table
 //	                  (per-function result/param/global/field effects and
 //	                  sink facts) instead of findings, then exit 0
-//	-dump-goroutines  print every go statement with its enclosing loop
-//	                  shape and the termination proof goroutinelife accepts
 //	-suppressions     list every "//secmemlint:ignore" comment with
 //	                  file:line, analyzers, and reason (make lint-fix-audit)
 //
@@ -54,7 +52,6 @@ func main() {
 	disable := flag.String("disable", "", "comma-separated analyzers to skip")
 	list := flag.Bool("list", false, "print the analyzer suite and exit")
 	dumpSummaries := flag.Bool("dump-summaries", false, "print the inferred interprocedural flow table and exit")
-	dumpGoroutines := flag.Bool("dump-goroutines", false, "print every go statement with its loop shape and termination proof, then exit")
 	suppressions := flag.Bool("suppressions", false, "list every suppression comment with its reason and exit")
 	flag.Parse()
 	if *jsonOut {
@@ -100,26 +97,6 @@ func main() {
 
 	if *dumpSummaries {
 		fmt.Print(lint.DumpSummaries(all))
-		return
-	}
-	if *dumpGoroutines {
-		sites := lint.GoroutineSites(all)
-		if *format == "json" {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(sites); err != nil {
-				fmt.Fprintln(os.Stderr, "secmemlint:", err)
-				os.Exit(2)
-			}
-			return
-		}
-		for _, s := range sites {
-			loop := ""
-			if s.Loop != "" {
-				loop = " loop=" + s.Loop
-			}
-			fmt.Printf("%s:%d: go in %s%s signal=%s\n", relFile(s.File), s.Line, s.In, loop, s.Signal)
-		}
 		return
 	}
 	if *suppressions {
@@ -239,18 +216,13 @@ func selectAnalyzers(all []*lint.Analyzer, enable, disable string) ([]*lint.Anal
 // relativize rewrites absolute file paths relative to the working directory
 // when that makes them shorter and unambiguous.
 func relativize(diags []lint.Diagnostic) {
-	for i, d := range diags {
-		diags[i].File = relFile(d.File)
-	}
-}
-
-func relFile(file string) string {
 	cwd, err := os.Getwd()
 	if err != nil {
-		return file
+		return
 	}
-	if rel, err := filepath.Rel(cwd, file); err == nil && !strings.HasPrefix(rel, "..") {
-		return rel
+	for i, d := range diags {
+		if rel, err := filepath.Rel(cwd, d.File); err == nil && !strings.HasPrefix(rel, "..") {
+			diags[i].File = rel
+		}
 	}
-	return file
 }

@@ -8,19 +8,15 @@
 //	secmemsim -bench mcf -enc mono -bits 16 -auth sha -shalat 320 -req safe
 //	secmemsim -bench art -enc direct -instr 5000000
 //	secmemsim -bench swim -trace t.json -sample 1000 -timeseries ts.json
-//	secmemsim -bench swim -instr 5000000 -sample 1000 -serve 127.0.0.1:9190
+//	secmemsim -bench all -metrics m.json
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"strings"
-	"time"
 
 	"secmem/internal/config"
 	"secmem/internal/core"
@@ -55,8 +51,6 @@ func main() {
 		sampleCap  = flag.Int("samplecap", 0, "time-series ring capacity in samples (0 = default; ring keeps the newest window)")
 		tsOut      = flag.String("timeseries", "", "write the sampled time-series as sorted-column JSON to this file (requires -sample)")
 		tsCSV      = flag.String("timeseriescsv", "", "write the sampled time-series as CSV to this file (requires -sample)")
-		serveAddr  = flag.String("serve", "", "serve live observability over HTTP on this address: /metrics (Prometheus), /timeseries.json, /trace.json, /debug/pprof/")
-		serveFor   = flag.Duration("servefor", 0, "with -serve: keep serving this long after the run completes (0 = until interrupted)")
 	)
 	flag.Parse()
 
@@ -131,57 +125,28 @@ func main() {
 
 	// The trace recorder and the time-series sampler are single-benchmark
 	// only — every run restarts at cycle 0, so a second run's spans and
-	// samples would overlap the first's on the same timeline. The live
-	// server rides on the sampler, so it inherits the restriction.
+	// samples would overlap the first's on the same timeline.
 	if len(benches) > 1 {
 		switch {
 		case *traceOut != "":
 			fatalf("-trace requires a single benchmark (runs restart at cycle 0 and would overlap in the timeline); pick one with -bench")
-		case *sample > 0 || *serveAddr != "":
-			fatalf("-sample/-serve require a single benchmark (runs restart at cycle 0); pick one with -bench")
+		case *sample > 0:
+			fatalf("-sample requires a single benchmark (runs restart at cycle 0); pick one with -bench")
 		}
 	}
 	if (*tsOut != "" || *tsCSV != "") && *sample == 0 {
 		fatalf("-timeseries/-timeseriescsv require -sample N")
 	}
-	if *serveAddr != "" && *sample == 0 {
-		// Live exposition needs a publication cadence; default to a sample
-		// every 10k cycles rather than serving a frozen snapshot.
-		*sample = 10_000
-	}
 
 	var obs harness.Obs
-	if *metricsOut != "" || *serveAddr != "" {
+	if *metricsOut != "" {
 		obs.Reg = obsv.NewRegistry()
 	}
-	if *traceOut != "" || (*serveAddr != "" && len(benches) == 1) {
+	if *traceOut != "" {
 		obs.Rec = obsv.NewRecorder(*traceLimit)
 	}
 	if *sample > 0 {
 		obs.Smp = obsv.NewSampler(*sample, *sampleCap)
-	}
-
-	// Live exposition: listen before the run starts so scrapers can
-	// connect immediately; each sample boundary publishes a fresh
-	// immutable snapshot for /metrics.
-	var server *obsv.Server
-	if *serveAddr != "" {
-		server = obsv.NewServer(obs.Smp)
-		server.Publish(obs.Reg.Snapshot())
-		reg := obs.Reg
-		srv := server
-		obs.Smp.OnSample(func(uint64) { srv.Publish(reg.Snapshot()) })
-		ln, err := net.Listen("tcp", *serveAddr)
-		if err != nil {
-			fatalf("-serve %s: %v", *serveAddr, err)
-		}
-		fmt.Printf("serving observability on http://%s (metrics, timeseries.json, trace.json, debug/pprof)\n", ln.Addr())
-		//secmemlint:ignore goroutinelife serves until process exit by design; http.Serve returns only on listener close and the process is the lifetime
-		go func() {
-			if err := http.Serve(ln, server); err != nil {
-				fmt.Fprintf(os.Stderr, "secmemsim: http server: %v\n", err)
-			}
-		}()
 	}
 
 	r := harness.New(harness.Options{Instructions: *instr, Seed: *seed, Benches: benches,
@@ -191,20 +156,17 @@ func main() {
 		Cols: []string{"bench", "IPC", "norm IPC", "L2 miss", "ctr hit", "timely pad",
 			"page reencs", "mac fetch", "tamper"},
 	}
-	outs := make([]harness.RunOut, len(benches))
-	if obs.Reg != nil && len(benches) > 1 {
-		// Multi-benchmark metrics: run the campaign in parallel, one
-		// registry shard per worker, and merge deterministically — counters
-		// and histograms sum exactly as the old sequential accumulation
-		// did; gauges report the busiest benchmark.
+	var outs []harness.RunOut
+	if len(benches) > 1 {
+		// Every run of a multi-benchmark table is independent: warm the
+		// baselines, then fan the runs out. With -metrics each run records
+		// into its own registry and the merge sums counters and histograms
+		// exactly as one shared registry would; gauges report the busiest
+		// benchmark.
 		r.WarmBaselines()
-		var merged *obsv.Registry
-		outs, merged = r.CampaignObserved(cfg)
-		obs.Reg = merged
+		outs, obs.Reg = r.CampaignObserved(cfg, obs.Reg != nil)
 	} else {
-		for i, b := range benches {
-			outs[i] = r.RunObserved(b, cfg, obs)
-		}
+		outs = []harness.RunOut{r.RunObserved(benches[0], cfg, obs)}
 	}
 	for i, b := range benches {
 		out := outs[i]
@@ -221,7 +183,7 @@ func main() {
 	}
 	fmt.Print(tbl.String())
 
-	if obs.Reg != nil && *metricsOut != "" {
+	if obs.Reg != nil {
 		if err := writeTo(*metricsOut, obs.Reg.WriteJSON); err != nil {
 			fatalf("writing metrics: %v", err)
 		}
@@ -245,33 +207,14 @@ func main() {
 		}
 	}
 	if obs.Rec != nil {
-		var rendered bytes.Buffer
-		if err := obs.Rec.WriteJSON(&rendered); err != nil {
-			fatalf("rendering trace: %v", err)
+		if err := writeTo(*traceOut, obs.Rec.WriteJSON); err != nil {
+			fatalf("writing trace: %v", err)
 		}
-		if *traceOut != "" {
-			if err := os.WriteFile(*traceOut, rendered.Bytes(), 0o644); err != nil {
-				fatalf("writing trace: %v", err)
-			}
-			if d := obs.Rec.Dropped(); d > 0 {
-				fmt.Fprintf(os.Stderr, "secmemsim: warning: %d trace events dropped at the cap (raise -tracelimit)\n", d)
-			}
-			fmt.Printf("trace written to %s (%d events; load in chrome://tracing or ui.perfetto.dev)\n",
-				*traceOut, obs.Rec.Len())
+		if d := obs.Rec.Dropped(); d > 0 {
+			fmt.Fprintf(os.Stderr, "secmemsim: warning: %d trace events dropped at the cap (raise -tracelimit)\n", d)
 		}
-		if server != nil {
-			server.PublishTrace(rendered.Bytes())
-		}
-	}
-	if server != nil {
-		server.Publish(obs.Reg.Snapshot())
-		if *serveFor > 0 {
-			fmt.Printf("run complete; serving for another %s\n", *serveFor)
-			time.Sleep(*serveFor)
-		} else {
-			fmt.Println("run complete; serving until interrupted (Ctrl-C)")
-			select {}
-		}
+		fmt.Printf("trace written to %s (%d events; load in chrome://tracing or ui.perfetto.dev)\n",
+			*traceOut, obs.Rec.Len())
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"secmem/internal/config"
+	"secmem/internal/reenc"
 	"secmem/internal/stats"
 )
 
@@ -39,8 +40,6 @@ type AblationRow struct {
 func (r *Runner) sweep(mk func() []config.SystemConfig, labels []string) []AblationRow {
 	benches := r.Opt.benches()
 	cfgs := mk()
-	rows := make([]AblationRow, len(cfgs))
-	var mu sync.Mutex
 	type job struct{ ci, bi int }
 	var jobs []job
 	for ci := range cfgs {
@@ -48,12 +47,10 @@ func (r *Runner) sweep(mk func() []config.SystemConfig, labels []string) []Ablat
 			jobs = append(jobs, job{ci, bi})
 		}
 	}
-	sums := make([]struct {
-		ipc    []float64
-		reencs uint64
-		stalls uint64
-		cycles []float64
-	}, len(cfgs))
+	// Per-job results, reduced in job order after the join so the float
+	// averages do not depend on completion order.
+	norms := make([]float64, len(jobs))
+	rsrs := make([]reenc.Stats, len(jobs))
 	// Normalize each configuration against an unprotected machine with the
 	// SAME cache geometry, so stress-sized L2s don't masquerade as scheme
 	// overhead.
@@ -78,25 +75,24 @@ func (r *Runner) sweep(mk func() []config.SystemConfig, labels []string) []Ablat
 	r.parallelFor(len(jobs), func(i int) {
 		j := jobs[i]
 		out := r.Run(benches[j.bi], cfgs[j.ci])
-		norm := out.IPC / baselineFor(benches[j.bi], cfgs[j.ci])
-		mu.Lock()
-		s := &sums[j.ci]
-		s.ipc = append(s.ipc, norm)
-		s.reencs += out.RSR.PageReencs
-		s.stalls += uint64(out.RSR.StallCycles)
-		if out.RSR.PageReencs > 0 {
-			s.cycles = append(s.cycles, out.RSR.MeanCycles())
-		}
-		mu.Unlock()
+		norms[i] = out.IPC / baselineFor(benches[j.bi], cfgs[j.ci])
+		rsrs[i] = out.RSR
 	})
-	for ci := range cfgs {
-		rows[ci] = AblationRow{
-			Label:       labels[ci],
-			NormIPC:     stats.Mean(sums[ci].ipc),
-			PageReencs:  sums[ci].reencs,
-			StallCycles: sums[ci].stalls,
-			MeanCycles:  stats.Mean(sums[ci].cycles),
+	ipcs := make([][]float64, len(cfgs))
+	cycles := make([][]float64, len(cfgs))
+	rows := make([]AblationRow, len(cfgs))
+	for i, j := range jobs {
+		ipcs[j.ci] = append(ipcs[j.ci], norms[i])
+		rows[j.ci].PageReencs += rsrs[i].PageReencs
+		rows[j.ci].StallCycles += uint64(rsrs[i].StallCycles)
+		if rsrs[i].PageReencs > 0 {
+			cycles[j.ci] = append(cycles[j.ci], rsrs[i].MeanCycles())
 		}
+	}
+	for ci := range rows {
+		rows[ci].Label = labels[ci]
+		rows[ci].NormIPC = stats.Mean(ipcs[ci])
+		rows[ci].MeanCycles = stats.Mean(cycles[ci])
 	}
 	return rows
 }

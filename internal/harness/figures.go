@@ -10,6 +10,7 @@ import (
 	"secmem/internal/core"
 	"secmem/internal/cpu"
 	"secmem/internal/predictor"
+	"secmem/internal/reenc"
 	"secmem/internal/stats"
 	"secmem/internal/trace"
 )
@@ -262,28 +263,29 @@ type Fig6aResult struct {
 func (r *Runner) Fig6a() (stats.Table, Fig6aResult) {
 	r.WarmBaselines()
 	benches := r.Opt.benches()
-	var mu sync.Mutex
-	var hit, hitHalf, timelySplit, ipcSplit []float64
-	var pred1Rate, timely1, ipc1 []float64
-	var timely2, ipc2 []float64
+	// Per-bench values sit in bench order and are averaged after the join:
+	// float addition is not associative, so averaging in completion order
+	// would make the figure depend on scheduling.
+	n := len(benches)
+	hit, hitHalf, timelySplit, ipcSplit := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	pred1Rate, timely1, ipc1 := make([]float64, n), make([]float64, n), make([]float64, n)
+	timely2, ipc2 := make([]float64, n), make([]float64, n)
 	splitCfg := EncOnly(config.EncCounterSplit, 64)
-	r.parallelFor(len(benches), func(i int) {
+	r.parallelFor(n, func(i int) {
 		b := benches[i]
 		out := r.Run(b, splitCfg)
 		base := r.Baseline(b)
 		p1res, p1 := r.RunPredictor(b, 1)
 		p2res, p2 := r.RunPredictor(b, 2)
-		mu.Lock()
-		hit = append(hit, out.CtrHitRate())
-		hitHalf = append(hitHalf, out.CtrHitPlusHalf())
-		timelySplit = append(timelySplit, out.TimelyPadRate())
-		ipcSplit = append(ipcSplit, out.IPC/base)
-		pred1Rate = append(pred1Rate, p1.PredictionRate())
-		timely1 = append(timely1, p1.TimelyPadRate())
-		ipc1 = append(ipc1, p1res.IPC()/base)
-		timely2 = append(timely2, p2.TimelyPadRate())
-		ipc2 = append(ipc2, p2res.IPC()/base)
-		mu.Unlock()
+		hit[i] = out.CtrHitRate()
+		hitHalf[i] = out.CtrHitPlusHalf()
+		timelySplit[i] = out.TimelyPadRate()
+		ipcSplit[i] = out.IPC / base
+		pred1Rate[i] = p1.PredictionRate()
+		timely1[i] = p1.TimelyPadRate()
+		ipc1[i] = p1res.IPC() / base
+		timely2[i] = p2.TimelyPadRate()
+		ipc2[i] = p2res.IPC() / base
 	})
 	res := Fig6aResult{
 		SNCHit:         stats.Mean(hit),
@@ -315,9 +317,13 @@ func (r *Runner) Fig6b(windows int) (stats.Table, [][2]float64) {
 	}
 	benches := r.Opt.benches()
 	chunk := r.Opt.Instructions / uint64(windows)
+	// Rates are indexed [window][bench] and averaged in bench order.
 	splitRates := make([][]float64, windows)
 	predRates := make([][]float64, windows)
-	var mu sync.Mutex
+	for w := range splitRates {
+		splitRates[w] = make([]float64, len(benches))
+		predRates[w] = make([]float64, len(benches))
+	}
 	r.parallelFor(len(benches), func(bi int) {
 		b := benches[bi]
 		// Split machine, windowed counter-cache stats.
@@ -329,7 +335,6 @@ func (r *Runner) Fig6b(windows int) (stats.Table, [][2]float64) {
 		gen := trace.NewGenerator(trace.Get(b), r.Opt.Seed)
 		c := cpu.New(cfg, mem)
 		var prevH, prevHM, prevM uint64
-		sRates := make([]float64, windows)
 		for w := 0; w < windows; w++ {
 			c.Run(gen, uint64(w+1)*chunk)
 			st := mem.Controller().Counters().Stats
@@ -338,9 +343,9 @@ func (r *Runner) Fig6b(windows int) (stats.Table, [][2]float64) {
 			dm := st.Misses - prevM
 			prevH, prevHM, prevM = st.Hits, st.HalfMisses, st.Misses
 			if n := dh + dhm + dm; n > 0 {
-				sRates[w] = float64(dh) / float64(n)
+				splitRates[w][bi] = float64(dh) / float64(n)
 			} else {
-				sRates[w] = 1
+				splitRates[w][bi] = 1
 			}
 		}
 		// Prediction machine, windowed prediction rate.
@@ -350,18 +355,11 @@ func (r *Runner) Fig6b(windows int) (stats.Table, [][2]float64) {
 		}
 		pgen := trace.NewGenerator(trace.Get(b), r.Opt.Seed)
 		pc := cpu.New(config.Baseline(), psys)
-		pRates := make([]float64, windows)
 		for w := 0; w < windows; w++ {
 			pc.Run(pgen, uint64(w+1)*chunk)
 			st := psys.SnapshotStats()
-			pRates[w] = st.PredictionRate()
+			predRates[w][bi] = st.PredictionRate()
 		}
-		mu.Lock()
-		for w := 0; w < windows; w++ {
-			splitRates[w] = append(splitRates[w], sRates[w])
-			predRates[w] = append(predRates[w], pRates[w])
-		}
-		mu.Unlock()
 	})
 	tbl := stats.Table{
 		Title: "Figure 6(b): Prediction and counter cache hit rate trends",
@@ -500,15 +498,12 @@ type ScalarsResult struct {
 // being measured.
 func (r *Runner) Scalars() (stats.Table, ScalarsResult) {
 	benches := r.Opt.benches()
-	var mu sync.Mutex
-	var onchip, meancyc []float64
-	// Per-bench rate contributions, reduced in bench order after the join:
-	// float addition is not associative, so accumulating across workers in
+	// Per-bench results, reduced in bench order after the join: float
+	// addition is not associative, so accumulating across workers in
 	// completion order would make the scalars interleaving-dependent.
+	rsr := make([]reenc.Stats, len(benches))
 	splitContrib := make([]float64, len(benches))
 	monoContrib := make([]float64, len(benches))
-	maxConc := 0
-	var stalls, reencs uint64
 	// The stressed configuration: 4-bit minors and a small L2 (so the hot
 	// write set actually cycles through memory) make page re-encryptions
 	// happen at campaign scale.
@@ -519,19 +514,9 @@ func (r *Runner) Scalars() (stats.Table, ScalarsResult) {
 	memBlocks := float64(rateCfg.MemBytes / 64)
 	r.parallelFor(len(benches), func(i int) {
 		b := benches[i]
-		stress := r.Run(b, stressCfg)
-		rate := r.Run(b, rateCfg)
-		mu.Lock()
-		if stress.RSR.PageReencs > 0 {
-			onchip = append(onchip, stress.RSR.OnChipFraction())
-			meancyc = append(meancyc, stress.RSR.MeanCycles())
-		}
-		reencs += stress.RSR.PageReencs
-		if stress.RSR.MaxConcurrent > maxConc {
-			maxConc = stress.RSR.MaxConcurrent
-		}
-		stalls += uint64(stress.RSR.StallCycles)
+		rsr[i] = r.Run(b, stressCfg).RSR
 		// Analytic rates from the default-geometry run.
+		rate := r.Run(b, rateCfg)
 		if rate.Seconds > 0 {
 			var split float64
 			for _, f := range rate.PageFastestIncrs {
@@ -540,10 +525,21 @@ func (r *Runner) Scalars() (stats.Table, ScalarsResult) {
 			splitContrib[i] = split
 			monoContrib[i] = float64(rate.FastestIncr) / 256 * memBlocks / rate.Seconds
 		}
-		mu.Unlock()
 	})
+	var onchip, meancyc []float64
+	maxConc := 0
+	var stalls, reencs uint64
 	var splitRate, monoRate float64 // re-encrypted blocks per second
-	for i := range benches {
+	for i, st := range rsr {
+		if st.PageReencs > 0 {
+			onchip = append(onchip, st.OnChipFraction())
+			meancyc = append(meancyc, st.MeanCycles())
+		}
+		reencs += st.PageReencs
+		if st.MaxConcurrent > maxConc {
+			maxConc = st.MaxConcurrent
+		}
+		stalls += uint64(st.StallCycles)
 		splitRate += splitContrib[i]
 		monoRate += monoContrib[i]
 	}

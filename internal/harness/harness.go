@@ -256,19 +256,25 @@ func collectRunOut(bench string, cfg config.SystemConfig, mem *core.MemSystem, r
 }
 
 // CampaignObserved runs every benchmark in the campaign against cfg in
-// parallel, each worker recording into its own shard of a sharded
-// registry, and returns the per-benchmark results in campaign order plus
-// the deterministic name-sorted merge of all shards: no registry is ever
-// touched by two goroutines, and the merged snapshot is independent of
-// scheduling.
-func (r *Runner) CampaignObserved(cfg config.SystemConfig) ([]RunOut, *obsv.Registry) {
+// parallel and returns the per-benchmark results in campaign order. With
+// metrics set, each run records into its own registry and the second
+// result is obsv.Merge of them: no registry is ever touched by two
+// goroutines, and the merged snapshot is independent of scheduling.
+// Without it the runs are uninstrumented and the registry is nil.
+func (r *Runner) CampaignObserved(cfg config.SystemConfig, metrics bool) ([]RunOut, *obsv.Registry) {
 	benches := r.Opt.benches()
-	sh := obsv.NewSharded(len(benches))
+	regs := make([]*obsv.Registry, len(benches))
 	outs := make([]RunOut, len(benches))
 	r.parallelFor(len(benches), func(i int) {
-		outs[i] = r.RunObserved(benches[i], cfg, Obs{Reg: sh.Shard(i)})
+		if metrics {
+			regs[i] = obsv.NewRegistry()
+		}
+		outs[i] = r.RunObserved(benches[i], cfg, Obs{Reg: regs[i]})
 	})
-	return outs, sh.Merge()
+	if !metrics {
+		return outs, nil
+	}
+	return outs, obsv.Merge(regs)
 }
 
 // Baseline returns the unprotected-machine IPC for a benchmark, cached.

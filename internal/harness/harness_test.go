@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"bytes"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -165,27 +167,54 @@ func TestPredictorRun(t *testing.T) {
 	}
 }
 
+// TestParallelismDoesNotChangeResults runs every campaign fan-out serially
+// and on four workers and requires identical results. Runs are independent
+// simulations, so the worker count must not change any number. The
+// explicit worker count also puts the fan-outs on several goroutines on a
+// one-core host, where GOMAXPROCS would run them serially, so `go test
+// -race` sees every parallelFor site's shared state.
 func TestParallelismDoesNotChangeResults(t *testing.T) {
-	// Runs are independent simulations; fanning them across goroutines must
-	// not change any number.
-	mk := func(par int) FigData {
-		r := New(Options{
-			Instructions: 200_000,
-			Seed:         1,
-			Benches:      []string{"swim", "crafty"},
-			Parallelism:  par,
-		})
-		_, data := r.Fig5()
-		return data
-	}
-	serial := mk(1)
-	parallel := mk(4)
-	for scheme, row := range serial {
-		for bench, v := range row {
-			if parallel[scheme][bench] != v {
-				t.Errorf("%s/%s: serial %v != parallel %v", scheme, bench, v, parallel[scheme][bench])
+	cases := []struct {
+		site string
+		run  func(r *Runner) any
+	}{
+		{"normGrid", func(r *Runner) any { tbl, data := r.Fig5(); return []any{tbl.String(), data} }},
+		{"Table2", func(r *Runner) any { tbl, data := r.Table2(); return []any{tbl.String(), data} }},
+		{"Fig6a", func(r *Runner) any { tbl, res := r.Fig6a(); return []any{tbl.String(), res} }},
+		{"Fig6b", func(r *Runner) any { tbl, series := r.Fig6b(2); return []any{tbl.String(), series} }},
+		{"Scalars", func(r *Runner) any { tbl, res := r.Scalars(); return []any{tbl.String(), res} }},
+		{"sweep", func(r *Runner) any { tbl, rows := r.AblateMonoCharge(); return []any{tbl.String(), rows} }},
+		{"CampaignObserved", func(r *Runner) any {
+			outs, reg := r.CampaignObserved(config.Default(), true)
+			var js bytes.Buffer
+			if err := reg.WriteJSON(&js); err != nil {
+				t.Fatal(err)
 			}
-		}
+			plain, none := r.CampaignObserved(config.Default(), false)
+			if none != nil {
+				t.Error("uninstrumented campaign returned a registry")
+			}
+			return []any{outs, js.String(), plain}
+		}},
+		{"WarmBaselines", func(r *Runner) any { r.WarmBaselines(); return r.baselines }},
+		{"MetricDeltas", func(r *Runner) any { return r.MetricDeltas(config.Default()) }},
+	}
+	for _, c := range cases {
+		t.Run(c.site, func(t *testing.T) {
+			run := func(par int) any {
+				r := New(Options{
+					Instructions: 50_000,
+					Seed:         1,
+					Benches:      []string{"swim", "crafty", "twolf"},
+					Parallelism:  par,
+				})
+				return c.run(r)
+			}
+			serial, parallel := run(1), run(4)
+			if !reflect.DeepEqual(serial, parallel) {
+				t.Errorf("%s: results differ between 1 and 4 workers:\nserial   %+v\nparallel %+v", c.site, serial, parallel)
+			}
+		})
 	}
 }
 

@@ -78,9 +78,9 @@ func TestSampledRunDumpsAreDeterministic(t *testing.T) {
 	}
 }
 
-// TestCampaignObserved checks the sharded parallel campaign: results match
-// the sequential per-benchmark runs, and the merged registry equals the sum
-// of what each benchmark contributes — independent of scheduling.
+// TestCampaignObserved checks the parallel campaign: results match the
+// sequential per-benchmark runs, and the merged registry equals the sum of
+// what each benchmark contributes — independent of scheduling.
 func TestCampaignObserved(t *testing.T) {
 	cfg := config.Default()
 
@@ -92,18 +92,18 @@ func TestCampaignObserved(t *testing.T) {
 	}
 
 	par := New(obsOpts())
-	outs, merged := par.CampaignObserved(cfg)
+	outs, merged := par.CampaignObserved(cfg, true)
 	if len(outs) != len(wantOuts) {
 		t.Fatalf("got %d outs, want %d", len(outs), len(wantOuts))
 	}
 	for i := range outs {
 		if !reflect.DeepEqual(outs[i], wantOuts[i]) {
-			t.Errorf("bench %s: parallel sharded result differs from sequential", outs[i].Bench)
+			t.Errorf("bench %s: parallel campaign result differs from sequential", outs[i].Bench)
 		}
 	}
 
 	// Counters and histograms accumulate identically whether the benchmarks
-	// share one registry sequentially or merge from shards.
+	// share one registry sequentially or merge from one registry each.
 	seqSnap, mergedSnap := seqReg.Snapshot(), merged.Snapshot()
 	if !reflect.DeepEqual(seqSnap.Counters, mergedSnap.Counters) {
 		t.Error("merged counters differ from sequential accumulation")
@@ -121,7 +121,7 @@ func TestCampaignObserved(t *testing.T) {
 
 	// The merge itself is deterministic: a second parallel campaign renders
 	// byte-identical registry JSON.
-	_, merged2 := New(obsOpts()).CampaignObserved(cfg)
+	_, merged2 := New(obsOpts()).CampaignObserved(cfg, true)
 	var a, b bytes.Buffer
 	if err := merged.WriteJSON(&a); err != nil {
 		t.Fatal(err)

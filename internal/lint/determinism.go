@@ -4,13 +4,12 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // Determinism is the reproducibility gate: two runs of the simulator with
 // the same configuration must produce byte-identical artifacts (the
 // campaign fingerprints in internal/harness pin this end to end; this
-// analyzer pins the code patterns that break it). Three rules:
+// analyzer pins the code patterns that break it). Two rules:
 //
 //  1. Map iteration order is randomized per run, so a `range` over a map
 //     must not reach an ordered sink. Flagged inside a map-range body:
@@ -22,18 +21,14 @@ import (
 //     exempt (per-key state, not an ordered rendering), and so are pure
 //     map/set writes, which are order-independent.
 //
-//  2. Wall-clock and process-global randomness have no place in internal/*
-//     simulation or crypto packages: time.Now/Since and the package-level
-//     math/rand draw functions (Intn, Float64, ...) are flagged there.
-//     Explicitly seeded generators (rand.New(rand.NewSource(seed))) are
-//     the sanctioned source and pass; the timing-harness commands under
-//     cmd/ measure real wall time and are out of scope by path.
-//
-//  3. Floating-point accumulation (+= / -= or x = x + y on floats) into
+//  2. Floating-point accumulation (+= / -= or x = x + y on floats) into
 //     state captured from outside a concurrent body reorders across
 //     goroutine interleavings, and float addition is not associative.
 //     Accumulate into worker-local state and reduce in a fixed order
 //     after the join instead.
+//
+// Wall-clock reads and process-global randomness are not flagged: when
+// they reach an output, the determinism and golden tests fail.
 //
 // Lexical soundness caveat (mirrors sharedstate's): rule 1 sees appends
 // and sink calls written directly in the range body; an append hidden
@@ -41,7 +36,7 @@ import (
 // to the loop.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "no map-order, wall-clock, or float-merge nondeterminism in simulation outputs",
+	Doc:  "no map-order or float-merge nondeterminism in simulation outputs",
 	Run:  runDeterminism,
 }
 
@@ -61,11 +56,10 @@ func runDeterminism(pass *Pass) {
 	}
 	info := pass.Pkg.Info
 	for _, f := range pass.Pkg.Files {
-		funcBodies(f, func(body *ast.BlockStmt, where string) {
+		funcBodies(f, func(body *ast.BlockStmt) {
 			checkMapRanges(pass, info, body)
 		})
 	}
-	checkWallClock(pass)
 	checkFloatMerge(pass)
 }
 
@@ -187,55 +181,7 @@ func orderedSinkCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 	return "", false
 }
 
-// checkWallClock applies rule 2: time.Now/Since and package-level
-// math/rand draws in internal/* packages.
-func checkWallClock(pass *Pass) {
-	if !internalPath(pass.Pkg.Path) {
-		return
-	}
-	info := pass.Pkg.Info
-	for _, f := range pass.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			callee, _ := calleeObject(info, call).(*types.Func)
-			if callee == nil || callee.Pkg() == nil {
-				return true
-			}
-			switch path := callee.Pkg().Path(); {
-			case path == "time" && (callee.Name() == "Now" || callee.Name() == "Since"):
-				pass.Reportf(call.Pos(),
-					"time.%s in an internal package makes simulation output depend on wall clock; thread simulated time (sim.Time) or measure in cmd/ harnesses only",
-					callee.Name())
-			case path == "math/rand" || path == "math/rand/v2":
-				sig, _ := callee.Type().(*types.Signature)
-				if sig != nil && sig.Recv() != nil {
-					return true // method on an explicitly seeded *rand.Rand
-				}
-				switch callee.Name() {
-				case "New", "NewSource", "NewZipf", "NewPCG", "NewChaCha8":
-					return true // deterministic constructors
-				}
-				pass.Reportf(call.Pos(),
-					"rand.%s draws from the process-global generator, which is seeded per run; construct rand.New(rand.NewSource(seed)) and thread it explicitly",
-					callee.Name())
-			}
-			return true
-		})
-	}
-}
-
-// internalPath reports whether an import path lies under an internal/
-// tree — the simulation and crypto packages rule 2 governs. Fixture
-// packages live under internal/lint/testdata and qualify the same way.
-func internalPath(path string) bool {
-	return path == "internal" || strings.HasPrefix(path, "internal/") ||
-		strings.Contains(path, "/internal/") || strings.HasSuffix(path, "/internal")
-}
-
-// checkFloatMerge applies rule 3 over the module-wide concurrent-body sets
+// checkFloatMerge applies rule 2 over the module-wide concurrent-body sets
 // (shared with sharedstate via the interproc cache).
 func checkFloatMerge(pass *Pass) {
 	ip := pass.secrets.interp
@@ -322,4 +268,24 @@ func floatType(t types.Type) bool {
 	}
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsFloat != 0
+}
+
+// funcBodies yields every function-like body in a file — each FuncDecl body
+// and each FuncLit body — exactly once, with nested literals excluded from
+// their enclosing body's walk.
+func funcBodies(f *ast.File, visit func(body *ast.BlockStmt)) {
+	for _, decl := range f.Decls {
+		if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
+			walkBody(fn.Body, visit)
+		}
+	}
+}
+
+func walkBody(body *ast.BlockStmt, visit func(*ast.BlockStmt)) {
+	visit(body)
+	inspectSkipFuncLits(body, func(n ast.Node) {
+		if lit, ok := n.(*ast.FuncLit); ok {
+			walkBody(lit.Body, visit)
+		}
+	})
 }

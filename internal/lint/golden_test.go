@@ -28,8 +28,6 @@ func TestGoldenFixtures(t *testing.T) {
 		{CTTiming, []string{"cttiming/branchy", "cttiming/clean", "cttiming/interproc"}},
 		{TaintEscape, []string{"taintescape/alias", "taintescape/clean"}},
 		{SharedState, []string{"sharedstate/racy", "sharedstate/clean"}},
-		{LockDiscipline, []string{"lockdiscipline/leaky", "lockdiscipline/clean"}},
-		{GlobalMut, []string{"globalmut/core", "globalmut/merkle"}},
 		{Determinism, []string{"determinism/violating", "determinism/clean"}},
 		{GoroutineLife, []string{"goroutinelife/leaky", "goroutinelife/clean"}},
 	}

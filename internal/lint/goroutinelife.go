@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // GoroutineLife is the leak gate for the parallel simulator core: every
@@ -137,107 +136,6 @@ func checkGoStmt(pass *Pass, ip *interproc, info *types.Info, g *ast.GoStmt, loo
 		pass.Reportf(g.Pos(),
 			"goroutine %s is declared outside the module and takes no channel/context parameter, so its termination cannot be proven; wrap it in a literal that owns the stop signal",
 			callee.Name())
-	}
-}
-
-// GoSite is one go statement, classified for cmd/secmemlint's
-// -dump-goroutines view of the module's spawn surface.
-type GoSite struct {
-	File string `json:"file"`
-	Line int    `json:"line"`
-	// In names the function declaration containing the spawn site.
-	In string `json:"in"`
-	// Loop is the enclosing loop shape at the spawn site: "", counted-for,
-	// cond-for, infinite-for, range, or range-chan.
-	Loop string `json:"loop,omitempty"`
-	// Signal is the termination proof the analyzer accepts: literal-body,
-	// stop-param, callee-body, or — the flagged cases — none, opaque-value,
-	// external.
-	Signal string `json:"signal"`
-}
-
-// GoroutineSites classifies every go statement in pkgs, the data behind
-// the goroutinelife verdicts, so the spawn surface can be reviewed as a
-// table rather than reconstructed from findings.
-func GoroutineSites(pkgs []*Package) []GoSite {
-	idx := collectSecrets(pkgs)
-	ignores := collectModuleIgnores(pkgs)
-	ip := computeInterproc(pkgs, idx, ignores)
-	var out []GoSite
-	for _, pkg := range pkgs {
-		info := pkg.Info
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				walkGoStmts(fn.Body, nil, func(g *ast.GoStmt, loop ast.Stmt) {
-					pos := pkg.Fset.Position(g.Pos())
-					out = append(out, GoSite{
-						File:   pos.Filename,
-						Line:   pos.Line,
-						In:     fn.Name.Name,
-						Loop:   loopKind(info, loop),
-						Signal: signalKind(ip, info, g),
-					})
-				})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
-		}
-		return out[i].Line < out[j].Line
-	})
-	return out
-}
-
-func loopKind(info *types.Info, loop ast.Stmt) string {
-	switch l := loop.(type) {
-	case *ast.ForStmt:
-		switch {
-		case l.Cond == nil:
-			return "infinite-for"
-		case l.Init == nil && l.Post == nil:
-			return "cond-for"
-		default:
-			return "counted-for"
-		}
-	case *ast.RangeStmt:
-		if tv, ok := info.Types[l.X]; ok && tv.Type != nil {
-			if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-				return "range-chan"
-			}
-		}
-		return "range"
-	}
-	return ""
-}
-
-func signalKind(ip *interproc, info *types.Info, g *ast.GoStmt) string {
-	switch fun := ast.Unparen(g.Call.Fun).(type) {
-	case *ast.FuncLit:
-		if terminationSignal(info, fun.Body) {
-			return "literal-body"
-		}
-		return "none"
-	default:
-		callee, _ := calleeObject(info, g.Call).(*types.Func)
-		if callee == nil {
-			return "opaque-value"
-		}
-		if sigHasStopParam(callee) {
-			return "stop-param"
-		}
-		if decl, ok := ip.graph.decls[callee]; ok {
-			if terminationSignal(ip.graph.pkgOf[callee].Info, decl.Body) {
-				return "callee-body"
-			}
-			return "none"
-		}
-		return "external"
 	}
 }
 

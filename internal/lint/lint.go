@@ -19,10 +19,6 @@
 //     of secret state.
 //   - sharedstate: state reached from more than one goroutine must be
 //     mutex-guarded or accessed via sync/atomic.
-//   - lockdiscipline: every Lock is released on all paths (defer
-//     preferred) and no lock is held across a blocking operation.
-//   - globalmut: no mutable package-level state in the simulator core
-//     packages, so machines simulated side by side share nothing.
 //   - determinism: no map-iteration order, wall clock, or cross-goroutine
 //     float accumulation may reach simulation outputs.
 //   - goroutinelife: every go statement carries a provable termination
@@ -33,12 +29,11 @@
 // key, pad, and plaintext state across aescipher, gcmmode, gf128, and
 // core, and extended across function boundaries by the interprocedural
 // summaries of summary.go over the call graph of callgraph.go. The
-// concurrency analyzers (sharedstate, lockdiscipline, globalmut,
-// determinism, goroutinelife) guard the program's few concurrent pieces:
-// the harness.parallelDo fan-out that runs a campaign's simulations on
-// worker goroutines, the mutex of the obsv time-series sampler, and the
-// HTTP server goroutine of secmemsim -serve. The simulator itself is
-// serial.
+// concurrency analyzers (sharedstate, determinism, goroutinelife) guard
+// the program's one concurrent piece: the harness.parallelDo fan-out
+// that runs a campaign's simulations on worker goroutines. The simulator
+// itself is serial. Each keeps its place by catching a seeded bug that
+// go test -race and the other checks miss (DESIGN.md §14).
 //
 // The compiler cannot see any of these properties; the analyzers keep all
 // packages honest through refactors. cmd/secmemlint is the CLI driver and
@@ -49,6 +44,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
 	"strings"
 )
@@ -113,8 +109,6 @@ func All() []*Analyzer {
 		CTTiming,
 		TaintEscape,
 		SharedState,
-		LockDiscipline,
-		GlobalMut,
 		Determinism,
 		GoroutineLife,
 	}
@@ -357,4 +351,38 @@ func calleeName(call *ast.CallExpr) string {
 		return fn.Sel.Name
 	}
 	return ""
+}
+
+// isSyncType reports whether t (or *t) is one of the named types from
+// package sync.
+func isSyncType(t types.Type, names ...string) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := t.(*types.Named)
+	if !ok || n.Obj().Pkg() == nil || n.Obj().Pkg().Path() != "sync" {
+		return false
+	}
+	for _, name := range names {
+		if n.Obj().Name() == name {
+			return true
+		}
+	}
+	return false
+}
+
+// inspectSkipFuncLits walks body's own statements, invoking f for every
+// node including FuncLit nodes themselves but not their contents.
+func inspectSkipFuncLits(body *ast.BlockStmt, f func(ast.Node)) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		if n == nil {
+			return false
+		}
+		if lit, ok := n.(*ast.FuncLit); ok {
+			f(lit)
+			return false
+		}
+		f(n)
+		return true
+	})
 }

@@ -44,8 +44,6 @@ func TestViolationsAreDetected(t *testing.T) {
 		"cttiming":       "cttiming/interproc",
 		"taintescape":    "taintescape/alias",
 		"sharedstate":    "sharedstate/racy",
-		"lockdiscipline": "lockdiscipline/leaky",
-		"globalmut":      "globalmut/core",
 		"determinism":    "determinism/violating",
 		"goroutinelife":  "goroutinelife/leaky",
 	}

@@ -7,13 +7,13 @@ import (
 	"sort"
 )
 
-// SharedState is the first concurrency gate for the ROADMAP's parallel
-// event-driven simulator core: any variable or field reached from more
-// than one goroutine must be mutex-guarded on every access path or
-// accessed via sync/atomic. The analyzer finds "concurrent bodies" —
-// function literals that may run on another goroutine — and flags
-// unguarded writes to captured or package-level state inside them, plus
-// unguarded reads of state some concurrent body writes.
+// SharedState is the concurrency gate for the campaign fan-out
+// (harness.parallelDo): any variable reached from more than one goroutine
+// must be mutex-guarded on every access path or accessed via sync/atomic.
+// The analyzer finds "concurrent bodies" — function literals that may run
+// on another goroutine — and flags unguarded writes to captured or
+// package-level state inside them, plus unguarded reads of state some
+// concurrent body writes.
 //
 // Concurrent bodies are discovered module-wide, not just at `go`
 // statements, because the repo's parallelism is funneled through worker
@@ -513,4 +513,97 @@ func sharedExemptType(t types.Type) bool {
 		}
 	}
 	return false
+}
+
+// A lockInterval is one Lock..release span inside one function body.
+type lockInterval struct {
+	mu      string // render of the mutex expression ("r.mu")
+	read    bool   // RLock/RUnlock pair
+	lockPos token.Pos
+	endPos  token.Pos // matching Unlock, or body end when deferred/leaked
+	closed  bool      // a matching release was seen (deferred or direct)
+}
+
+// contains reports whether pos falls strictly inside the held span.
+func (iv *lockInterval) contains(pos token.Pos) bool {
+	return pos > iv.lockPos && pos < iv.endPos
+}
+
+// mutexMethodCall classifies call as a Lock/Unlock/RLock/RUnlock on a
+// sync.Mutex or sync.RWMutex and returns the mutex expression's render.
+func mutexMethodCall(info *types.Info, call *ast.CallExpr) (mu string, method string, ok bool) {
+	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !isSel {
+		return "", "", false
+	}
+	switch sel.Sel.Name {
+	case "Lock", "Unlock", "RLock", "RUnlock":
+	default:
+		return "", "", false
+	}
+	selection, isSel := info.Selections[sel]
+	if !isSel {
+		return "", "", false
+	}
+	if !isSyncType(selection.Recv(), "Mutex", "RWMutex") {
+		return "", "", false
+	}
+	return types.ExprString(sel.X), sel.Sel.Name, true
+}
+
+// lockIntervals computes the Lock..release spans of one body (nested
+// literals excluded). Unmatched Locks yield open intervals ending at the
+// body's end with closed=false.
+func lockIntervals(info *types.Info, body *ast.BlockStmt) []*lockInterval {
+	var intervals []*lockInterval
+	open := func(mu string, read bool) *lockInterval {
+		for i := len(intervals) - 1; i >= 0; i-- {
+			iv := intervals[i]
+			if !iv.closed && iv.mu == mu && iv.read == read {
+				return iv
+			}
+		}
+		return nil
+	}
+	inspectSkipFuncLits(body, func(n ast.Node) {
+		var call *ast.CallExpr
+		deferred := false
+		switch n := n.(type) {
+		case *ast.ExprStmt:
+			call, _ = n.X.(*ast.CallExpr)
+		case *ast.DeferStmt:
+			call = n.Call
+			deferred = true
+		default:
+			return
+		}
+		if call == nil {
+			return
+		}
+		mu, method, ok := mutexMethodCall(info, call)
+		if !ok {
+			return
+		}
+		switch method {
+		case "Lock", "RLock":
+			if !deferred { // "defer mu.Lock()" is nonsense; ignore
+				intervals = append(intervals, &lockInterval{
+					mu:      mu,
+					read:    method == "RLock",
+					lockPos: call.Pos(),
+					endPos:  body.End(),
+				})
+			}
+		case "Unlock", "RUnlock":
+			iv := open(mu, method == "RUnlock")
+			if iv == nil {
+				return
+			}
+			iv.closed = true
+			if !deferred {
+				iv.endPos = call.Pos()
+			}
+		}
+	})
+	return intervals
 }

@@ -1,12 +1,11 @@
 // Package clean exercises the determinism analyzer's negatives: the
 // collect-then-sort idiom, sorted-key iteration, commutative updates inside
-// map ranges, explicitly seeded randomness, and per-worker float
-// contributions reduced in a fixed order after the join.
+// map ranges, and per-worker float contributions reduced in a fixed order
+// after the join.
 package clean
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 	"sync"
@@ -50,13 +49,6 @@ func tally(m map[string]int) (int, map[string]bool) {
 		seen[k] = true
 	}
 	return total, seen
-}
-
-// deterministicDraw threads an explicitly seeded generator: same seed,
-// same sequence, every run.
-func deterministicDraw(seed int64) int {
-	r := rand.New(rand.NewSource(seed))
-	return r.Intn(100)
 }
 
 // sumParallel accumulates per worker and reduces in index order after the

@@ -1,15 +1,12 @@
 // Package violating exercises the determinism analyzer's positive cases:
-// ordered sinks and unsorted appends inside map ranges, wall-clock and
-// process-global randomness in an internal package, and float accumulation
-// across a concurrent merge point.
+// ordered sinks and unsorted appends inside map ranges, and float
+// accumulation across a concurrent merge point.
 package violating
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
-	"time"
 )
 
 // parallelFor mimics the harness worker pool: fn runs on worker
@@ -44,16 +41,6 @@ func recordInMapOrder(m map[string]int, b *strings.Builder) []string {
 		lines = append(lines, k) // want "append to lines inside a map range .* never sorted afterwards"
 	}
 	return lines
-}
-
-// stamp makes simulation output depend on the wall clock.
-func stamp() int64 {
-	return time.Now().Unix() // want "time.Now in an internal package"
-}
-
-// jitter draws from the process-global generator, reseeded every run.
-func jitter() int {
-	return rand.Intn(8) // want "rand.Intn draws from the process-global generator"
 }
 
 var weight float64

@@ -6,7 +6,6 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"sync"
 )
 
 // DefaultSamplerCapacity is the ring size a Sampler uses when none is
@@ -33,16 +32,14 @@ type Probe func(cycle uint64) float64
 // Overwritten — the recorder keeps the most recent window, and dumps say
 // how much history they lost instead of silently truncating.
 //
-// Concurrency: the simulation goroutine is the only caller of Tick and
-// SampleAt. The ring is guarded by a mutex so the live exposition server
-// can render JSON/CSV mid-run from another goroutine; the uncontended
-// lock costs a few nanoseconds per sample, paid once per interval, never
-// per access. The nil Sampler discards everything.
+// A Sampler belongs to one simulated machine and, like a Registry, is
+// not safe for concurrent use: the run that ticks it is its only user
+// until the run returns and the ring is dumped. The nil Sampler discards
+// everything.
 type Sampler struct {
 	interval uint64
-	next     uint64 // next sample boundary; sim goroutine only
+	next     uint64 // next sample boundary
 
-	mu     sync.Mutex
 	names  []string // sorted; frozen at first sample
 	probes []Probe  // parallel to names
 	frozen bool
@@ -53,10 +50,6 @@ type Sampler struct {
 	head     int       // next write slot
 	count    int       // stored samples (<= capacity)
 	total    uint64    // samples ever taken, including overwritten
-
-	// onSample, when set, runs after each sample outside the ring lock —
-	// the live server uses it to publish a fresh registry snapshot.
-	onSample func(cycle uint64)
 }
 
 // NewSampler builds a sampler taking one sample every interval cycles into
@@ -93,8 +86,6 @@ func (s *Sampler) Series(name string, p Probe) {
 	if p == nil {
 		panic("obsv: nil probe for series " + name)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.frozen {
 		panic("obsv: Series(" + name + ") after sampling started")
 	}
@@ -110,25 +101,16 @@ func (s *Sampler) Series(name string, p Probe) {
 	s.probes[i] = p
 }
 
-// OnSample installs a hook run after every recorded sample, outside the
-// ring lock. The live exposition server publishes snapshots from it.
-func (s *Sampler) OnSample(fn func(cycle uint64)) {
-	if s == nil {
-		return
-	}
-	s.onSample = fn
-}
-
 // Due reports whether the simulation has crossed the next sample boundary.
 // It is the one-branch hot-path guard: callers check Due before paying for
-// Tick. Only the simulation goroutine reads or advances the boundary.
+// Tick.
 func (s *Sampler) Due(now uint64) bool {
 	return s != nil && now >= s.next
 }
 
 // Tick records one sample per boundary crossed at or before now, each
 // stamped with its exact boundary cycle (a burst of idle cycles yields a
-// flat step, not a gap). Call from the simulation goroutine whenever Due.
+// flat step, not a gap). Call whenever Due.
 func (s *Sampler) Tick(now uint64) {
 	if s == nil {
 		return
@@ -137,9 +119,6 @@ func (s *Sampler) Tick(now uint64) {
 		at := s.next
 		s.next += s.interval
 		s.record(at)
-		if s.onSample != nil {
-			s.onSample(at)
-		}
 	}
 }
 
@@ -150,34 +129,23 @@ func (s *Sampler) SampleAt(cycle uint64) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	last := uint64(0)
 	if s.count > 0 {
 		lastIdx := s.head - 1
 		if lastIdx < 0 {
 			lastIdx += s.capacity
 		}
-		last = s.cycles[lastIdx]
-	}
-	take := s.count == 0 || cycle > last
-	s.mu.Unlock()
-	if !take {
-		return
+		if cycle <= s.cycles[lastIdx] {
+			return
+		}
 	}
 	if cycle >= s.next {
 		s.next = cycle + 1 // boundaries already covered by this sample
 	}
 	s.record(cycle)
-	if s.onSample != nil {
-		s.onSample(cycle)
-	}
 }
 
-// record appends one sample row at the given cycle. Probes run under the
-// ring lock; they only read simulator state owned by the same goroutine.
+// record appends one sample row at the given cycle.
 func (s *Sampler) record(cycle uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if !s.frozen {
 		s.frozen = true
 		s.cycles = make([]uint64, s.capacity)
@@ -203,8 +171,6 @@ func (s *Sampler) Names() []string {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]string, len(s.names))
 	copy(out, s.names)
 	return out
@@ -215,8 +181,6 @@ func (s *Sampler) Len() int {
 	if s == nil {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.count
 }
 
@@ -225,8 +189,6 @@ func (s *Sampler) Total() uint64 {
 	if s == nil {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.total
 }
 
@@ -235,8 +197,6 @@ func (s *Sampler) Overwritten() uint64 {
 	if s == nil {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.total - uint64(s.count)
 }
 
@@ -256,15 +216,12 @@ type TimeSeries struct {
 	Samples        []Sample `json:"samples"`
 }
 
-// Export copies the ring into a TimeSeries, oldest first. Safe to call
-// from any goroutine, including mid-run.
+// Export copies the ring into a TimeSeries, oldest first.
 func (s *Sampler) Export() TimeSeries {
 	ts := TimeSeries{Series: []string{}, Samples: []Sample{}}
 	if s == nil {
 		return ts
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	ts.IntervalCycles = s.interval
 	ts.Series = append(ts.Series, s.names...)
 	ts.Overwritten = s.total - uint64(s.count)
@@ -339,8 +296,6 @@ func (s *Sampler) String() string {
 	if s == nil {
 		return "Sampler(nil)"
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return fmt.Sprintf("Sampler(every %d cycles, %d series, %d/%d samples, %d overwritten)",
 		s.interval, len(s.names), s.count, s.capacity, s.total-uint64(s.count))
 }

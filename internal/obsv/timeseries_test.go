@@ -196,24 +196,6 @@ func TestSamplerEmitTrace(t *testing.T) {
 	}
 }
 
-func TestSamplerOnSample(t *testing.T) {
-	s := NewSampler(100, 0)
-	s.Series("c", func(cycle uint64) float64 { return float64(cycle) })
-	var got []uint64
-	s.OnSample(func(cycle uint64) { got = append(got, cycle) })
-	s.Tick(350)
-	s.SampleAt(399)
-	want := []uint64{100, 200, 300, 399}
-	if len(got) != len(want) {
-		t.Fatalf("OnSample cycles = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("OnSample cycles = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestSamplerTickDoesNotAllocate(t *testing.T) {
 	s := NewSampler(1, 1024)
 	s.Series("a", func(uint64) float64 { return 1 })
@@ -239,7 +221,6 @@ func TestSamplerNilSafety(t *testing.T) {
 	s.Tick(100)
 	s.SampleAt(5)
 	s.Series("x", func(uint64) float64 { return 0 })
-	s.OnSample(func(uint64) {})
 	s.EmitTrace(nil)
 	if s.Len() != 0 || s.Total() != 0 || s.Overwritten() != 0 || s.Interval() != 0 {
 		t.Error("nil sampler reports nonzero state")

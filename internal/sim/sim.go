@@ -7,11 +7,18 @@
 // service, crypto-engine issue slots) on shared timelines. A resource keeps
 // the earliest cycle at which it is next free; a request arriving at cycle t
 // starts at max(t, nextFree). This reproduces FIFO queuing delay and
-// bandwidth saturation exactly when requests are presented in nondecreasing
-// time order, which the in-order transaction walk guarantees up to small
-// reordering between overlapping misses. That approximation is standard in
-// interval simulation and is far below the noise the paper's relative-IPC
-// results care about.
+// bandwidth saturation exactly only when requests are presented in
+// nondecreasing time order, and the in-order transaction walk does not
+// guarantee that: a transaction reserves the bus for its later phases
+// (counter and Merkle fetches, write-backs) at future cycles, and a later
+// transaction that starts earlier then queues behind those slots instead
+// of using the idle gap before them. On config.Default() at 2M
+// instructions, 25% (crafty) to 69% (mcf) of bus requests arrive earlier
+// than a request already placed, and they carry 67-99.9% of all bus wait.
+// Pipeline (DRAM, crypto engines) sees no such reordering, because DRAM
+// follows the bus grant. How far this moves the figures, and whether the
+// bus should place requests earliest-fit instead, is item 9 of ROADMAP.md
+// ("The bus timeline's reordering error").
 package sim
 
 // Time is a point in simulated time, in processor cycles.

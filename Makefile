@@ -21,10 +21,9 @@ vet:
 lint:
 	$(GO) run ./cmd/secmemlint ./...
 
-# Wall-time of a full-repository lint run (load + typecheck + call graph +
-# interprocedural summary fixpoint + all eleven analyzers); every iteration
-# asserts the 5s budget, guarding against the suite becoming too slow to
-# keep in the default CI path.
+# Wall-time of a full-repository lint run (load + typecheck + every
+# analyzer); every iteration asserts the 5s budget, guarding against the
+# suite becoming too slow to keep in the default CI path.
 lint-bench:
 	$(GO) test -run='^$$' -bench=BenchmarkLintRepo -benchtime=3x ./internal/lint
 

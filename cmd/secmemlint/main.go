@@ -15,20 +15,16 @@
 //
 //	-format f         output format: text (default), json, or github
 //	                  (GitHub Actions ::error workflow annotations)
-//	-json             shorthand for -format=json
 //	-enable  a,b,...  run only the named analyzers
 //	-disable a,b,...  skip the named analyzers
 //	-list             print the analyzer suite and exit
-//	-dump-summaries   print the inferred interprocedural flow table
-//	                  (per-function result/param/global/field effects and
-//	                  sink facts) instead of findings, then exit 0
 //	-suppressions     list every "//secmemlint:ignore" comment with
 //	                  file:line, analyzers, and reason (make lint-fix-audit)
 //
 // The suite includes the taint-tracking analyzers (secretflow, cttiming,
-// taintescape), which are seeded by "//secmemlint:secret" annotations on
-// struct fields, variables, and function parameters/results; see
-// internal/lint/taint.go for the annotation grammar.
+// taintescape), a local pass seeded by "//secmemlint:secret" annotations
+// on struct fields, variables, and function parameters, results and
+// out-parameters; see internal/lint/taint.go for the annotation grammar.
 //
 // Deliberate exceptions are silenced at the site with a
 // "//secmemlint:ignore <analyzer> <reason>" comment; the reason is required.
@@ -47,16 +43,11 @@ import (
 
 func main() {
 	format := flag.String("format", "text", "output format: text, json, or github")
-	jsonOut := flag.Bool("json", false, "shorthand for -format=json")
 	enable := flag.String("enable", "", "comma-separated analyzers to run (default: all)")
 	disable := flag.String("disable", "", "comma-separated analyzers to skip")
 	list := flag.Bool("list", false, "print the analyzer suite and exit")
-	dumpSummaries := flag.Bool("dump-summaries", false, "print the inferred interprocedural flow table and exit")
 	suppressions := flag.Bool("suppressions", false, "list every suppression comment with its reason and exit")
 	flag.Parse()
-	if *jsonOut {
-		*format = "json"
-	}
 	switch *format {
 	case "text", "json", "github":
 	default:
@@ -82,8 +73,8 @@ func main() {
 		patterns = []string{"./..."}
 	}
 	// Load the whole module, then report only on the selected patterns:
-	// interprocedural summaries for out-of-scope callees keep a scoped run
-	// like `secmemlint ./internal/core` as precise as a full one.
+	// annotations and declarations in out-of-scope packages keep a scoped
+	// run like `secmemlint ./internal/core` as precise as a full one.
 	all, pkgs, err := lint.LoadScoped(".", patterns)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "secmemlint:", err)
@@ -95,10 +86,6 @@ func main() {
 		}
 	}
 
-	if *dumpSummaries {
-		fmt.Print(lint.DumpSummaries(all))
-		return
-	}
 	if *suppressions {
 		sups := lint.Suppressions(pkgs)
 		if *format == "json" {

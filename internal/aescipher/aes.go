@@ -30,6 +30,8 @@ var (
 
 // mul2 multiplies a GF(2^8) element by x (i.e. by {02}) modulo the AES
 // polynomial x^8 + x^4 + x^3 + x + 1.
+//
+//secmemlint:secret b
 func mul2(b byte) byte {
 	hi := b & 0x80
 	b <<= 1
@@ -105,6 +107,7 @@ type Cipher struct {
 
 // New expands key (16, 24, or 32 bytes for AES-128/192/256) into a Cipher.
 //
+//secmemlint:secret key
 func New(key []byte) (*Cipher, error) {
 	var rounds int
 	switch len(key) {
@@ -124,7 +127,6 @@ func New(key []byte) (*Cipher, error) {
 
 // MustNew is New but panics on a bad key size; convenient for fixed-size
 // keys generated inside the simulator.
-//
 func MustNew(key []byte) *Cipher {
 	c, err := New(key)
 	if err != nil {
@@ -138,6 +140,7 @@ func MustNew(key []byte) *Cipher {
 // and are suppressed per line because this code models the hardware
 // engine's combinational S-box, where no cache exists (Section 5).
 //
+//secmemlint:secret w
 func subWord(w uint32) uint32 {
 	return uint32(sbox[w>>24])<<24 | uint32(sbox[w>>16&0xff])<<16 | //secmemlint:ignore cttiming models the hardware engine's combinational S-box; software table timing out of scope
 		uint32(sbox[w>>8&0xff])<<8 | uint32(sbox[w&0xff]) //secmemlint:ignore cttiming models the hardware engine's combinational S-box; software table timing out of scope
@@ -145,6 +148,7 @@ func subWord(w uint32) uint32 {
 
 func rotWord(w uint32) uint32 { return w<<8 | w>>24 }
 
+//secmemlint:secret key
 func (c *Cipher) expandKey(key []byte) {
 	nk := len(key) / 4
 	n := 4 * (c.rounds + 1)
@@ -181,6 +185,7 @@ func (c *Cipher) expandKey(key []byte) {
 	c.dec = d
 }
 
+//secmemlint:secret w
 func invMixWord(w uint32) uint32 {
 	var b [4]byte
 	b[0], b[1], b[2], b[3] = byte(w>>24), byte(w>>16), byte(w>>8), byte(w)
@@ -202,6 +207,8 @@ var ErrBlockSize = errors.New("aescipher: input not a full block")
 // Encrypt encrypts exactly one 16-byte block from src into dst via the
 // T-table rounds (ttable.go). dst and src may overlap completely or not at
 // all. EncryptOracle is the byte-wise reference the tests pin this against.
+//
+//secmemlint:secret out:dst
 func (c *Cipher) Encrypt(dst, src []byte) {
 	if len(src) < BlockSize || len(dst) < BlockSize {
 		panic(ErrBlockSize)
@@ -234,6 +241,8 @@ func (c *Cipher) EncryptOracle(dst, src []byte) {
 }
 
 // Decrypt decrypts exactly one 16-byte block from src into dst.
+//
+//secmemlint:secret out:dst
 func (c *Cipher) Decrypt(dst, src []byte) {
 	if len(src) < BlockSize || len(dst) < BlockSize {
 		panic(ErrBlockSize)
@@ -256,6 +265,7 @@ func (c *Cipher) Decrypt(dst, src []byte) {
 // The state is stored column-major as FIPS-197 does: s[4*c+r] is row r,
 // column c. Round keys are one uint32 per column, big-endian.
 
+//secmemlint:secret s rk
 func addRoundKey(s *[16]byte, rk []uint32) {
 	for col := 0; col < 4; col++ {
 		w := rk[col]
@@ -266,18 +276,21 @@ func addRoundKey(s *[16]byte, rk []uint32) {
 	}
 }
 
+//secmemlint:secret s
 func subBytes(s *[16]byte) {
 	for i := range s {
 		s[i] = sbox[s[i]] //secmemlint:ignore cttiming models the hardware engine's combinational S-box; software table timing out of scope
 	}
 }
 
+//secmemlint:secret s
 func invSubBytes(s *[16]byte) {
 	for i := range s {
 		s[i] = invSbox[s[i]] //secmemlint:ignore cttiming models the hardware engine's combinational inverse S-box; software table timing out of scope
 	}
 }
 
+//secmemlint:secret s
 func shiftRows(s *[16]byte) {
 	// Row r rotates left by r positions across the four columns.
 	s[1], s[5], s[9], s[13] = s[5], s[9], s[13], s[1]
@@ -285,12 +298,14 @@ func shiftRows(s *[16]byte) {
 	s[3], s[7], s[11], s[15] = s[15], s[3], s[7], s[11]
 }
 
+//secmemlint:secret s
 func invShiftRows(s *[16]byte) {
 	s[1], s[5], s[9], s[13] = s[13], s[1], s[5], s[9]
 	s[2], s[6], s[10], s[14] = s[10], s[14], s[2], s[6]
 	s[3], s[7], s[11], s[15] = s[7], s[11], s[15], s[3]
 }
 
+//secmemlint:secret s
 func mixColumns(s *[16]byte) {
 	for c := 0; c < 4; c++ {
 		a0, a1, a2, a3 := s[4*c], s[4*c+1], s[4*c+2], s[4*c+3]
@@ -301,6 +316,7 @@ func mixColumns(s *[16]byte) {
 	}
 }
 
+//secmemlint:secret s
 func invMixColumns(s *[16]byte) {
 	for c := 0; c < 4; c++ {
 		a0, a1, a2, a3 := s[4*c], s[4*c+1], s[4*c+2], s[4*c+3]

@@ -85,6 +85,8 @@ func (f *functional) counterFor(addr uint64) uint64 {
 }
 
 // encrypt produces the memory image of a data block under counter ctr.
+//
+//secmemlint:secret src
 func (f *functional) encrypt(dst, src []byte, addr, ctr uint64) {
 	switch f.c.cfg.Enc {
 	case config.EncNone:
@@ -99,6 +101,8 @@ func (f *functional) encrypt(dst, src []byte, addr, ctr uint64) {
 }
 
 // decrypt inverts encrypt.
+//
+//secmemlint:secret out:dst
 func (f *functional) decrypt(dst, src []byte, addr, ctr uint64) {
 	switch f.c.cfg.Enc {
 	case config.EncNone:
@@ -416,6 +420,8 @@ func sliceContains(s []uint64, v uint64) (int, bool) {
 }
 
 // Peek copies the current plaintext of an on-chip data block.
+//
+//secmemlint:secret out:dst
 func (f *functional) peek(addr uint64, dst []byte) bool {
 	p, ok := f.plain[addr]
 	if !ok {

@@ -256,6 +256,8 @@ func (m *MemSystem) WriteBytes(now sim.Time, addr uint64, data []byte) (sim.Time
 // ReadBytes performs a functional+timing read into buf, returning the
 // access result of the last block touched. Tampering detected during the
 // implied fills is visible via Controller().Tampers().
+//
+//secmemlint:secret out:buf
 func (m *MemSystem) ReadBytes(now sim.Time, addr uint64, buf []byte) (AccessResult, error) {
 	if m.ctl.fn == nil {
 		return AccessResult{}, fmt.Errorf("core: ReadBytes requires functional mode")

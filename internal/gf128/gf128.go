@@ -54,6 +54,7 @@ func (e Element) IsZero() bool { return e.Hi == 0 && e.Lo == 0 }
 // models the paper's single-cycle combinational GF multiplier (Section 5),
 // where the data-dependent branches have no timing image.
 //
+//secmemlint:secret e o
 func (e Element) Mul(o Element) Element {
 	var z Element
 	v := o
@@ -93,7 +94,6 @@ type Hash struct {
 }
 
 // NewHash returns a GHASH instance for hash subkey h (16 bytes).
-//
 func NewHash(h []byte) *Hash {
 	return &Hash{t: NewProductTable8(FromBytes(h))}
 }
@@ -123,7 +123,6 @@ func (g *Hash) UpdateLengths(aadBits, ctBits uint64) {
 
 // Sum returns the current GHASH value — tag material that stays secret
 // until it is masked with the authentication pad and clipped.
-//
 func (g *Hash) Sum() [16]byte { return g.y.Bytes() }
 
 // Reset clears the accumulated state, keeping the subkey.
@@ -131,7 +130,6 @@ func (g *Hash) Reset() { g.y = Element{} }
 
 // GHASH computes the one-shot GHASH_H(aad, ct) with standard zero padding of
 // both regions to block boundaries and the trailing length block.
-//
 func GHASH(h, aad, ct []byte) [16]byte {
 	g := NewHash(h)
 	feed := func(p []byte) {

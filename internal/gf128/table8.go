@@ -36,6 +36,8 @@ var reduce8 [256]uint64
 var rev8 [256]byte
 
 // mulX returns e·x (one right shift in GCM bit order with reduction).
+//
+//secmemlint:secret e
 func mulX(e Element) Element {
 	lsb := e.Lo & 1
 	e.Lo = e.Lo>>1 | e.Hi<<63
@@ -63,6 +65,8 @@ func init() {
 
 // NewProductTable8 precomputes the 8-bit Shoup table for multiplicand h:
 // entry rev8[i] is i·h, filled by doubling (i even) and adding h (i odd).
+//
+//secmemlint:secret h
 func NewProductTable8(h Element) ProductTable8 {
 	var t ProductTable8
 	t.m[rev8[1]] = h
@@ -77,6 +81,8 @@ func NewProductTable8(h Element) ProductTable8 {
 // lookups instead of Mul's 128 serial iterations. The byte-indexed loads
 // model the hardware multiplier's parallel partial-product mux; like the
 // oracle's data-dependent XORs, their software cache timing is out of scope.
+//
+//secmemlint:secret e
 func (e Element) MulTable8(t *ProductTable8) Element {
 	var z Element
 	for _, word := range [2]uint64{e.Lo, e.Hi} {
@@ -97,6 +103,8 @@ func (e Element) MulTable8(t *ProductTable8) Element {
 // GHASHTable8 is GHASH_H(aad, ct) computed with a prebuilt 8-bit table for
 // H. It matches GHASH byte for byte and never touches the heap, so
 // per-block MAC paths can call it at memory-traffic rates.
+//
+//secmemlint:secret t
 func GHASHTable8(t *ProductTable8, aad, ct []byte) [16]byte {
 	var y Element
 	feed := func(p []byte) {

@@ -1,4 +1,4 @@
-// Package harness drives the paper's evaluation: it instantiates a
+// Package harness drives the paper's evaluation: it builds a
 // simulated machine per (benchmark, scheme) pair, runs the synthetic
 // workload, normalizes IPC against the unprotected baseline, and formats
 // each of the paper's tables and figures.

@@ -64,11 +64,6 @@ func runCTTiming(pass *Pass) {
 								"slice bound depends on secret data; secret-dependent extents leak through timing and access patterns")
 						}
 					}
-				case *ast.CallExpr:
-					// Interprocedural: a secret argument whose callee's
-					// summary says it reaches a branch or table index below
-					// the call leaks just the same.
-					checkCallSiteSinks(pass, ctx, n, ctTimingName)
 				}
 				return true
 			})

@@ -50,10 +50,6 @@ var orderedSinkNames = map[string]bool{
 }
 
 func runDeterminism(pass *Pass) {
-	ip := pass.secrets.interp
-	if ip == nil {
-		return
-	}
 	info := pass.Pkg.Info
 	for _, f := range pass.Pkg.Files {
 		funcBodies(f, func(body *ast.BlockStmt) {
@@ -182,10 +178,10 @@ func orderedSinkCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 }
 
 // checkFloatMerge applies rule 2 over the module-wide concurrent-body sets
-// (shared with sharedstate via the interproc cache).
+// (shared with sharedstate via the module index's cache).
 func checkFloatMerge(pass *Pass) {
-	ip := pass.secrets.interp
-	cc := ip.concurrency()
+	m := pass.module
+	cc := m.concurrency()
 	flagged := make(map[token.Pos]bool)
 	check := func(pkg *Package, blk *ast.BlockStmt) {
 		if pkg != pass.Pkg {
@@ -255,8 +251,8 @@ func checkFloatMerge(pass *Pass) {
 	}
 	for fn, isConc := range cc.concFuncs {
 		if isConc {
-			if decl := ip.graph.decls[fn]; decl != nil {
-				check(ip.graph.pkgOf[fn], decl.Body)
+			if decl := m.decls[fn]; decl != nil {
+				check(m.pkgOf[fn], decl.Body)
 			}
 		}
 	}

@@ -95,6 +95,8 @@ func FuzzSecretAnnotation(f *testing.F) {
 	f.Add("var k = 1 //secmemlint:secret")
 	f.Add("//secmemlint:secret name1 name2 name3\nfunc h(name1, name2 int) int { return name1 }")
 	f.Add("//secmemlint:secret\n//secmemlint:secret twice\nvar y int")
+	f.Add("//secmemlint:secret out:dst\nfunc o(dst []byte) { copy(dst, \"k\") }\nfunc u() { b := make([]byte, 1); o(b); panic(b) }")
+	f.Add("//secmemlint:secret out: out:missing out:out:dst\nfunc o(dst, src []byte) {}")
 	f.Fuzz(func(t *testing.T, body string) {
 		pkg := fuzzPackage(t, "package p\n"+body+"\n")
 		idx := collectSecrets([]*Package{pkg})
@@ -103,8 +105,15 @@ func FuzzSecretAnnotation(f *testing.F) {
 				t.Error("nil object registered as secret")
 			}
 		}
-		// The index must be usable downstream: summary computation over the
-		// fuzzed package must also not panic.
-		computeInterproc([]*Package{pkg}, idx, collectIgnores(pkg))
+		for fn, outs := range idx.outs {
+			for _, i := range outs {
+				if i < 0 || i >= fn.Type().(*types.Signature).Params().Len() {
+					t.Errorf("%s: out-parameter index %d out of range", fn.Name(), i)
+				}
+			}
+		}
+		// The index must be usable downstream: the taint analyzers over the
+		// fuzzed package must not panic either.
+		Run([]*Package{pkg}, []*Analyzer{SecretFlow, CTTiming, TaintEscape})
 	})
 }

@@ -36,7 +36,6 @@ var GoroutineLife = &Analyzer{
 }
 
 func runGoroutineLife(pass *Pass) {
-	ip := pass.secrets.interp
 	info := pass.Pkg.Info
 	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
@@ -45,7 +44,7 @@ func runGoroutineLife(pass *Pass) {
 				continue
 			}
 			walkGoStmts(fn.Body, nil, func(g *ast.GoStmt, loop ast.Stmt) {
-				checkGoStmt(pass, ip, info, g, loop)
+				checkGoStmt(pass, info, g, loop)
 			})
 		}
 	}
@@ -88,7 +87,7 @@ func walkGoStmts(n ast.Node, loop ast.Stmt, visit func(*ast.GoStmt, ast.Stmt)) {
 	})
 }
 
-func checkGoStmt(pass *Pass, ip *interproc, info *types.Info, g *ast.GoStmt, loop ast.Stmt) {
+func checkGoStmt(pass *Pass, info *types.Info, g *ast.GoStmt, loop ast.Stmt) {
 	// Loop-boundedness first: it is a property of the spawn site.
 	switch l := loop.(type) {
 	case *ast.ForStmt:
@@ -124,8 +123,8 @@ func checkGoStmt(pass *Pass, ip *interproc, info *types.Info, g *ast.GoStmt, loo
 		if sigHasStopParam(callee) {
 			return
 		}
-		if decl, ok := ip.graph.decls[callee]; ok {
-			if terminationSignal(ip.graph.pkgOf[callee].Info, decl.Body) {
+		if decl, ok := pass.module.decls[callee]; ok {
+			if terminationSignal(pass.module.pkgOf[callee].Info, decl.Body) {
 				return
 			}
 			pass.Reportf(g.Pos(),

@@ -24,16 +24,17 @@
 //   - goroutinelife: every go statement carries a provable termination
 //     signal, and spawning in a loop must be bounded (worker pools).
 //
-// secretflow, cttiming, and taintescape ride on the taint/dataflow engine
-// in taint.go, seeded by "//secmemlint:secret" annotations on the real
-// key, pad, and plaintext state across aescipher, gcmmode, gf128, and
-// core, and extended across function boundaries by the interprocedural
-// summaries of summary.go over the call graph of callgraph.go. The
+// secretflow, cttiming, and taintescape ride on the local taint pass in
+// taint.go, seeded by "//secmemlint:secret" annotations on the real key,
+// pad, and plaintext state across aescipher, gcmmode, gf128, sha1sum, and
+// core. The pass analyzes one function at a time; the same annotations on
+// the functions of each secret chain declare what crosses a call. The
 // concurrency analyzers (sharedstate, determinism, goroutinelife) guard
 // the program's one concurrent piece: the harness.parallelDo fan-out
 // that runs a campaign's simulations on worker goroutines. The simulator
-// itself is serial. Each keeps its place by catching a seeded bug that
-// go test -race and the other checks miss (DESIGN.md §14).
+// itself is serial. Every analyzer keeps its place by catching a seeded
+// bug that go test, go test -race and the other checks miss (DESIGN.md
+// §14).
 //
 // The compiler cannot see any of these properties; the analyzers keep all
 // packages honest through refactors. cmd/secmemlint is the CLI driver and
@@ -69,6 +70,9 @@ type Pass struct {
 	// shared by every pass of one Run so cross-package secrets (a gf128
 	// field read from gcmmode) resolve consistently.
 	secrets *SecretIndex
+	// module indexes the module's function declarations, shared by every
+	// pass of one Run.
+	module *moduleIndex
 }
 
 // Reportf records a finding at pos.
@@ -116,35 +120,23 @@ func All() []*Analyzer {
 
 // Run executes analyzers over pkgs, drops findings silenced by
 // "//secmemlint:ignore" comments, and returns the rest sorted by position.
-// Before any analyzer runs it computes the module-wide interprocedural
-// summary table (summary.go); the suppression set is collected first
-// because suppressed sink sites must not propagate sink facts through
-// summaries.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	return RunScoped(pkgs, pkgs, analyzers)
 }
 
 // RunScoped analyzes context — which should be every package of the module,
 // from one Load call — but reports findings only for the packages in
-// selected. The split matters for the interprocedural pass: summaries,
-// secret annotations, and suppressions in out-of-scope packages must be
-// visible while analyzing a scoped selection, or every call leaving the
-// selection degrades to the conservative unknown-callee model and buries
-// real findings in noise.
+// selected. The split keeps a scoped run as precise as a full one: the
+// secret annotations of out-of-scope packages (a gf128 field read from
+// gcmmode, a "return" annotation on a callee) and the declarations the
+// concurrency analyzers follow into other packages must be visible while
+// analyzing a scoped selection.
 func RunScoped(selected, context []*Package, analyzers []*Analyzer) []Diagnostic {
-	secrets := collectSecrets(context)
-	ignores := collectModuleIgnores(context)
-	computeInterproc(context, secrets, ignores)
+	ignores := collectModuleIgnores(selected)
 	var diags []Diagnostic
-	for _, pkg := range selected {
-		var pkgDiags []Diagnostic
-		for _, a := range analyzers {
-			a.Run(&Pass{Pkg: pkg, analyzer: a, diags: &pkgDiags, secrets: secrets})
-		}
-		for _, d := range pkgDiags {
-			if !ignores.suppresses(d) {
-				diags = append(diags, d)
-			}
+	for _, d := range runUnsuppressed(selected, context, analyzers) {
+		if !ignores.suppresses(d) {
+			diags = append(diags, d)
 		}
 	}
 	sort.Slice(diags, func(i, j int) bool {
@@ -160,6 +152,20 @@ func RunScoped(selected, context []*Package, analyzers []*Analyzer) []Diagnostic
 		}
 		return a.Analyzer < b.Analyzer
 	})
+	return diags
+}
+
+// runUnsuppressed runs analyzers over selected, with context as in
+// RunScoped, and returns every finding, suppressed or not.
+func runUnsuppressed(selected, context []*Package, analyzers []*Analyzer) []Diagnostic {
+	secrets := collectSecrets(context)
+	module := indexModule(context)
+	var diags []Diagnostic
+	for _, pkg := range selected {
+		for _, a := range analyzers {
+			a.Run(&Pass{Pkg: pkg, analyzer: a, diags: &diags, secrets: secrets, module: module})
+		}
+	}
 	return diags
 }
 

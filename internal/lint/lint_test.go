@@ -1,7 +1,9 @@
 package lint
 
 import (
+	"fmt"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -97,6 +99,42 @@ func TestSuppressionsNameAnalyzers(t *testing.T) {
 				t.Errorf("%s:%d: suppression names no analyzer: %q", s.File, s.Line, name)
 			}
 		}
+	}
+}
+
+// TestSuppressionsAreLive: every "//secmemlint:ignore" must silence a
+// finding of each analyzer it names on its target line. A waiver that
+// silences nothing reads as a reviewed exception while hiding nothing, and
+// would swallow a new finding that later lands on its line unreviewed.
+func TestSuppressionsAreLive(t *testing.T) {
+	pkgs := loadRepo(t)
+	type site struct {
+		file string
+		line int
+	}
+	found := make(map[site]map[string]bool)
+	for _, d := range runUnsuppressed(pkgs, pkgs, All()) {
+		at := site{d.File, d.Line}
+		if found[at] == nil {
+			found[at] = make(map[string]bool)
+		}
+		found[at][d.Analyzer] = true
+	}
+	var dead []string
+	for file, byLine := range collectModuleIgnores(pkgs) {
+		for line, names := range byLine {
+			at := found[site{file, line}]
+			for _, name := range names {
+				if at[name] || name == "all" && len(at) > 0 {
+					continue
+				}
+				dead = append(dead, fmt.Sprintf("%s:%d: suppression of %s silences no finding", file, line, name))
+			}
+		}
+	}
+	sort.Strings(dead)
+	for _, msg := range dead {
+		t.Error(msg)
 	}
 }
 

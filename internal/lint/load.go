@@ -116,9 +116,9 @@ func Load(root string, patterns []string) ([]*Package, error) {
 // LoadScoped loads every package of the module enclosing root in one Load
 // call (so type objects are shared) and returns both the full set and the
 // subset matched by patterns. Scoped lint runs must analyze the whole
-// module — interprocedural summaries for out-of-scope callees are what
-// keep a selection like ./internal/core precise — while reporting only on
-// the selection; see RunScoped.
+// module — the secret annotations and function declarations of
+// out-of-scope packages are what keep a selection like ./internal/core
+// precise — while reporting only on the selection; see RunScoped.
 func LoadScoped(root string, patterns []string) (all, selected []*Package, err error) {
 	absRoot, err := filepath.Abs(root)
 	if err != nil {

@@ -13,9 +13,9 @@ import (
 // on-chip plaintext — the paper's confidentiality argument (Section 3)
 // assumes the only off-chip images of those values are the ciphertexts and
 // clipped MACs. The analyzer walks the taint engine's per-function state
-// and reports any secret-derived argument reaching a sink — directly, or
-// through any chain of module functions whose interprocedural summaries
-// say the argument reaches a sink below the call.
+// and reports any secret-derived argument reaching a sink in the same
+// body; a sink inside a callee is reported there when the callee declares
+// the parameter secret.
 const secretFlowName = "secretflow"
 
 var SecretFlow = &Analyzer{
@@ -52,7 +52,6 @@ func runSecretFlow(pass *Pass) {
 				if desc, ok := sinkCallDesc(pass.Pkg.Info, call); ok {
 					reportTaintedArgs(pass, ctx, call, desc)
 				}
-				checkCallSiteSinks(pass, ctx, call, secretFlowName)
 				return true
 			})
 		}
@@ -61,8 +60,7 @@ func runSecretFlow(pass *Pass) {
 
 // sinkCallDesc classifies a call as a publishing sink — panic, fmt/log/
 // errors formatting, or an obsv-shaped metric/trace method — and returns a
-// human description. Shared with the summary engine so sink facts and
-// direct findings agree on what counts as a sink.
+// human description.
 func sinkCallDesc(info *types.Info, call *ast.CallExpr) (string, bool) {
 	// panic(v) prints v's formatted value on the crash path.
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {

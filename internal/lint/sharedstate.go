@@ -42,7 +42,7 @@ var SharedState = &Analyzer{
 }
 
 // sharedAnalysis is the module-wide result, computed once per Run and
-// cached on the interprocedural state; each package pass then emits only
+// cached on the module index; each package pass then emits only
 // its own findings.
 type sharedAnalysis struct {
 	findings map[*Package][]sharedFinding
@@ -79,20 +79,17 @@ type litScan struct {
 }
 
 func runSharedState(pass *Pass) {
-	ip := pass.secrets.interp
-	if ip == nil {
-		return
+	m := pass.module
+	if m.shared == nil {
+		m.shared = analyzeSharedState(m)
 	}
-	if ip.shared == nil {
-		ip.shared = analyzeSharedState(ip)
-	}
-	for _, f := range ip.shared.findings[pass.Pkg] {
+	for _, f := range m.shared.findings[pass.Pkg] {
 		pass.Reportf(f.pos, "%s", f.msg)
 	}
 }
 
-func analyzeSharedState(ip *interproc) *sharedAnalysis {
-	cc := ip.concurrency()
+func analyzeSharedState(m *moduleIndex) *sharedAnalysis {
+	cc := m.concurrency()
 	scan, conc, concFuncs := cc.scan, cc.conc, cc.concFuncs
 
 	// Order concurrent bodies deterministically by position.
@@ -109,8 +106,8 @@ func analyzeSharedState(ip *interproc) *sharedAnalysis {
 		bodies = append(bodies, body{pkg: scan.pkgOf[lit], node: lit, blk: lit.Body})
 	}
 	for fn := range concFuncs {
-		if decl := ip.graph.decls[fn]; decl != nil {
-			bodies = append(bodies, body{pkg: ip.graph.pkgOf[fn], node: decl, blk: decl.Body, globalsOnly: true})
+		if decl := m.decls[fn]; decl != nil {
+			bodies = append(bodies, body{pkg: m.pkgOf[fn], node: decl, blk: decl.Body, globalsOnly: true})
 		}
 	}
 	sort.Slice(bodies, func(i, j int) bool { return bodies[i].blk.Pos() < bodies[j].blk.Pos() })
@@ -231,7 +228,7 @@ func analyzeSharedState(ip *interproc) *sharedAnalysis {
 // literals, go statements, bindings of literals to function-typed
 // objects, hotness hand-offs at call sites, and mentions of function-typed
 // objects inside literals.
-func scanLiterals(ip *interproc) *litScan {
+func scanLiterals(mod *moduleIndex) *litScan {
 	s := &litScan{
 		pkgOf:        make(map[*ast.FuncLit]*Package),
 		parent:       make(map[*ast.FuncLit]*ast.FuncLit),
@@ -247,10 +244,10 @@ func scanLiterals(ip *interproc) *litScan {
 	// Parameter objects per module function, in declaration order, for
 	// resolving call-argument bindings.
 	paramObjs := make(map[*types.Func][]types.Object)
-	for fn, decl := range ip.graph.decls {
+	for fn, decl := range mod.decls {
 		var objs []types.Object
 		if decl.Type.Params != nil {
-			info := ip.graph.pkgOf[fn].Info
+			info := mod.pkgOf[fn].Info
 			for _, field := range decl.Type.Params.List {
 				if len(field.Names) == 0 {
 					objs = append(objs, nil)
@@ -280,8 +277,8 @@ func scanLiterals(ip *interproc) *litScan {
 		return nil
 	}
 
-	for fn, decl := range ip.graph.decls {
-		pkg := ip.graph.pkgOf[fn]
+	for fn, decl := range mod.decls {
+		pkg := mod.pkgOf[fn]
 		info := pkg.Info
 		var walk func(n ast.Node, enclosing *ast.FuncLit)
 		record := func(obj types.Object, enclosing *ast.FuncLit) {
@@ -323,7 +320,7 @@ func scanLiterals(ip *interproc) *litScan {
 					default:
 						if obj := funcObj(info, m.Call.Fun); obj != nil {
 							if callee, ok := obj.(*types.Func); ok {
-								if _, inModule := ip.graph.decls[callee]; inModule {
+								if _, inModule := mod.decls[callee]; inModule {
 									s.goFuncs[callee] = true
 								}
 							} else {

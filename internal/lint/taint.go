@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -11,9 +12,9 @@ import (
 // cttiming, and taintescape analyzers. Secrecy is a property the Go type
 // system cannot express: a []byte holding an AES key schedule and a []byte
 // holding a public trace label have the same type. The engine adds that
-// missing bit as a lattice of label sets (summary.go) seeded by explicit
-// "//secmemlint:secret" annotations and propagated through assignments,
-// composite literals, indexing/slicing, arithmetic and XOR, and calls.
+// missing bit, seeded by explicit "//secmemlint:secret" annotations and
+// propagated through assignments, composite literals, indexing/slicing,
+// arithmetic and XOR, and calls.
 //
 // Annotation grammar (the sources of taint):
 //
@@ -25,22 +26,33 @@ import (
 //	//secmemlint:secret name[ name...]
 //	    in a function's doc comment: each name is a parameter or receiver
 //	    name to treat as secret inside the body; the keyword "return" marks
-//	    the function's results as secret at every call site.
+//	    the function's results as secret at every call site; "out:name"
+//	    marks what a caller passes for parameter name as secret after every
+//	    call (an out-parameter the function fills with secret data).
 //
 // Deliberate exceptions (the allowlisted set) use the ordinary
 // "//secmemlint:ignore <analyzer> <reason>" mechanism at the finding site,
 // so every place the discipline is waived carries its justification.
 //
-// Cross-function flow is inferred: calls to functions declared anywhere in
-// the module are resolved through the interprocedural summaries of
-// summary.go, which propagate param/receiver -> result/receiver/out-param
-// flows automatically. The named-annotation form above remains only for
-// roots the analysis cannot see (and for fixtures); helpers no longer need
-// it. Known holes, accepted for predictability: effects applied at call
-// sites taint only targets resolving to a plain identifier (a write into
-// x.y.z's storage does not taint x), and writes into a struct field taint
-// the field object, not the enclosing struct variable.
+// The pass is local: it analyzes one function body at a time and never
+// looks inside a callee. What crosses a function boundary is what the
+// annotations declare — a secret parameter or receiver, a secret result, a
+// secret out-parameter — so every function a secret enters on one of the
+// tree's chains carries an annotation, and a secret handed to an
+// unannotated helper is not followed into the helper's body. At a call the
+// engine is conservative: the results derive from every input (the
+// arguments other than declared out-parameters, and the receiver), and a
+// secret input reaches every mutable-reference argument — and the
+// receiver, unless the callee is declared in the module. A module method
+// declares its effects instead: a write into one field of the receiver
+// must not taint the whole receiver, as for a direct field write. Known
+// holes, accepted for predictability: a write into a struct field taints
+// the field object (for every instance in the function), not the
+// enclosing variable, and a call's result never aliases secret storage.
 const secretPrefix = "secmemlint:secret"
+
+// outPrefix marks an out-parameter in the named form.
+const outPrefix = "out:"
 
 // declassifiedPkgs are import paths whose function results are public even
 // when fed secrets: crypto/subtle reduces secrets to publishable decisions
@@ -54,24 +66,23 @@ var declassifiedPkgs = map[string]bool{
 // gcmmode touches it through a selector.
 type SecretIndex struct {
 	// objs holds annotated objects: struct fields, parameters, receivers,
-	// and variables — plus package-level vars promoted by the
-	// interprocedural engine because secret data flows into them.
+	// and variables.
 	objs map[types.Object]bool
 	// results holds functions whose results are annotated secret.
-	results map[types.Object]bool
+	results map[*types.Func]bool
+	// outs maps functions to the indexes of their "out:" parameters.
+	outs map[*types.Func][]int
 	// taints caches per-function dataflow results across the analyzers of
 	// one Run.
 	taints map[*ast.FuncDecl]*funcTaint
-	// interp is the interprocedural summary table (summary.go), attached
-	// by Run before any analyzer executes.
-	interp *interproc
 }
 
 // collectSecrets builds the annotation index over all loaded packages.
 func collectSecrets(pkgs []*Package) *SecretIndex {
 	idx := &SecretIndex{
 		objs:    make(map[types.Object]bool),
-		results: make(map[types.Object]bool),
+		results: make(map[*types.Func]bool),
+		outs:    make(map[*types.Func][]int),
 		taints:  make(map[*ast.FuncDecl]*funcTaint),
 	}
 	for _, pkg := range pkgs {
@@ -204,8 +215,9 @@ func (idx *SecretIndex) collectField(info *types.Info, field *ast.Field, consume
 }
 
 // collectFuncDoc handles the named form in function doc comments:
-// "//secmemlint:secret key h return" marks params/receiver key and h secret
-// and the results secret.
+// "//secmemlint:secret key h return out:dst" marks params/receiver key and
+// h secret inside the body, the results secret at call sites, and the
+// argument passed for dst secret after each call.
 func (idx *SecretIndex) collectFuncDoc(info *types.Info, fn *ast.FuncDecl, consumed map[*ast.Comment]bool) {
 	if fn.Doc == nil {
 		return
@@ -221,7 +233,8 @@ func (idx *SecretIndex) collectFuncDoc(info *types.Info, fn *ast.FuncDecl, consu
 			return r == ' ' || r == ',' || r == '\t'
 		})...)
 	}
-	if len(names) == 0 {
+	fnObj, _ := info.Defs[fn.Name].(*types.Func)
+	if len(names) == 0 || fnObj == nil {
 		return
 	}
 	// Resolve names among the receiver, parameters, and named results.
@@ -241,10 +254,17 @@ func (idx *SecretIndex) collectFuncDoc(info *types.Info, fn *ast.FuncDecl, consu
 	addFields(fn.Recv)
 	addFields(fn.Type.Params)
 	addFields(fn.Type.Results)
+	params := fnObj.Type().(*types.Signature).Params()
 	for _, name := range names {
 		if name == "return" {
-			if obj := info.Defs[fn.Name]; obj != nil {
-				idx.results[obj] = true
+			idx.results[fnObj] = true
+			continue
+		}
+		if param, ok := strings.CutPrefix(name, outPrefix); ok {
+			for i := 0; i < params.Len(); i++ {
+				if params.At(i) == byName[param] && !slices.Contains(idx.outs[fnObj], i) {
+					idx.outs[fnObj] = append(idx.outs[fnObj], i)
+				}
 			}
 			continue
 		}
@@ -256,61 +276,50 @@ func (idx *SecretIndex) collectFuncDoc(info *types.Info, fn *ast.FuncDecl, consu
 	}
 }
 
-// funcTaint is the fixpoint result for one function body: the label sets
-// carried by each object. In the analyzers' runtime mode only secretLabel
-// is ever seeded; summary computation additionally seeds receiver and
-// parameter bits (summary.go).
+// funcTaint is the fixpoint result for one function body.
 type funcTaint struct {
-	// labels holds value taint: which inputs an object's contents derive
-	// from. Struct-field objects appear here when a field is written with
-	// labeled data (per-field, not per-instance, which is the conservative
+	// secret holds the objects whose contents may derive from a secret.
+	// Struct-field objects appear here when a field is written with
+	// secret data (per-field, not per-instance, which is the conservative
 	// direction).
-	labels map[types.Object]labelSet
-	// alias holds storage aliasing: which inputs' backing storage an
-	// object may share (the taintescape notion).
-	alias map[types.Object]labelSet
+	secret map[types.Object]bool
+	// alias holds the objects whose backing storage may be secret storage
+	// (the taintescape notion).
+	alias map[types.Object]bool
 }
 
 // taintCtx bundles what an analyzer needs to query taint inside one
-// function: the module index, the package's type info, and the function's
-// fixpoint state. sum and slots are non-nil only while summary.go computes
-// the enclosing function's interprocedural summary.
+// function: the module's annotations and declarations, the package's type
+// info, and the function's fixpoint state.
 type taintCtx struct {
-	idx  *SecretIndex
-	pkg  *Package
-	info *types.Info
-	ft   *funcTaint
-	// sum accumulates out-effects and sink facts during summary mode.
-	sum *summary
-	// slots maps receiver/parameter objects to their slot (recvSlot for
-	// the receiver) during summary mode.
-	slots map[types.Object]int
-	// changed tracks label growth within one fixpoint sweep.
+	idx   *SecretIndex
+	decls map[*types.Func]*ast.FuncDecl
+	info  *types.Info
+	ft    *funcTaint
+	// changed tracks growth within one fixpoint sweep.
 	changed bool
 }
 
 // analyze returns the taint context for fn, computing and caching the
-// runtime-mode fixpoint on first use.
+// fixpoint on first use.
 func (idx *SecretIndex) analyze(pass *Pass, fn *ast.FuncDecl) *taintCtx {
-	ft, ok := idx.taints[fn]
-	if !ok {
-		ft = &funcTaint{
-			labels: make(map[types.Object]labelSet),
-			alias:  make(map[types.Object]labelSet),
+	ctx := &taintCtx{idx: idx, decls: pass.module.decls, info: pass.Pkg.Info, ft: idx.taints[fn]}
+	if ctx.ft == nil {
+		ctx.ft = &funcTaint{
+			secret: make(map[types.Object]bool),
+			alias:  make(map[types.Object]bool),
 		}
-		idx.taints[fn] = ft
+		idx.taints[fn] = ctx.ft
 		if fn.Body != nil {
-			ctx := &taintCtx{idx: idx, pkg: pass.Pkg, info: pass.Pkg.Info, ft: ft}
 			ctx.fixpoint(fn.Body)
 		}
 	}
-	return &taintCtx{idx: idx, pkg: pass.Pkg, info: pass.Pkg.Info, ft: ft}
+	return ctx
 }
 
-// fixpoint iterates the transfer functions until the label sets stop
-// growing. Labels only accumulate, so termination is bounded by objects
-// times label bits; the iteration cap is a safety net, not a limit hit in
-// practice.
+// fixpoint iterates the transfer functions until no object gains taint.
+// Taint only accumulates, so termination is bounded by the number of
+// objects; the iteration cap is a safety net, not a limit hit in practice.
 func (c *taintCtx) fixpoint(body *ast.BlockStmt) {
 	for i := 0; i < 1000; i++ {
 		c.changed = false
@@ -334,25 +343,20 @@ func (c *taintCtx) fixpoint(body *ast.BlockStmt) {
 	}
 }
 
-// addLabels merges bits into obj's value labels.
-func (c *taintCtx) addLabels(obj types.Object, bits labelSet) {
-	if obj == nil || bits == 0 {
-		return
-	}
-	if c.ft.labels[obj]&bits != bits {
-		c.ft.labels[obj] |= bits
+// mark adds obj to set, noting growth.
+func (c *taintCtx) mark(set map[types.Object]bool, obj types.Object) {
+	if obj != nil && !set[obj] {
+		set[obj] = true
 		c.changed = true
 	}
 }
 
-func (c *taintCtx) addAlias(obj types.Object, bits labelSet) {
-	if obj == nil || bits == 0 {
-		return
+// identObj resolves an identifier to the object it uses or defines.
+func (c *taintCtx) identObj(id *ast.Ident) types.Object {
+	if obj := c.info.Uses[id]; obj != nil {
+		return obj
 	}
-	if c.ft.alias[obj]&bits != bits {
-		c.ft.alias[obj] |= bits
-		c.changed = true
-	}
+	return c.info.Defs[id]
 }
 
 // lhsObj resolves an assignment target to the object whose contents the
@@ -364,10 +368,7 @@ func (c *taintCtx) addAlias(obj types.Object, bits labelSet) {
 func (c *taintCtx) lhsObj(e ast.Expr) types.Object {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
-		if obj := c.info.Uses[e]; obj != nil {
-			return obj
-		}
-		return c.info.Defs[e]
+		return c.identObj(e)
 	case *ast.IndexExpr:
 		return c.lhsObj(e.X)
 	case *ast.SliceExpr:
@@ -383,7 +384,7 @@ func (c *taintCtx) lhsObj(e ast.Expr) types.Object {
 }
 
 // fieldOf resolves a write target that lands in a struct field to the
-// field object (x.y[i] = v labels field y), or nil.
+// field object (x.y[i] = v taints field y), or nil.
 func (c *taintCtx) fieldOf(e ast.Expr) types.Object {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.SelectorExpr:
@@ -406,127 +407,33 @@ func (c *taintCtx) fieldOf(e ast.Expr) types.Object {
 	return nil
 }
 
-// storageRoot resolves the outermost object a write reaches through any
-// chain of selectors, indexes, and dereferences. Used only for recording
-// summary out-effects (a write into d.buf is an effect on receiver d).
-func (c *taintCtx) storageRoot(e ast.Expr) types.Object {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		if obj := c.info.Uses[e]; obj != nil {
-			return obj
-		}
-		return c.info.Defs[e]
-	case *ast.IndexExpr:
-		return c.storageRoot(e.X)
-	case *ast.SliceExpr:
-		return c.storageRoot(e.X)
-	case *ast.StarExpr:
-		return c.storageRoot(e.X)
-	case *ast.SelectorExpr:
-		return c.storageRoot(e.X)
-	case *ast.UnaryExpr:
-		if e.Op == token.AND {
-			return c.storageRoot(e.X)
-		}
-	}
-	return nil
-}
-
-// assign applies a labeled write to target: the plain-identifier root if
-// one exists, else the struct field being written; and, in summary mode,
-// records the out-effect on receiver/param/field/global storage.
-func (c *taintCtx) assign(target ast.Expr, bits labelSet) {
-	if bits == 0 {
+// assign applies a write of secret data to target: the plain-identifier
+// root if one exists, else the struct field being written.
+func (c *taintCtx) assign(target ast.Expr, secret bool) {
+	if !secret {
 		return
 	}
 	if obj := c.lhsObj(target); obj != nil {
-		c.addLabels(obj, bits)
-		c.recordEffect(target, bits)
+		c.mark(c.ft.secret, obj)
 	} else if fld := c.fieldOf(target); fld != nil {
-		c.addLabels(fld, bits)
-		c.recordFieldEffect(fld, c.storageRoot(target), bits)
+		c.mark(c.ft.secret, fld)
 	}
-}
-
-// recordEffect notes, during summary computation, that a write carrying
-// bits lands in storage reachable from the receiver, a parameter, or a
-// package-level variable.
-func (c *taintCtx) recordEffect(target ast.Expr, bits labelSet) {
-	if c.sum == nil || bits == 0 {
-		return
-	}
-	root := c.storageRoot(target)
-	if root == nil {
-		return
-	}
-	if slot, ok := c.slots[root]; ok {
-		// Drop the slot's own seed bit: x = x is not an effect.
-		seed := recvLabel
-		if slot != recvSlot {
-			seed = paramLabel(slot)
-		}
-		bits &^= seed
-		if bits == 0 {
-			return
-		}
-		if slot == recvSlot {
-			c.sum.recv |= bits
-		} else if slot < len(c.sum.params) {
-			c.sum.params[slot] |= bits
-		}
-		return
-	}
-	if v, ok := root.(*types.Var); ok && !v.IsField() && v.Parent() != nil &&
-		v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-		c.sum.globals[v] |= bits
-	}
-}
-
-// recordFieldEffect notes, during summary computation, a labeled write into
-// a struct field of caller-visible storage (receiver, parameter, or
-// package variable). The receiver bit is dropped: labelsOf already folds a
-// tainted receiver variable into every field read, so keeping it would
-// only let bookkeeping flows (d.n += len(p)) escalate into module-wide
-// field promotion.
-func (c *taintCtx) recordFieldEffect(fld types.Object, root types.Object, bits labelSet) {
-	bits &^= recvLabel
-	if c.sum == nil || bits == 0 || root == nil {
-		return
-	}
-	if _, ok := c.slots[root]; !ok {
-		v, isVar := root.(*types.Var)
-		if !isVar || v.IsField() || v.Parent() == nil || v.Pkg() == nil ||
-			v.Parent() != v.Pkg().Scope() {
-			return // a local struct's field labels die with this function
-		}
-	}
-	c.sum.fields[fld] |= bits
 }
 
 func (c *taintCtx) transferAssign(n *ast.AssignStmt) {
 	// Tuple forms: x, ok := m[k] / v, ok := y.(T) / multi-return call.
 	if len(n.Rhs) == 1 && len(n.Lhs) > 1 {
-		rhs := ast.Unparen(n.Rhs[0])
-		switch rhs := rhs.(type) {
+		switch rhs := ast.Unparen(n.Rhs[0]).(type) {
 		case *ast.IndexExpr, *ast.TypeAssertExpr:
 			// The comma-ok bool reveals presence, not contents: taint the
 			// value, leave ok public (branching on map presence is how the
 			// on-chip residency checks work and is address-, not
 			// secret-, dependent).
-			c.assign(n.Lhs[0], c.labelsOf(rhs))
+			c.assign(n.Lhs[0], c.Tainted(rhs))
 		case *ast.CallExpr:
-			// Per-result precision when the callee has a summary, so a
-			// public second result (count, ok) does not inherit the first
-			// result's secrecy.
-			if per := c.callResultLabels(rhs); per != nil && len(per) == len(n.Lhs) {
-				for i, lhs := range n.Lhs {
-					c.assign(lhs, per[i])
-				}
-				return
-			}
-			bits := c.labelsOf(rhs)
+			secret := c.Tainted(rhs)
 			for _, lhs := range n.Lhs {
-				c.assign(lhs, bits)
+				c.assign(lhs, secret)
 			}
 		}
 		return
@@ -536,15 +443,13 @@ func (c *taintCtx) transferAssign(n *ast.AssignStmt) {
 			break
 		}
 		lhs := n.Lhs[i]
-		c.assign(lhs, c.labelsOf(rhs))
+		c.assign(lhs, c.Tainted(rhs))
 		if n.Tok != token.ASSIGN && n.Tok != token.DEFINE {
-			// x op= rhs keeps x's own labels; no alias rebinding.
+			// x op= rhs keeps x's own taint; no alias rebinding.
 			continue
 		}
-		if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
-			if bits := c.aliasLabelsOf(rhs); bits != 0 {
-				c.addAlias(c.lhsObj(id), bits)
-			}
+		if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && c.AliasesSecret(rhs) {
+			c.mark(c.ft.alias, c.identObj(id))
 		}
 	}
 }
@@ -555,32 +460,35 @@ func (c *taintCtx) transferValueSpec(n *ast.ValueSpec) {
 			break
 		}
 		obj := c.info.Defs[n.Names[i]]
-		c.addLabels(obj, c.labelsOf(v))
-		c.addAlias(obj, c.aliasLabelsOf(v))
+		if c.Tainted(v) {
+			c.mark(c.ft.secret, obj)
+		}
+		if c.AliasesSecret(v) {
+			c.mark(c.ft.alias, obj)
+		}
 	}
 }
 
 func (c *taintCtx) transferRange(n *ast.RangeStmt) {
-	bits := c.labelsOf(n.X)
-	if bits == 0 {
+	if !c.Tainted(n.X) {
 		return
 	}
 	if n.Value != nil {
-		c.assign(n.Value, bits)
+		c.assign(n.Value, true)
 	}
 	// Keys of slices/arrays are indices (public); map keys share the
 	// container's secrecy.
 	if n.Key != nil {
 		if tv, ok := c.info.Types[n.X]; ok && tv.Type != nil {
 			if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-				c.assign(n.Key, bits)
+				c.assign(n.Key, true)
 			}
 		}
 	}
 }
 
-// transferCopy models the copy builtin: copying from a labeled source
-// labels the destination's contents.
+// transferCopy models the copy builtin: copying from a secret source
+// taints the destination's contents.
 func (c *taintCtx) transferCopy(call *ast.CallExpr) {
 	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
 	if !ok || len(call.Args) != 2 {
@@ -589,93 +497,48 @@ func (c *taintCtx) transferCopy(call *ast.CallExpr) {
 	if b, ok := c.info.Uses[id].(*types.Builtin); !ok || b.Name() != "copy" {
 		return
 	}
-	c.assign(call.Args[0], c.labelsOf(call.Args[1]))
+	c.assign(call.Args[0], c.Tainted(call.Args[1]))
 }
 
-// transferCallEffects applies a callee's out-effects at the call site: the
-// summary's receiver/param/global flows for module functions, or the
-// conservative unknown-callee model (all inputs flow into every
-// mutable-reference argument and the receiver) for everything else except
-// declassified packages and builtins.
+// transferCallEffects applies a call's effects on the caller's variables:
+// the argument for each declared out-parameter becomes secret and, when
+// an input is secret, so does every mutable-reference argument and — for a
+// callee outside the module — the receiver (binary.BigEndian.PutUint64(dst,
+// secret) must taint dst; h.Write(key) must taint h). Conversions,
+// builtins (copy is transferCopy's), and declassified packages have no
+// effects.
 func (c *taintCtx) transferCallEffects(call *ast.CallExpr) {
 	if tv, ok := c.info.Types[call.Fun]; ok && tv.IsType() {
 		return // conversion
 	}
 	obj := calleeObject(c.info, call)
 	if _, isBuiltin := obj.(*types.Builtin); isBuiltin {
-		return // copy handled by transferCopy; the rest have no effects
+		return
 	}
 	fn, _ := obj.(*types.Func)
-	if fn != nil {
-		if pkg := fn.Pkg(); pkg != nil && declassifiedPkgs[pkg.Path()] {
-			return
-		}
-		if sum, sig := c.summaryFor(fn); sum != nil {
-			c.applySummaryEffects(call, sum, sig)
-			return
+	if fn != nil && fn.Pkg() != nil && declassifiedPkgs[fn.Pkg().Path()] {
+		return
+	}
+	for _, i := range c.idx.outs[fn] {
+		if i < len(call.Args) {
+			c.assign(call.Args[i], true)
 		}
 	}
-	// Unknown callee (stdlib, interface method, function value): assume
-	// every input can flow into every mutable-reference argument and the
-	// receiver. binary.BigEndian.PutUint64(dst, secret) must taint dst.
-	bits := c.callInputLabels(call)
-	if bits == 0 {
+	if !c.callInputsTainted(call, fn) {
 		return
 	}
 	for _, arg := range call.Args {
 		if c.mutableRef(arg) {
-			c.assign(arg, bits)
+			c.assign(arg, true)
 		}
+	}
+	if _, inModule := c.decls[fn]; inModule {
+		return
 	}
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if _, isSel := c.info.Selections[sel]; isSel {
-			c.assign(sel.X, bits)
+			c.assign(sel.X, true)
 		}
-	}
-}
-
-func (c *taintCtx) applySummaryEffects(call *ast.CallExpr, sum *summary, sig *types.Signature) {
-	if sum.recv != 0 {
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			c.assign(sel.X, c.instantiate(sum.recv, call, sig))
-		}
-	}
-	nparams := sig.Params().Len()
-	for i, eff := range sum.params {
-		if eff == 0 {
-			continue
-		}
-		bits := c.instantiate(eff, call, sig)
-		if bits == 0 {
-			continue
-		}
-		if sig.Variadic() && i == nparams-1 {
-			for j := i; j < len(call.Args); j++ {
-				c.assign(call.Args[j], bits)
-			}
-		} else if i < len(call.Args) {
-			c.assign(call.Args[i], bits)
-		}
-	}
-	for g, eff := range sum.globals {
-		bits := c.instantiate(eff, call, sig)
-		if bits == 0 {
-			continue
-		}
-		if c.sum != nil {
-			c.sum.globals[g] |= bits
-		}
-		c.addLabels(g, bits)
-	}
-	for fld, eff := range sum.fields {
-		bits := c.instantiate(eff, call, sig) &^ recvLabel
-		if bits == 0 {
-			continue
-		}
-		if c.sum != nil {
-			c.sum.fields[fld] |= bits
-		}
-		c.addLabels(fld, bits)
 	}
 }
 
@@ -693,233 +556,97 @@ func (c *taintCtx) mutableRef(e ast.Expr) bool {
 	return false
 }
 
-// callInputLabels unions the labels of every argument and the receiver.
-func (c *taintCtx) callInputLabels(call *ast.CallExpr) labelSet {
-	var bits labelSet
-	for _, arg := range call.Args {
-		bits |= c.labelsOf(arg)
+// callInputsTainted reports whether any input of the call is secret: an
+// argument other than a declared out-parameter of fn, or the receiver. An
+// out-parameter is written, not read, so the secret the call leaves in it
+// does not flow back into the call's results.
+func (c *taintCtx) callInputsTainted(call *ast.CallExpr, fn *types.Func) bool {
+	outs := c.idx.outs[fn]
+	for i, arg := range call.Args {
+		if !slices.Contains(outs, i) && c.Tainted(arg) {
+			return true
+		}
 	}
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if _, isSel := c.info.Selections[sel]; isSel {
-			bits |= c.labelsOf(sel.X)
+			return c.Tainted(sel.X)
 		}
 	}
-	return bits
-}
-
-// summaryFor returns fn's interprocedural summary, if one was computed.
-func (c *taintCtx) summaryFor(fn *types.Func) (*summary, *types.Signature) {
-	if c.idx.interp == nil {
-		return nil, nil
-	}
-	sum, ok := c.idx.interp.summaries[fn]
-	if !ok {
-		return nil, nil
-	}
-	// During summary computation the enclosing function's own (possibly
-	// in-progress) summary is read from the table like any other SCC
-	// member; the SCC fixpoint iterates to convergence.
-	sig, _ := fn.Type().(*types.Signature)
-	if sig == nil {
-		return nil, nil
-	}
-	return sum, sig
-}
-
-// calleeSummary resolves a call to a module function's summary.
-func (c *taintCtx) calleeSummary(call *ast.CallExpr) (*summary, *types.Signature) {
-	fn, ok := calleeObject(c.info, call).(*types.Func)
-	if !ok {
-		return nil, nil
-	}
-	return c.summaryFor(fn)
-}
-
-// instantiate maps a summary label set to call-site labels: the secret bit
-// passes through, the receiver bit becomes the receiver expression's
-// labels, each parameter bit becomes its argument's labels, and the
-// overflow bit becomes the union of everything.
-func (c *taintCtx) instantiate(ls labelSet, call *ast.CallExpr, sig *types.Signature) labelSet {
-	return c.instantiateWith(ls, call, sig, c.labelsOf)
-}
-
-func (c *taintCtx) instantiateWith(ls labelSet, call *ast.CallExpr, sig *types.Signature, labelFn func(ast.Expr) labelSet) labelSet {
-	out := ls & secretLabel
-	if ls == out {
-		return out
-	}
-	if ls&recvLabel != 0 {
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			if _, isSel := c.info.Selections[sel]; isSel {
-				out |= labelFn(sel.X)
-			}
-		}
-	}
-	if ls&overflowLabel != 0 {
-		for _, arg := range call.Args {
-			out |= labelFn(arg)
-		}
-	}
-	nparams := sig.Params().Len()
-	for i := 0; i < nparams && i < maxParamLabels; i++ {
-		if ls&paramLabel(i) == 0 {
-			continue
-		}
-		if sig.Variadic() && i == nparams-1 {
-			for j := i; j < len(call.Args); j++ {
-				out |= labelFn(call.Args[j])
-			}
-		} else if i < len(call.Args) {
-			out |= labelFn(call.Args[i])
-		}
-	}
-	return out
+	return false
 }
 
 // Tainted reports whether evaluating e can yield secret-derived data — the
-// analyzers' runtime query.
+// analyzers' query.
 func (c *taintCtx) Tainted(e ast.Expr) bool {
-	return c.labelsOf(e)&secretLabel != 0
-}
-
-// labelsOf computes the label set of an expression's value.
-func (c *taintCtx) labelsOf(e ast.Expr) labelSet {
 	switch e := e.(type) {
-	case nil:
-		return 0
 	case *ast.Ident:
-		obj := c.info.Uses[e]
-		if obj == nil {
-			obj = c.info.Defs[e]
-		}
-		if obj == nil {
-			return 0
-		}
-		bits := c.ft.labels[obj]
-		if c.idx.objs[obj] {
-			bits |= secretLabel
-		}
-		return bits
+		return c.objTainted(c.identObj(e))
 	case *ast.SelectorExpr:
 		if sel, ok := c.info.Selections[e]; ok {
-			bits := c.labelsOf(e.X) // any field of a labeled value is labeled
-			if c.idx.objs[sel.Obj()] {
-				bits |= secretLabel
-			}
-			bits |= c.ft.labels[sel.Obj()]
-			return bits
+			// Any field of a secret value is secret.
+			return c.Tainted(e.X) || c.objTainted(sel.Obj())
 		}
-		// Qualified identifier pkg.Name.
-		obj := c.info.Uses[e.Sel]
-		if obj == nil {
-			return 0
-		}
-		bits := c.ft.labels[obj]
-		if c.idx.objs[obj] {
-			bits |= secretLabel
-		}
-		return bits
+		return c.objTainted(c.info.Uses[e.Sel]) // qualified identifier pkg.Name
 	case *ast.IndexExpr:
-		// Element of a labeled container, or a lookup keyed by a labeled
+		// Element of a secret container, or a lookup keyed by a secret
 		// index (sbox[k]): both yield correlated data.
-		return c.labelsOf(e.X) | c.labelsOf(e.Index)
+		return c.Tainted(e.X) || c.Tainted(e.Index)
 	case *ast.SliceExpr:
-		return c.labelsOf(e.X)
+		return c.Tainted(e.X)
 	case *ast.ParenExpr:
-		return c.labelsOf(e.X)
+		return c.Tainted(e.X)
 	case *ast.StarExpr:
-		return c.labelsOf(e.X)
+		return c.Tainted(e.X)
 	case *ast.UnaryExpr:
-		return c.labelsOf(e.X)
+		return c.Tainted(e.X)
 	case *ast.BinaryExpr:
 		// Arithmetic, XOR, shifts, and even comparisons propagate: a bool
 		// computed from a secret is a secret-dependent decision.
-		return c.labelsOf(e.X) | c.labelsOf(e.Y)
+		return c.Tainted(e.X) || c.Tainted(e.Y)
 	case *ast.CompositeLit:
-		var bits labelSet
 		for _, elt := range e.Elts {
 			if kv, ok := elt.(*ast.KeyValueExpr); ok {
 				elt = kv.Value
 			}
-			bits |= c.labelsOf(elt)
+			if c.Tainted(elt) {
+				return true
+			}
 		}
-		return bits
 	case *ast.TypeAssertExpr:
-		return c.labelsOf(e.X)
+		return c.Tainted(e.X)
 	case *ast.CallExpr:
-		return c.callLabels(e)
+		return c.callTainted(e)
 	}
-	return 0
+	return false
 }
 
-// callResultLabels returns per-result label sets for a call with a module
-// summary, or nil when no per-result information exists.
-func (c *taintCtx) callResultLabels(call *ast.CallExpr) []labelSet {
-	if tv, ok := c.info.Types[call.Fun]; ok && tv.IsType() {
-		return nil
-	}
-	fn, ok := calleeObject(c.info, call).(*types.Func)
-	if !ok {
-		return nil
-	}
-	sum, sig := c.summaryFor(fn)
-	if sum == nil {
-		return nil
-	}
-	extra := labelSet(0)
-	if c.idx.results[fn] {
-		extra = secretLabel
-	}
-	out := make([]labelSet, len(sum.results))
-	for i, r := range sum.results {
-		out[i] = c.instantiate(r, call, sig) | extra
-	}
-	return out
+// objTainted reports whether obj is annotated or has received secret data
+// in this function.
+func (c *taintCtx) objTainted(obj types.Object) bool {
+	return obj != nil && (c.idx.objs[obj] || c.ft.secret[obj])
 }
 
-func (c *taintCtx) callLabels(call *ast.CallExpr) labelSet {
-	// Conversions pass labels through: uint32(k), []byte(s), string(b).
+func (c *taintCtx) callTainted(call *ast.CallExpr) bool {
+	// Conversions pass taint through: uint32(k), []byte(s), string(b).
 	if tv, ok := c.info.Types[call.Fun]; ok && tv.IsType() {
-		if len(call.Args) == 1 {
-			return c.labelsOf(call.Args[0])
-		}
-		return 0
+		return len(call.Args) == 1 && c.Tainted(call.Args[0])
 	}
 	obj := calleeObject(c.info, call)
 	if b, ok := obj.(*types.Builtin); ok {
-		switch b.Name() {
-		case "append":
-			var bits labelSet
-			for _, a := range call.Args {
-				bits |= c.labelsOf(a)
-			}
-			return bits
-		default:
-			// len, cap, make, new, and copy (returns a count) yield
-			// lengths or fresh allocations: public by construction.
-			return 0
-		}
+		// len, cap, make, new, and copy (returns a count) yield lengths or
+		// fresh allocations: public by construction.
+		return b.Name() == "append" && slices.ContainsFunc(call.Args, c.Tainted)
 	}
-	if fn, ok := obj.(*types.Func); ok {
+	fn, _ := obj.(*types.Func)
+	if fn != nil {
 		if pkg := fn.Pkg(); pkg != nil && declassifiedPkgs[pkg.Path()] {
-			return 0
+			return false
 		}
-		var bits labelSet
 		if c.idx.results[fn] {
-			bits |= secretLabel
+			return true
 		}
-		if sum, sig := c.summaryFor(fn); sum != nil {
-			for _, r := range sum.results {
-				bits |= c.instantiate(r, call, sig)
-			}
-			return bits
-		}
-		// External function without a summary: conservatively assume the
-		// results derive from every input.
-		return bits | c.callInputLabels(call)
 	}
-	// Indirect call through a function value: same conservative model.
-	return c.callInputLabels(call)
+	return c.callInputsTainted(call, fn)
 }
 
 // calleeObject resolves a call's target to its types.Object (function,
@@ -938,68 +665,31 @@ func calleeObject(info *types.Info, call *ast.CallExpr) types.Object {
 }
 
 // AliasesSecret reports whether e directly aliases secret backing storage:
-// an annotated object or field, a reslice of one, a local previously
-// assigned such an alias, or a call whose summary says the result aliases
-// secret-bearing argument storage. append and copy idioms break aliasing —
-// their results are caller-owned memory.
+// an annotated object or field, a reslice of one, or a local previously
+// assigned such an alias. A call's result counts as caller-owned memory:
+// append and copy idioms return it, and the local pass does not look into
+// a module helper that might return an alias.
 func (c *taintCtx) AliasesSecret(e ast.Expr) bool {
-	return c.aliasLabelsOf(e)&secretLabel != 0
-}
-
-// aliasLabelsOf computes which inputs' backing storage e may alias.
-func (c *taintCtx) aliasLabelsOf(e ast.Expr) labelSet {
 	switch e := e.(type) {
 	case *ast.Ident:
-		obj := c.info.Uses[e]
-		if obj == nil {
-			obj = c.info.Defs[e]
-		}
-		if obj == nil {
-			return 0
-		}
-		bits := c.ft.alias[obj]
-		if c.idx.objs[obj] {
-			bits |= secretLabel
-		}
-		return bits
+		obj := c.identObj(e)
+		return obj != nil && (c.ft.alias[obj] || c.idx.objs[obj])
 	case *ast.SelectorExpr:
 		if sel, ok := c.info.Selections[e]; ok {
-			bits := c.aliasLabelsOf(e.X)
-			if c.idx.objs[sel.Obj()] {
-				bits |= secretLabel
-			}
-			return bits
+			return c.AliasesSecret(e.X) || c.idx.objs[sel.Obj()]
 		}
 		obj := c.info.Uses[e.Sel]
-		if obj != nil && c.idx.objs[obj] {
-			return secretLabel
-		}
-		return 0
+		return obj != nil && c.idx.objs[obj]
 	case *ast.SliceExpr:
-		return c.aliasLabelsOf(e.X)
+		return c.AliasesSecret(e.X)
 	case *ast.ParenExpr:
-		return c.aliasLabelsOf(e.X)
+		return c.AliasesSecret(e.X)
 	case *ast.StarExpr:
-		return c.aliasLabelsOf(e.X)
+		return c.AliasesSecret(e.X)
 	case *ast.UnaryExpr:
-		if e.Op == token.AND {
-			return c.aliasLabelsOf(e.X)
-		}
-	case *ast.CallExpr:
-		// A call aliases what its summary says the result aliases,
-		// instantiated with the arguments' own alias labels; everything
-		// else (builtins, externals) returns caller-owned memory.
-		sum, sig := c.calleeSummary(e)
-		if sum == nil {
-			return 0
-		}
-		var bits labelSet
-		for _, r := range sum.aliasResults {
-			bits |= c.instantiateWith(r, e, sig, c.aliasLabelsOf)
-		}
-		return bits
+		return e.Op == token.AND && c.AliasesSecret(e.X)
 	}
-	return 0
+	return false
 }
 
 // isSliceExpr reports whether e's type is a slice (the shape that can

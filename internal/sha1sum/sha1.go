@@ -39,6 +39,8 @@ func (d *Digest) Reset() {
 }
 
 // Write absorbs p. It never fails.
+//
+//secmemlint:secret p
 func (d *Digest) Write(p []byte) (int, error) {
 	n := len(p)
 	d.len += uint64(n)
@@ -78,6 +80,7 @@ func (d *Digest) Sum(prefix []byte) []byte {
 	return append(prefix, out[:]...)
 }
 
+//secmemlint:secret d p
 func (d *Digest) block(p []byte) {
 	var w [80]uint32
 	for i := 0; i < 16; i++ {
@@ -129,6 +132,7 @@ func Sum20(data []byte) [Size]byte {
 // truncated hash matches what the comparator designs assumed, and the
 // simulator only relies on it detecting tampering, which it does.
 //
+//secmemlint:secret key
 func MAC(key []byte, addr, counter uint64, data []byte, macBits int) []byte {
 	d := New()
 	d.Write(key)

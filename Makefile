@@ -33,13 +33,16 @@ lint-fix-audit:
 	$(GO) run ./cmd/secmemlint -suppressions ./...
 
 # Short native-fuzz passes over the attack surfaces that parse free-form
-# input (the lint annotation grammar) and the differential crypto oracle
-# (table-driven GF(2^128) multiply vs the bit-serial reference). One -fuzz
-# target per `go test` invocation, as the tool requires.
+# input (the lint annotation grammar) and the two differential oracles:
+# the table-driven GF(2^128) multiply vs the bit-serial reference, and the
+# set-associative cache vs a map-plus-list LRU model (every return value,
+# eviction and statistic). One -fuzz target per `go test` invocation, as
+# the tool requires.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCollectIgnores -fuzztime=10s ./internal/lint
 	$(GO) test -run='^$$' -fuzz=FuzzSecretAnnotation -fuzztime=10s ./internal/lint
 	$(GO) test -run='^$$' -fuzz=FuzzMulTable -fuzztime=10s ./internal/gf128
+	$(GO) test -run='^$$' -fuzz=FuzzCacheOracle -fuzztime=10s ./internal/cache
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .

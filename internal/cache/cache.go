@@ -1,18 +1,28 @@
 // Package cache implements the set-associative, write-back, LRU cache model
-// used for the L1 data cache, the unified L2, and the counter cache
-// (sequence-number cache) of the simulated secure processor.
+// used for the L1 data cache, the unified L2, the counter cache
+// (sequence-number cache) and the MAC cache of the simulated secure
+// processor.
 //
 // The model tracks presence, dirtiness, and replacement order only; actual
 // data bytes live in the functional layer of the memory controller. That
 // split keeps timing simulation fast while letting functional mode reuse the
 // same presence/dirty decisions the timing model makes.
+//
+// Replacement is exact LRU, kept as one 64-bit rank word per set: byte i
+// holds way i's recency rank, 0 for the most recently used way. A hit
+// re-ranks the set in a few branch-free word operations and the victim is
+// read from the word in O(1), so a cache has at most 8 ways.
 package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"secmem/internal/obsv"
 )
+
+// maxWays is the most ways a set's rank word can hold: one byte each.
+const maxWays = 8
 
 // Config describes a cache's geometry.
 type Config struct {
@@ -29,6 +39,9 @@ type Config struct {
 func (c Config) Validate() error {
 	if c.SizeBytes <= 0 || c.Ways <= 0 || c.BlockBytes <= 0 {
 		return fmt.Errorf("cache %s: nonpositive geometry %+v", c.Name, c)
+	}
+	if c.Ways > maxWays {
+		return fmt.Errorf("cache %s: %d ways, at most %d supported", c.Name, c.Ways, maxWays)
 	}
 	if c.BlockBytes&(c.BlockBytes-1) != 0 {
 		return fmt.Errorf("cache %s: block size %d not a power of two", c.Name, c.BlockBytes)
@@ -79,26 +92,59 @@ func (s Stats) HitRate() float64 {
 // instead of a struct-of-everything: the demand-lookup scan touches only the
 // keys array, so an 8-way set costs one cache line of host memory instead of
 // three. A key is (tag<<1 | valid) — zero means invalid, and no valid line
-// is ever zero since the tag gains the bit. Dirty/pinned bits and the LRU
-// stamps are off the compare path and only touched on hits and fills.
+// is ever zero since the tag gains the bit. Dirty/pinned bits are off the
+// compare path and only touched on hits and fills; replacement order is one
+// rank word per set (see touch).
 const (
 	flagDirty  = 1 << 0
 	flagPinned = 1 << 1
 )
 
-// Cache is a set-associative write-back cache. Not safe for concurrent use;
-// the simulator is single-threaded per run.
+// Rank-word constants. rankInit gives way i rank i. The bytes of ways a
+// cache does not have keep ranks at or above its way count, so touch never
+// changes them and lruWay never matches them; every rank stays below 0x80.
+const (
+	rankOnes  = 0x0101010101010101
+	rankHighs = 0x8080808080808080
+	rankInit  = 0x0706050403020100
+)
+
+// touch returns rank word x with way made most recently used: every way
+// more recent than it ages by one rank and it takes rank 0. With ranks
+// below 0x80, (x | rankHighs) - r*rankOnes never borrows across bytes, and
+// a byte's high bit is clear exactly where its rank is below r.
+func touch(x uint64, way int) uint64 {
+	sh := uint(way) * 8
+	r := x >> sh & 0xff
+	newer := ^((x | rankHighs) - r*rankOnes) & rankHighs
+	return (x + newer>>7) &^ (0xff << sh)
+}
+
+// lruWay returns the way of rank word x holding rank ways-1, the least
+// recently used way of a full set. The low ways bytes are a permutation of
+// 0..ways-1, so exactly one matches, and the zero-byte test is exact for the
+// lowest zero byte.
+func lruWay(x uint64, ways int) int {
+	y := x ^ uint64(ways-1)*rankOnes
+	return bits.TrailingZeros64((y-rankOnes)&^y&rankHighs) >> 3
+}
+
+// Cache is a set-associative write-back cache with exact LRU replacement
+// over at most 8 ways. Replacement state is one rank word per set:
+// byte i is way i's recency rank (0 = most recently used), and the ranks of
+// the valid ways order them exactly as their last fills and hits did. An
+// invalid way keeps a rank but is filled before any valid way is evicted.
+// Not safe for concurrent use; the simulator is single-threaded per run.
 type Cache struct {
 	cfg       Config
 	ways      int
 	keys      []uint64 // tag<<1|valid per line
-	lru       []uint64 // LRU stamp per line
 	flags     []uint8  // dirty/pinned per line
+	ranks     []uint64 // recency rank word per set
 	setMask   uint64
 	setBits   uint
 	blockMask uint64
 	blockBits uint
-	lruClock  uint64
 
 	// Observability handles; nil-safe.
 	mHit  *obsv.Counter
@@ -130,12 +176,16 @@ func New(cfg Config) *Cache {
 		sb++
 	}
 	nl := nsets * cfg.Ways
+	ranks := make([]uint64, nsets)
+	for i := range ranks {
+		ranks[i] = rankInit
+	}
 	return &Cache{
 		cfg:       cfg,
 		ways:      cfg.Ways,
 		keys:      make([]uint64, nl),
-		lru:       make([]uint64, nl),
 		flags:     make([]uint8, nl),
+		ranks:     ranks,
 		setMask:   uint64(nsets - 1),
 		setBits:   sb,
 		blockMask: ^uint64(cfg.BlockBytes - 1),
@@ -149,11 +199,11 @@ func (c *Cache) Config() Config { return c.cfg }
 // BlockAddr aligns addr down to its containing block.
 func (c *Cache) BlockAddr(addr uint64) uint64 { return addr & c.blockMask }
 
-// locate returns the set's base line index and the key (tag<<1|valid) a
-// resident copy of addr would carry.
-func (c *Cache) locate(addr uint64) (base int, key uint64) {
+// locate returns addr's set index and the key (tag<<1|valid) a resident
+// copy of addr would carry.
+func (c *Cache) locate(addr uint64) (set int, key uint64) {
 	blk := addr >> c.blockBits
-	return int(blk&c.setMask) * c.ways, (blk>>c.setBits)<<1 | 1
+	return int(blk & c.setMask), (blk>>c.setBits)<<1 | 1
 }
 
 // Lookup performs a demand access. On a hit it updates LRU state (and the
@@ -166,12 +216,12 @@ func (c *Cache) Lookup(addr uint64, write bool) bool {
 	} else {
 		c.Stats.Reads++
 	}
-	base, key := c.locate(addr)
+	set, key := c.locate(addr)
+	base := set * c.ways
 	keys := c.keys[base : base+c.ways : base+c.ways]
 	for i, k := range keys {
 		if k == key {
-			c.lruClock++
-			c.lru[base+i] = c.lruClock
+			c.ranks[set] = touch(c.ranks[set], i)
 			if write {
 				c.flags[base+i] |= flagDirty
 			}
@@ -189,52 +239,39 @@ func (c *Cache) Lookup(addr uint64, write bool) bool {
 }
 
 // Fill allocates addr's block (which must not already be present), marking
-// it dirty if requested, and reports the evicted victim if any.
+// it dirty if requested, and reports the evicted victim if any. The block
+// takes the set's first invalid way; in a full set it displaces the least
+// recently used way, or the least recently used unpinned way if that one is
+// pinned. Fill panics, changing nothing, on a resident block or a full set
+// with every way pinned.
 func (c *Cache) Fill(addr uint64, dirty bool) (ev Eviction, evicted bool) {
-	base, key := c.locate(addr)
+	set, key := c.locate(addr)
+	base := set * c.ways
+	keys := c.keys[base : base+c.ways : base+c.ways]
 	victim := -1
-	for i := 0; i < c.ways; i++ {
-		k := c.keys[base+i]
+	for i, k := range keys {
 		if k == key {
 			panic(fmt.Sprintf("cache %s: Fill of resident block %#x", c.cfg.Name, addr))
 		}
-		if k&1 == 0 {
-			victim = i
-			break
-		}
-		if victim < 0 || c.lru[base+i] < c.lru[base+victim] {
+		if k&1 == 0 && victim < 0 {
 			victim = i
 		}
 	}
-	vk := c.keys[base+victim]
-	if vk&1 != 0 && c.flags[base+victim]&flagPinned != 0 {
-		// Fall back to the least recently used unpinned way.
-		victim = -1
-		for i := 0; i < c.ways; i++ {
-			if c.flags[base+i]&flagPinned != 0 {
-				continue
-			}
-			if victim < 0 || c.lru[base+i] < c.lru[base+victim] {
-				victim = i
-			}
+	if victim < 0 {
+		victim = lruWay(c.ranks[set], c.ways)
+		if c.flags[base+victim]&flagPinned != 0 {
+			victim = c.lruUnpinned(set, addr)
 		}
-		if victim < 0 {
-			panic(fmt.Sprintf("cache %s: all ways pinned in set of %#x", c.cfg.Name, addr))
-		}
-		vk = c.keys[base+victim]
-	}
-	if vk&1 != 0 {
 		dirtyVictim := c.flags[base+victim]&flagDirty != 0
-		ev = Eviction{Addr: c.reconstruct(addr, vk>>1), Dirty: dirtyVictim}
+		ev = Eviction{Addr: c.reconstruct(addr, keys[victim]>>1), Dirty: dirtyVictim}
 		evicted = true
 		c.Stats.Evictions++
 		if dirtyVictim {
 			c.Stats.DirtyEvicts++
 		}
 	}
-	c.lruClock++
-	c.keys[base+victim] = key
-	c.lru[base+victim] = c.lruClock
+	keys[victim] = key
+	c.ranks[set] = touch(c.ranks[set], victim)
 	var f uint8
 	if dirty {
 		f = flagDirty
@@ -242,6 +279,22 @@ func (c *Cache) Fill(addr uint64, dirty bool) (ev Eviction, evicted bool) {
 	c.flags[base+victim] = f
 	c.Stats.Fills++
 	return ev, evicted
+}
+
+// lruUnpinned returns the least recently used unpinned way of a full set,
+// panicking if every way is pinned.
+func (c *Cache) lruUnpinned(set int, addr uint64) int {
+	base, x := set*c.ways, c.ranks[set]
+	victim, oldest := -1, -1
+	for i := 0; i < c.ways; i++ {
+		if r := int(x >> (8 * i) & 0xff); c.flags[base+i]&flagPinned == 0 && r > oldest {
+			victim, oldest = i, r
+		}
+	}
+	if victim < 0 {
+		panic(fmt.Sprintf("cache %s: all ways pinned in set of %#x", c.cfg.Name, addr))
+	}
+	return victim
 }
 
 // reconstruct rebuilds a victim's block address from its tag and the set
@@ -253,7 +306,8 @@ func (c *Cache) reconstruct(addr, tag uint64) uint64 {
 
 // find returns the line index of a resident copy of addr, or -1.
 func (c *Cache) find(addr uint64) int {
-	base, key := c.locate(addr)
+	set, key := c.locate(addr)
+	base := set * c.ways
 	keys := c.keys[base : base+c.ways : base+c.ways]
 	for i, k := range keys {
 		if k == key {
@@ -308,7 +362,6 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	if i := c.find(addr); i >= 0 {
 		dirty = c.flags[i]&flagDirty != 0
 		c.keys[i] = 0
-		c.lru[i] = 0
 		c.flags[i] = 0
 		return true, dirty
 	}

@@ -17,6 +17,7 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "blk", SizeBytes: 512, Ways: 2, BlockBytes: 48},
 		{Name: "div", SizeBytes: 500, Ways: 2, BlockBytes: 64},
 		{Name: "sets", SizeBytes: 3 * 128, Ways: 2, BlockBytes: 64},
+		{Name: "ways", SizeBytes: 16 * 64, Ways: 16, BlockBytes: 64},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -100,14 +101,28 @@ func TestLRUOrder(t *testing.T) {
 }
 
 func TestFillResidentPanics(t *testing.T) {
-	c := smallCache()
-	c.Fill(0, false)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double fill did not panic")
+	// The panic fires wherever the block sits, also behind an invalid way
+	// that the fill would otherwise take, and it changes nothing.
+	for _, hole := range []bool{false, true} {
+		c := smallCache()
+		c.Fill(0, false)
+		c.Fill(256, false) // same set, second way
+		if hole {
+			c.Invalidate(0)
 		}
-	}()
-	c.Fill(0, false)
+		before := c.Stats
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("hole=%v: double fill did not panic", hole)
+				}
+			}()
+			c.Fill(256, false)
+		}()
+		if c.Stats != before || c.Line(256) != 1 {
+			t.Errorf("hole=%v: panicking fill changed the cache: stats %+v, line %d", hole, c.Stats, c.Line(256))
+		}
+	}
 }
 
 func TestContainsNoSideEffects(t *testing.T) {

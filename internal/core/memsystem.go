@@ -89,36 +89,23 @@ func (m *MemSystem) Access(now sim.Time, addr uint64, write bool) AccessResult {
 		res = AccessResult{DataReady: t, AuthDone: t}
 	} else {
 		dataReady, authDone, forwarded := m.ctl.ReadBlock(now+l1Lat+l2Lat, blk)
-		// Pin the demand block before processing the victim: the victim's
+		// Pin the demand block while its victim is handled: the victim's
 		// write-back can fetch Merkle nodes into this set and must not
 		// displace the line the requestor is waiting on (the MSHR holds
-		// it). Unpinned at the end of the access.
-		ev, evicted := m.l2.Fill(blk, forwarded)
-		m.l2.Pin(blk)
-		if evicted {
+		// it). Nothing later in the access allocates in L2, so the pin
+		// ends with the victim.
+		if ev, evicted := m.l2.Fill(blk, forwarded); evicted {
+			m.l2.Pin(blk)
 			m.evictL2(now, ev)
+			m.l2.Unpin(blk)
 		}
 		res = AccessResult{DataReady: dataReady, AuthDone: authDone, L2Miss: true}
 	}
-	// Fill L1; a dirty L1 victim folds its data into L2 (inclusive, so the
-	// victim's block is resident there unless an L2 eviction raced it).
-	// The pin from the miss path (or a fresh one on an L2 hit) keeps the
-	// demand block resident through the victim handling.
-	m.l2.Pin(blk)
-	if ev, evicted := m.l1.Fill(blk, write); evicted && ev.Dirty {
-		if !m.l2.SetDirty(ev.Addr) {
-			// Non-resident victim (back-invalidation race): allocate it
-			// dirty; a full-block write-back needs no fetch.
-			if ev2, evicted2 := m.l2.Fill(ev.Addr, true); evicted2 {
-				m.evictL2(now, ev2)
-			}
-		}
-	}
-	m.l2.Unpin(blk)
-	if write {
-		// The write dirties L1 (Lookup(write) on the fill path set it via
-		// Fill's dirty flag only for the L1 line).
-		m.l1.SetDirty(blk)
+	// Fill L1, dirty for a store. A dirty L1 victim folds its data into L2,
+	// where inclusion guarantees it is resident: every L2 removal goes
+	// through evictL2, which back-invalidates L1 first.
+	if ev, evicted := m.l1.Fill(blk, write); evicted && ev.Dirty && !m.l2.SetDirty(ev.Addr) {
+		panic(fmt.Sprintf("core: inclusion violated: dirty L1 victim %#x is not in L2", ev.Addr))
 	}
 	return res
 }

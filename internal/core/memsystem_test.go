@@ -10,28 +10,64 @@ import (
 
 // TestInclusionProperty: any block resident in L1 must be resident in L2
 // (the hierarchy is modeled inclusive so the functional layer's notion of
-// on-chip is exactly L2 residence).
+// on-chip is exactly L2 residence). Access itself panics if a dirty L1
+// victim is missing from L2; a store-heavy mix over small caches runs that
+// check where set conflicts are densest, including the 1-way L1 over a
+// 2-way L2 of TestWriteBackForwardStorm and a functional machine whose
+// Merkle nodes share the L2.
 func TestInclusionProperty(t *testing.T) {
-	cfg := smallCfg()
-	cfg.Functional = false
-	m := mustSystem(t, cfg)
-	rng := rand.New(rand.NewSource(5))
-	now := uint64(0)
-	for i := 0; i < 5000; i++ {
-		a := uint64(rng.Intn(2048)) * 64
-		m.Access(now, a, rng.Intn(3) == 0)
-		now += 50
-		if i%500 == 0 {
-			violations := 0
-			m.L1().ForEach(func(addr uint64, _ bool) {
-				if !m.L2().Contains(addr) {
-					violations++
+	timing := smallCfg()
+	timing.Functional = false
+	storm := timing
+	storm.L1.SizeBytes, storm.L1.Ways = 512, 1
+	storm.L2.SizeBytes, storm.L2.Ways = 2<<10, 2
+	for _, tc := range []struct {
+		name string
+		cfg  config.SystemConfig
+	}{
+		{"smallCfg", timing},
+		{"1-way-L1-over-2-way-L2", storm},
+		{"functional-Merkle-in-L2", smallCfg()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := mustSystem(t, tc.cfg)
+			rng := rand.New(rand.NewSource(5))
+			block := make([]byte, BlockSize)
+			now := uint64(0)
+			for i := 0; i <= 5000; i++ {
+				a := uint64(rng.Intn(2048)) * BlockSize
+				write := rng.Intn(4) != 0
+				switch {
+				case !tc.cfg.Functional:
+					m.Access(now, a, write)
+				case write:
+					rng.Read(block)
+					if _, err := m.WriteBytes(now, a, block); err != nil {
+						t.Fatal(err)
+					}
+				default:
+					if _, err := m.ReadBytes(now, a, block); err != nil {
+						t.Fatal(err)
+					}
 				}
-			})
-			if violations > 0 {
-				t.Fatalf("op %d: %d L1 blocks not in L2", i, violations)
+				now += 50
+				if i%500 != 0 {
+					continue
+				}
+				violations := 0
+				m.L1().ForEach(func(addr uint64, _ bool) {
+					if !m.L2().Contains(addr) {
+						violations++
+					}
+				})
+				if violations > 0 {
+					t.Fatalf("op %d: %d L1 blocks not in L2", i, violations)
+				}
 			}
-		}
+			if n := m.Controller().Stats.TamperDetected; n != 0 {
+				t.Fatalf("false positives: %d", n)
+			}
+		})
 	}
 }
 

@@ -18,6 +18,8 @@
 package predictor
 
 import (
+	"fmt"
+
 	"secmem/internal/bus"
 	"secmem/internal/cache"
 	"secmem/internal/config"
@@ -143,15 +145,11 @@ func (s *System) Access(now sim.Time, addr uint64, write bool) core.AccessResult
 		}
 		res = core.AccessResult{DataReady: ready, AuthDone: ready, L2Miss: true}
 	}
-	if ev, evicted := s.l1.Fill(blk, write); evicted && ev.Dirty {
-		if !s.l2.SetDirty(ev.Addr) {
-			if ev2, evicted2 := s.l2.Fill(ev.Addr, true); evicted2 {
-				s.evictL2(now, ev2)
-			}
-		}
-	}
-	if write {
-		s.l1.SetDirty(blk)
+	// Fill L1, dirty for a store. Inclusion keeps a dirty L1 victim resident
+	// in L2: every L2 removal goes through evictL2, which back-invalidates
+	// L1 first.
+	if ev, evicted := s.l1.Fill(blk, write); evicted && ev.Dirty && !s.l2.SetDirty(ev.Addr) {
+		panic(fmt.Sprintf("predictor: inclusion violated: dirty L1 victim %#x is not in L2", ev.Addr))
 	}
 	return res
 }

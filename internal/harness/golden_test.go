@@ -41,4 +41,32 @@ func TestGoldenOutputs(t *testing.T) {
 			t.Errorf("%s: Merkle fetches = %d, golden %d", g.bench, split.Ctl.MacFetches, g.macFetch)
 		}
 	}
+	// Figure 6's counter-prediction baseline at one and two AES engines.
+	// mcf is the only one of the three that writes back, so its rows also
+	// pin the baseline's write-back timing. Regenerate by printing the
+	// cycles, correct predictions and timely pads of each run.
+	pred := []struct {
+		bench                     string
+		engines                   int
+		cycles, predicted, timely uint64
+	}{
+		{"swim", 1, 1349215, 13420, 1410},
+		{"swim", 2, 780464, 13420, 6862},
+		{"mcf", 1, 4720348, 37693, 24752},
+		{"mcf", 2, 3637271, 37693, 36875},
+		{"crafty", 1, 604926, 5483, 1361},
+		{"crafty", 2, 416960, 5483, 3498},
+	}
+	for _, g := range pred {
+		res, st := r.RunPredictor(g.bench, g.engines)
+		if res.Cycles != g.cycles {
+			t.Errorf("%s Pred (%d engines): cycles = %d, golden %d", g.bench, g.engines, res.Cycles, g.cycles)
+		}
+		if st.Predicted != g.predicted {
+			t.Errorf("%s Pred (%d engines): correct predictions = %d, golden %d", g.bench, g.engines, st.Predicted, g.predicted)
+		}
+		if st.TimelyPads != g.timely {
+			t.Errorf("%s Pred (%d engines): timely pads = %d, golden %d", g.bench, g.engines, st.TimelyPads, g.timely)
+		}
+	}
 }

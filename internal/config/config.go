@@ -29,6 +29,11 @@ const (
 	// EncCounterGlobal is counter mode with a single on-chip global counter;
 	// per-block counter values are still stored in memory for decryption.
 	EncCounterGlobal
+	// EncCounterPredict is the counter-prediction baseline of Figure 6
+	// (Shi et al. [16]): 64-bit per-block counters stored beside the data
+	// instead of cached on-chip, predicted from a per-page base while the
+	// block is fetched.
+	EncCounterPredict
 )
 
 // String names the mode as the paper's figures do.
@@ -44,12 +49,15 @@ func (m EncryptionMode) String() string {
 		return "Split"
 	case EncCounterGlobal:
 		return "Global"
+	case EncCounterPredict:
+		return "Pred"
 	default:
 		return fmt.Sprintf("EncryptionMode(%d)", int(m))
 	}
 }
 
-// UsesCounters reports whether the mode maintains per-block counters.
+// UsesCounters reports whether the mode keeps per-block counters in the
+// counter store. The prediction baseline keeps its own.
 func (m EncryptionMode) UsesCounters() bool {
 	return m == EncCounterMono || m == EncCounterSplit || m == EncCounterGlobal
 }
@@ -263,6 +271,13 @@ func (c SystemConfig) Validate() error {
 		if c.RSRs <= 0 {
 			return fmt.Errorf("config: split mode needs at least one RSR")
 		}
+	case EncCounterPredict:
+		if c.PageBlocks <= 0 {
+			return fmt.Errorf("config: page blocks %d not positive", c.PageBlocks)
+		}
+		if c.Auth != AuthNone {
+			return fmt.Errorf("config: the counter-prediction baseline runs without authentication")
+		}
 	}
 	if c.Auth != AuthNone {
 		switch c.MACBits {
@@ -321,6 +336,8 @@ func (c SystemConfig) SchemeName() string {
 		enc = "Split"
 	case EncCounterGlobal:
 		enc = fmt.Sprintf("Global%db", c.MonoCounterBits)
+	case EncCounterPredict:
+		enc = "Pred"
 	}
 	auth := ""
 	switch c.Auth {

@@ -55,6 +55,9 @@ type Controller struct {
 	// macCache, when non-nil, holds Merkle nodes instead of the L2
 	// (Config.MacCacheBytes).
 	macCache *cache.Cache
+	// pred holds the counter-prediction state (predict.go); nil outside
+	// config.EncCounterPredict.
+	pred *predictor
 
 	fn *functional
 
@@ -130,6 +133,9 @@ func NewController(cfg config.SystemConfig) (*Controller, error) {
 	}
 	if mc, ok := cfg.MacCacheConfig(); ok && cfg.Auth != config.AuthNone {
 		c.macCache = cache.New(mc)
+	}
+	if cfg.Enc == config.EncCounterPredict {
+		c.pred = newPredictor()
 	}
 	if cfg.Functional {
 		c.fn = newFunctional(c)
@@ -304,7 +310,12 @@ func (c *Controller) ReadBlock(now sim.Time, addr uint64) (dataReady, authDone s
 		txn = c.txnSeq
 		c.rec.Begin("txn", "read", txn, uint64(now))
 	}
-	arrive := c.fetch(now)
+	var arrive sim.Time
+	if c.pred != nil {
+		arrive = c.fetchWide(now, CounterBytes)
+	} else {
+		arrive = c.fetch(now)
+	}
 
 	var ctrReady, ctrAuth sim.Time
 	if c.needCounters() {
@@ -318,6 +329,8 @@ func (c *Controller) ReadBlock(now sim.Time, addr uint64) (dataReady, authDone s
 		// Decryption cannot start until the ciphertext arrives: the
 		// Figure 1(a) serialization the counter modes exist to avoid.
 		dataReady = c.aes.GenerateBlockPads(arrive)
+	case config.EncCounterPredict:
+		dataReady = c.predictRead(now, arrive, addr)
 	default:
 		// Counter mode: pad generation overlaps the fetch (Figure 1(b));
 		// a counter miss delays the pad, not the fetch (Figure 1(c)).

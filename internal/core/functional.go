@@ -78,7 +78,10 @@ func (f *functional) tamper(now sim.Time, addr uint64) {
 
 // counterFor returns the counter value bound into a block's MAC and pad.
 func (f *functional) counterFor(addr uint64) uint64 {
-	if f.c.ctrs == nil {
+	switch {
+	case f.c.pred != nil:
+		return f.c.pred.ctr[addr]
+	case f.c.ctrs == nil:
 		return 0
 	}
 	return f.c.ctrs.Value(addr)

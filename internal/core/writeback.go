@@ -37,7 +37,11 @@ func (c *Controller) writeBackData(now sim.Time, addr uint64) {
 	if c.cfg.Enc == config.EncDirect {
 		c.aes.GenerateBlockPads(now)
 	}
-	c.store(now)
+	if c.pred != nil {
+		c.predictWriteBack(now, addr)
+	} else {
+		c.store(now)
+	}
 	if c.fn != nil {
 		c.fn.onDataWriteBack(now, addr)
 	}

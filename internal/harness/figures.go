@@ -9,7 +9,6 @@ import (
 	"secmem/internal/config"
 	"secmem/internal/core"
 	"secmem/internal/cpu"
-	"secmem/internal/predictor"
 	"secmem/internal/reenc"
 	"secmem/internal/stats"
 	"secmem/internal/trace"
@@ -275,17 +274,17 @@ func (r *Runner) Fig6a() (stats.Table, Fig6aResult) {
 		b := benches[i]
 		out := r.Run(b, splitCfg)
 		base := r.Baseline(b)
-		p1res, p1 := r.RunPredictor(b, 1)
-		p2res, p2 := r.RunPredictor(b, 2)
+		p1 := r.Run(b, Predict(1))
+		p2 := r.Run(b, Predict(2))
 		hit[i] = out.CtrHitRate()
 		hitHalf[i] = out.CtrHitPlusHalf()
 		timelySplit[i] = out.TimelyPadRate()
 		ipcSplit[i] = out.IPC / base
 		pred1Rate[i] = p1.PredictionRate()
 		timely1[i] = p1.TimelyPadRate()
-		ipc1[i] = p1res.IPC() / base
+		ipc1[i] = p1.IPC / base
 		timely2[i] = p2.TimelyPadRate()
-		ipc2[i] = p2res.IPC() / base
+		ipc2[i] = p2.IPC / base
 	})
 	res := Fig6aResult{
 		SNCHit:         stats.Mean(hit),
@@ -324,42 +323,35 @@ func (r *Runner) Fig6b(windows int) (stats.Table, [][2]float64) {
 		splitRates[w] = make([]float64, len(benches))
 		predRates[w] = make([]float64, len(benches))
 	}
-	r.parallelFor(len(benches), func(bi int) {
-		b := benches[bi]
-		// Split machine, windowed counter-cache stats.
-		cfg := EncOnly(config.EncCounterSplit, 64)
+	// windowed runs bench on cfg and stores each window's hit rate in
+	// rates[w][bi]; hits reads the machine's cumulative hits and lookups.
+	windowed := func(bi int, cfg config.SystemConfig, rates [][]float64, hits func(*core.Controller) (hit, all uint64)) {
 		mem, err := core.NewMemSystem(cfg)
 		if err != nil {
 			panic(err)
 		}
-		gen := trace.NewGenerator(trace.Get(b), r.Opt.Seed)
+		gen := trace.NewGenerator(trace.Get(benches[bi]), r.Opt.Seed)
 		c := cpu.New(cfg, mem)
-		var prevH, prevHM, prevM uint64
+		var prevHit, prevAll uint64
 		for w := 0; w < windows; w++ {
 			c.Run(gen, uint64(w+1)*chunk)
-			st := mem.Controller().Counters().Stats
-			dh := st.Hits - prevH
-			dhm := st.HalfMisses - prevHM
-			dm := st.Misses - prevM
-			prevH, prevHM, prevM = st.Hits, st.HalfMisses, st.Misses
-			if n := dh + dhm + dm; n > 0 {
-				splitRates[w][bi] = float64(dh) / float64(n)
+			hit, all := hits(mem.Controller())
+			if n := all - prevAll; n > 0 {
+				rates[w][bi] = float64(hit-prevHit) / float64(n)
 			} else {
-				splitRates[w][bi] = 1
+				rates[w][bi] = 1
 			}
+			prevHit, prevAll = hit, all
 		}
-		// Prediction machine, windowed prediction rate.
-		psys, err := predictor.New(predictor.DefaultConfig(config.Baseline(), 1))
-		if err != nil {
-			panic(err)
-		}
-		pgen := trace.NewGenerator(trace.Get(b), r.Opt.Seed)
-		pc := cpu.New(config.Baseline(), psys)
-		for w := 0; w < windows; w++ {
-			pc.Run(pgen, uint64(w+1)*chunk)
-			st := psys.SnapshotStats()
-			predRates[w][bi] = st.PredictionRate()
-		}
+	}
+	r.parallelFor(len(benches), func(bi int) {
+		windowed(bi, EncOnly(config.EncCounterSplit, 64), splitRates, func(c *core.Controller) (uint64, uint64) {
+			st := c.Counters().Stats
+			return st.Hits, st.Hits + st.HalfMisses + st.Misses
+		})
+		windowed(bi, Predict(1), predRates, func(c *core.Controller) (uint64, uint64) {
+			return c.CorrectPredictions(), c.Stats.PadReads
+		})
 	})
 	tbl := stats.Table{
 		Title: "Figure 6(b): Prediction and counter cache hit rate trends",

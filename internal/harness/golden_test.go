@@ -58,15 +58,15 @@ func TestGoldenOutputs(t *testing.T) {
 		{"crafty", 2, 416960, 5483, 3498},
 	}
 	for _, g := range pred {
-		res, st := r.RunPredictor(g.bench, g.engines)
-		if res.Cycles != g.cycles {
-			t.Errorf("%s Pred (%d engines): cycles = %d, golden %d", g.bench, g.engines, res.Cycles, g.cycles)
+		out := r.Run(g.bench, Predict(g.engines))
+		if out.CPU.Cycles != g.cycles {
+			t.Errorf("%s Pred (%d engines): cycles = %d, golden %d", g.bench, g.engines, out.CPU.Cycles, g.cycles)
 		}
-		if st.Predicted != g.predicted {
-			t.Errorf("%s Pred (%d engines): correct predictions = %d, golden %d", g.bench, g.engines, st.Predicted, g.predicted)
+		if out.Predicted != g.predicted {
+			t.Errorf("%s Pred (%d engines): correct predictions = %d, golden %d", g.bench, g.engines, out.Predicted, g.predicted)
 		}
-		if st.TimelyPads != g.timely {
-			t.Errorf("%s Pred (%d engines): timely pads = %d, golden %d", g.bench, g.engines, st.TimelyPads, g.timely)
+		if out.Ctl.TimelyPads != g.timely {
+			t.Errorf("%s Pred (%d engines): timely pads = %d, golden %d", g.bench, g.engines, out.Ctl.TimelyPads, g.timely)
 		}
 	}
 }

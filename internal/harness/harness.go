@@ -18,7 +18,6 @@ import (
 	"secmem/internal/core"
 	"secmem/internal/cpu"
 	"secmem/internal/obsv"
-	"secmem/internal/predictor"
 	"secmem/internal/reenc"
 	"secmem/internal/stats"
 	"secmem/internal/trace"
@@ -79,6 +78,7 @@ type RunOut struct {
 	Seconds                           float64 // simulated wall time
 	BusBusy, BusWait                  uint64  // bus occupancy and queue delay
 	AESIssues                         uint64
+	Predicted                         uint64 // correct counter predictions (prediction mode)
 	// PageFastestIncrs holds, per touched encryption page, the write-back
 	// count of its fastest-advancing block (Section 6.1 analysis).
 	PageFastestIncrs []uint64
@@ -109,6 +109,15 @@ func (r RunOut) TimelyPadRate() float64 {
 		return 1
 	}
 	return float64(r.Ctl.TimelyPads) / float64(r.Ctl.PadReads)
+}
+
+// PredictionRate is the fraction of prediction-mode decryptions whose
+// counter was among the predicted values.
+func (r RunOut) PredictionRate() float64 {
+	if r.Ctl.PadReads == 0 {
+		return 1
+	}
+	return float64(r.Predicted) / float64(r.Ctl.PadReads)
 }
 
 // Runner executes runs and caches baseline IPCs.
@@ -252,6 +261,7 @@ func collectRunOut(bench string, cfg config.SystemConfig, mem *core.MemSystem, r
 	out.BusBusy = mem.Controller().Bus().BusyCycles()
 	out.BusWait = mem.Controller().Bus().QueueDelay()
 	out.AESIssues = mem.Controller().AES().Issues()
+	out.Predicted = mem.Controller().CorrectPredictions()
 	return out
 }
 
@@ -417,26 +427,20 @@ func CombinedNames() []string {
 	return []string{"Split+GCM", "Mono+GCM", "Split+SHA", "Mono+SHA", "XOM+SHA"}
 }
 
+// Predict returns Figure 6's counter-prediction machine with the given
+// number of AES engines (1 or 2), no authentication.
+func Predict(engines int) config.SystemConfig {
+	cfg := EncOnly(config.EncCounterPredict, 64)
+	cfg.AESEngines = engines
+	return cfg
+}
+
 // WithCounterCache resizes the counter cache (Figure 5).
 func WithCounterCache(cfg config.SystemConfig, sizeBytes int) config.SystemConfig {
 	cc := cfg.CounterCache
 	cc.SizeBytes = sizeBytes
 	cfg.CounterCache = cc
 	return cfg
-}
-
-// RunPredictor simulates the counter-prediction baseline for Figure 6.
-func (r *Runner) RunPredictor(bench string, engines int) (cpu.Result, predictor.Stats) {
-	sys := config.Baseline()
-	pcfg := predictor.DefaultConfig(sys, engines)
-	p, err := predictor.New(pcfg)
-	if err != nil {
-		panic(err)
-	}
-	gen := trace.NewGenerator(trace.Get(bench), r.Opt.Seed)
-	c := cpu.New(sys, p)
-	res := c.Run(gen, r.Opt.Instructions)
-	return res, p.Stats
 }
 
 // MetricDelta is one benchmark's observability difference between a

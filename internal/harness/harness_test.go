@@ -161,9 +161,19 @@ func TestParallelForCoversAll(t *testing.T) {
 
 func TestPredictorRun(t *testing.T) {
 	r := quickRunner("gcc")
-	res, st := r.RunPredictor("gcc", 1)
-	if res.Instructions == 0 || st.Misses == 0 {
-		t.Fatalf("predictor run empty: %+v %+v", res, st)
+	out := r.Run("gcc", Predict(1))
+	if out.CPU.Instructions == 0 || out.Ctl.PadReads == 0 || out.Predicted == 0 {
+		t.Fatalf("predictor run empty: %+v", out)
+	}
+	if out.Scheme != "Pred" {
+		t.Errorf("scheme = %q, want Pred", out.Scheme)
+	}
+}
+
+func TestZeroStatsRates(t *testing.T) {
+	var out RunOut
+	if out.PredictionRate() != 1 || out.TimelyPadRate() != 1 {
+		t.Error("zero stats rates should be 1")
 	}
 }
 

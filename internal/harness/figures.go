@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -36,6 +37,25 @@ var Fig9Benches = []string{
 // FigData maps scheme -> benchmark (or "Avg") -> value, the structured form
 // of every figure for tests and plotting.
 type FigData map[string]map[string]float64
+
+// MarshalJSON encodes a value that is not finite as null: Table 2's time to
+// overflow is +Inf for a counter that never advances, which encoding/json
+// rejects. The rendered table prints it as "never".
+func (d FigData) MarshalJSON() ([]byte, error) {
+	out := make(map[string]map[string]any, len(d))
+	for scheme, row := range d {
+		vals := make(map[string]any, len(row))
+		for bench, v := range row {
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				vals[bench] = nil
+			} else {
+				vals[bench] = v
+			}
+		}
+		out[scheme] = vals
+	}
+	return json.Marshal(out)
+}
 
 func (d FigData) set(scheme, bench string, v float64) {
 	if d[scheme] == nil {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -67,6 +68,32 @@ func TestTable2Shape(t *testing.T) {
 	// 64-bit counters are for practical purposes overflow-free: > 100 years.
 	if overflow["Mono64b"]["Avg"] < 100*31557600 {
 		t.Errorf("mono64 overflow estimate too small: %v s", overflow["Mono64b"]["Avg"])
+	}
+}
+
+// TestTable2JSONEncodesNeverAsNull marshals Table 2's structured output
+// over crafty, which never writes back: its counters never overflow, and
+// encoding/json rejects the +Inf that stands for that.
+func TestTable2JSONEncodesNeverAsNull(t *testing.T) {
+	r := New(Options{Instructions: 100_000, Seed: 1, Benches: []string{"crafty"}})
+	tbl, overflow := r.Table2()
+	if !strings.Contains(tbl.String(), "never") {
+		t.Errorf("table does not print a never-overflowing counter as never:\n%s", tbl)
+	}
+	raw, err := json.Marshal(map[string]any{"table2_overflow_seconds": overflow})
+	if err != nil {
+		t.Fatalf("marshal Table 2: %v", err)
+	}
+	var back map[string]map[string]map[string]*float64
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
+	}
+	for _, scheme := range []string{"Mono8b", "Global32b"} {
+		for _, bench := range []string{"crafty", "Avg"} {
+			if v, ok := back["table2_overflow_seconds"][scheme][bench]; !ok || v != nil {
+				t.Errorf("%s/%s = %v (present %v), want null", scheme, bench, v, ok)
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"crypto/subtle"
+	"fmt"
 	"sort"
 
 	"secmem/internal/aescipher"
@@ -230,7 +231,10 @@ func (f *functional) onCounterFill(now sim.Time, ctrBlk uint64) {
 func (f *functional) onDataWriteBack(now sim.Time, addr uint64) {
 	pt, ok := f.plain[addr]
 	if !ok {
-		pt = new([BlockSize]byte)
+		// Every data block on-chip was filled through onDataFill, which
+		// installs its plaintext; encrypting anything else would corrupt
+		// memory silently.
+		panic(fmt.Sprintf("core: dirty data block %#x has no on-chip plaintext", addr))
 	}
 	var ct [BlockSize]byte
 	f.encrypt(ct[:], pt[:], addr, f.counterFor(addr))

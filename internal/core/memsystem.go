@@ -127,20 +127,13 @@ func (m *MemSystem) evictL2(now sim.Time, ev cache.Eviction) {
 // then counters), leaving the caches empty. Functional examples use it to
 // force the off-chip image current before staging attacks.
 func (m *MemSystem) Drain(now sim.Time) {
-	// L1 dirty lines merge into L2 first.
-	var l1Blocks []uint64
+	// L1 dirty lines merge into L2 first, where inclusion keeps them
+	// resident (see Access).
 	m.l1.ForEach(func(addr uint64, dirty bool) {
-		if dirty {
-			l1Blocks = append(l1Blocks, addr)
+		if dirty && !m.l2.SetDirty(addr) {
+			panic(fmt.Sprintf("core: inclusion violated: dirty L1 block %#x is not in L2", addr))
 		}
 	})
-	for _, a := range l1Blocks {
-		if !m.l2.SetDirty(a) {
-			if ev, evicted := m.l2.Fill(a, true); evicted {
-				m.evictL2(now, ev)
-			}
-		}
-	}
 	// Writing one dirty block back can dirty others (parent Merkle nodes,
 	// counter blocks), so sweep until a pass finds nothing dirty. Dirtiness
 	// is re-read at invalidation time: a snapshot taken before processing
@@ -169,7 +162,7 @@ func (m *MemSystem) Drain(now sim.Time) {
 			}
 		}
 		dirtyLeft := false
-		if ctrs := m.ctl.Counters(); ctrs != nil && ctrs.Cache() != nil {
+		if ctrs := m.ctl.Counters(); ctrs != nil {
 			var dirtyCtrs []uint64
 			ctrs.Cache().ForEach(func(addr uint64, dirty bool) {
 				if dirty {
@@ -220,19 +213,14 @@ func (m *MemSystem) WriteBytes(now sim.Time, addr uint64, data []byte) (sim.Time
 		if n > len(data) {
 			n = len(data)
 		}
-		// A miss's own handling can, very rarely, displace the block again
-		// before the bytes land (a deep Merkle-fill cascade into the same
-		// set); retry the access like a real store would replay.
-		poked := false
-		for attempt := 0; attempt < 8 && !poked; attempt++ {
-			r := m.Access(now, addr, true)
-			if r.DataReady > done {
-				done = r.DataReady
-			}
-			poked = m.ctl.fn.poke(blk, off, data[:n])
+		// The access leaves the block on-chip: a miss pins its line while
+		// the victim is handled.
+		r := m.Access(now, addr, true)
+		if r.DataReady > done {
+			done = r.DataReady
 		}
-		if !poked {
-			return 0, fmt.Errorf("core: block %#x kept leaving the chip during write", blk)
+		if !m.ctl.fn.poke(blk, off, data[:n]) {
+			return 0, fmt.Errorf("core: block %#x left the chip during write", blk)
 		}
 		addr += uint64(n)
 		data = data[n:]
@@ -258,13 +246,9 @@ func (m *MemSystem) ReadBytes(now sim.Time, addr uint64, buf []byte) (AccessResu
 			n = len(buf)
 		}
 		var tmp [BlockSize]byte
-		peeked := false
-		for attempt := 0; attempt < 8 && !peeked; attempt++ {
-			last = m.Access(now, addr, false)
-			peeked = m.ctl.fn.peek(blk, tmp[:])
-		}
-		if !peeked {
-			return last, fmt.Errorf("core: block %#x kept leaving the chip during read", blk)
+		last = m.Access(now, addr, false)
+		if !m.ctl.fn.peek(blk, tmp[:]) {
+			return last, fmt.Errorf("core: block %#x left the chip during read", blk)
 		}
 		copy(buf[:n], tmp[off:off+n])
 		addr += uint64(n)

@@ -66,9 +66,8 @@ type Config struct {
 	MinorBits  int // split minor width
 	PageBlocks int // split encryption-page size in blocks
 	Regions    Regions
-	// Cache is the counter-cache geometry; nil disables caching (every
-	// lookup is a miss), which no real configuration uses but tests may.
-	Cache *cache.Config
+	// Cache is the counter-cache geometry.
+	Cache cache.Config
 }
 
 // FromSystem derives the store configuration from a system config and the
@@ -93,8 +92,7 @@ func FromSystem(sc config.SystemConfig, r Regions) Config {
 		// counters — that is the proposal being evaluated.
 		c.Org = OrgSplit
 	}
-	cc := sc.CounterCache
-	c.Cache = &cc
+	c.Cache = sc.CounterCache
 	return c
 }
 
@@ -212,10 +210,8 @@ func New(cfg Config) *Store {
 		values: make(map[uint64]uint64),
 		incr:   make(map[uint64]uint64),
 	}
-	if cfg.Cache != nil {
-		s.cache = cache.New(*cfg.Cache)
-		s.fillDone = make([]sim.Time, s.cache.Lines())
-	}
+	s.cache = cache.New(cfg.Cache)
+	s.fillDone = make([]sim.Time, s.cache.Lines())
 	return s
 }
 
@@ -403,11 +399,6 @@ func (s *Store) ForEachIncrement(fn func(blockAddr, count uint64)) {
 // (which the caller fetches on a Miss).
 func (s *Store) CacheLookup(addr uint64, now sim.Time) (res LookupResult, readyAt sim.Time, ctrBlock uint64) {
 	ctrBlock = s.CounterBlockAddr(addr)
-	if s.cache == nil {
-		s.Stats.Misses++
-		s.mMiss.Inc()
-		return Miss, 0, ctrBlock
-	}
 	if s.cache.Lookup(ctrBlock, false) {
 		// Lookups are not monotone in now (background RSR fetches and
 		// write-backs probe at earlier timestamps). A hit before the fill
@@ -432,9 +423,6 @@ func (s *Store) CacheLookup(addr uint64, now sim.Time) (res LookupResult, readyA
 // CacheFill installs a fetched counter block that becomes valid at ready,
 // returning any dirty victim that must be written back to memory.
 func (s *Store) CacheFill(ctrBlock uint64, ready sim.Time) (ev cache.Eviction, evicted bool) {
-	if s.cache == nil {
-		return cache.Eviction{}, false
-	}
 	ev, evicted = s.cache.Fill(ctrBlock, false)
 	s.fillDone[s.cache.Line(ctrBlock)] = ready
 	return ev, evicted
@@ -447,5 +435,5 @@ func (s *Store) CacheDirty(ctrBlock uint64) { s.cache.SetDirty(ctrBlock) }
 
 // CacheContains reports counter-cache residence without side effects.
 func (s *Store) CacheContains(ctrBlock uint64) bool {
-	return s.cache != nil && s.cache.Contains(ctrBlock)
+	return s.cache.Contains(ctrBlock)
 }

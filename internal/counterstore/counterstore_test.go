@@ -21,7 +21,7 @@ func splitStore() *Store {
 	return New(Config{
 		Org: OrgSplit, MinorBits: 7, PageBlocks: 64,
 		Regions: regions(),
-		Cache:   &cache.Config{Name: "snc", SizeBytes: 4096, Ways: 8, BlockBytes: 64},
+		Cache:   cache.Config{Name: "snc", SizeBytes: 4096, Ways: 8, BlockBytes: 64},
 	})
 }
 
@@ -29,7 +29,7 @@ func monoStore(bits int) *Store {
 	return New(Config{
 		Org: OrgMono, Bits: bits,
 		Regions: regions(),
-		Cache:   &cache.Config{Name: "snc", SizeBytes: 4096, Ways: 8, BlockBytes: 64},
+		Cache:   cache.Config{Name: "snc", SizeBytes: 4096, Ways: 8, BlockBytes: 64},
 	})
 }
 
@@ -111,7 +111,7 @@ func TestMono64NeverOverflows(t *testing.T) {
 
 func TestGlobalCounterSharedAcrossBlocks(t *testing.T) {
 	s := New(Config{Org: OrgGlobal, Bits: 32, Regions: regions(),
-		Cache: &cache.Config{Name: "snc", SizeBytes: 4096, Ways: 8, BlockBytes: 64}})
+		Cache: cache.Config{Name: "snc", SizeBytes: 4096, Ways: 8, BlockBytes: 64}})
 	v1, _ := s.Increment(0)
 	v2, _ := s.Increment(64)
 	v3, _ := s.Increment(0)
@@ -262,7 +262,7 @@ func TestCacheFillEviction(t *testing.T) {
 		Org: OrgSplit, MinorBits: 7, PageBlocks: 64,
 		Regions: regions(),
 		// Tiny fully-mapped cache: 2 blocks total.
-		Cache: &cache.Config{Name: "snc", SizeBytes: 128, Ways: 2, BlockBytes: 64},
+		Cache: cache.Config{Name: "snc", SizeBytes: 128, Ways: 2, BlockBytes: 64},
 	})
 	_, _, b0 := s.CacheLookup(0, 0)
 	s.CacheFill(b0, 10)

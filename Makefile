@@ -1,11 +1,16 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lint-bench lint-fix-audit fuzz-smoke bench bench-check trace-smoke metrics-baseline metrics-compare ci
+.PHONY: all build fmt-check test race vet lint lint-bench lint-fix-audit fuzz-smoke bench bench-check trace-smoke metrics-baseline metrics-compare ci
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: fails, listing the files, when gofmt would rewrite any.
+fmt-check:
+	@out=$$(gofmt -l .); \
+	if [ -n "$$out" ]; then echo "fmt-check: gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -104,4 +109,4 @@ metrics-compare:
 	$(GO) run ./cmd/secmemsim -bench swim -instr 200000 -metrics $(SMOKE_DIR)-fresh.json >/dev/null
 	$(GO) run ./cmd/secmemobs -compare -tol $(METRICS_TOL) BENCH_metrics.json $(SMOKE_DIR)-fresh.json
 
-ci: build vet lint test race fuzz-smoke trace-smoke metrics-compare bench-check
+ci: build fmt-check vet lint test race fuzz-smoke trace-smoke metrics-compare bench-check

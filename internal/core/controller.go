@@ -135,7 +135,7 @@ func NewController(cfg config.SystemConfig) (*Controller, error) {
 		c.macCache = cache.New(mc)
 	}
 	if cfg.Enc == config.EncCounterPredict {
-		c.pred = newPredictor()
+		c.pred = &predictor{ctr: make(map[uint64]uint64), base: make(map[uint64]uint64)}
 	}
 	if cfg.Functional {
 		c.fn = newFunctional(c)

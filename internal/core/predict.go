@@ -36,13 +36,9 @@ type predictor struct {
 	correct uint64            // correct predictions
 }
 
-func newPredictor() *predictor {
-	return &predictor{ctr: make(map[uint64]uint64), base: make(map[uint64]uint64)}
-}
-
 // CorrectPredictions counts the decryptions whose counter was among the
-// predicted values (zero outside prediction mode). Stats.PadReads counts
-// them all.
+// predicted values, zero outside prediction mode. Stats.PadReads counts
+// every decryption.
 func (c *Controller) CorrectPredictions() uint64 {
 	if c.pred == nil {
 		return 0

@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"testing"
+
+	"secmem/internal/stats"
 )
 
 // Campaign-output fingerprints captured BEFORE the fast crypto kernels
@@ -24,13 +26,13 @@ var campaignGoldens = []struct {
 	name   string
 	sha256 string
 	length int
-	run    func() string
+	run    func(t *testing.T) string
 }{
 	{
 		name:   "Fig4",
 		sha256: "34afa652fddb588f0a86cb71964dc129760529c0a59619f78d626629daa7b6ea",
 		length: 978,
-		run: func() string {
+		run: func(*testing.T) string {
 			r := New(Options{Instructions: 300_000, Seed: 1,
 				Benches: []string{"swim", "mcf", "crafty"}})
 			tbl, _ := r.Fig4()
@@ -41,13 +43,104 @@ var campaignGoldens = []struct {
 		name:   "Scalars",
 		sha256: "cbb68268876dccd7f5502fec017468591328c9c7ca5de91e7a67061263f5bd5c",
 		length: 609,
-		run: func() string {
+		run: func(*testing.T) string {
 			r := New(Options{Instructions: 500_000, Seed: 1,
 				Benches: []string{"twolf", "equake", "applu"}})
 			tbl, _ := r.Scalars()
 			return tbl.String()
 		},
 	},
+	// The rows below fingerprint the rendered table and the returned data:
+	// json.Marshal writes every float at full precision, which the table's
+	// rounding hides. They were captured before the figures shared one run
+	// cache, which must not move a number.
+	{
+		name:   "Table2",
+		sha256: "13322353bda337712591fea330eae6bc01d8d261f815787d62f43f613893e5c2",
+		length: 1791,
+		run: func(t *testing.T) string {
+			tbl, data := goldenRunner().Table2()
+			return tableAndJSON(t, tbl, data)
+		},
+	},
+	{
+		name:   "Fig5",
+		sha256: "56ff58520d0e2dd161c3c9c6185d57da4d24c5d685ae6540eb3609279d69d262",
+		length: 1221,
+		run: func(t *testing.T) string {
+			tbl, data := goldenRunner().Fig5()
+			return tableAndJSON(t, tbl, data)
+		},
+	},
+	{
+		name:   "Fig6a",
+		sha256: "18be65e8860565fb269508eb6c197c09426d76e406e12e9024b7c6177f1a466b",
+		length: 757,
+		run: func(t *testing.T) string {
+			tbl, res := goldenRunner().Fig6a()
+			return tableAndJSON(t, tbl, res)
+		},
+	},
+	{
+		name:   "Fig7",
+		sha256: "b573f804c72199d87e49b8e514dc56ccc22845277254709e82c2c47dcbf05bfd",
+		length: 1846,
+		run: func(t *testing.T) string {
+			tbl, data := goldenRunner().Fig7()
+			return tableAndJSON(t, tbl, data)
+		},
+	},
+	{
+		name:   "Fig8",
+		sha256: "63b04ba5fa203e682d4983a6079b0ce80bf40dace0505a80bcc2a6b30d9cdb1d",
+		length: 1629,
+		run: func(t *testing.T) string {
+			tbl, data := goldenRunner().Fig8()
+			return tableAndJSON(t, tbl, data)
+		},
+	},
+	{
+		name:   "Fig9",
+		sha256: "7e192bf36a23c9c3c40d58493eeb0068429427d638138aab70391b43df39d632",
+		length: 1663,
+		run: func(t *testing.T) string {
+			tbl, data := goldenRunner().Fig9()
+			return tableAndJSON(t, tbl, data)
+		},
+	},
+	{
+		name:   "Fig10",
+		sha256: "87ee8a9e223f9f7a5adbda41e6665d7cbe394deaa67c38d82c64aeb781faa214",
+		length: 5088,
+		run: func(t *testing.T) string {
+			tbl, data := goldenRunner().Fig10()
+			return tableAndJSON(t, tbl, data)
+		},
+	},
+	{
+		name:   "AblateMonoCharge",
+		sha256: "af5240cb5422850b27a06b6cc80de13d6bb777b0322fc35546ec75791722335b",
+		length: 848,
+		run: func(t *testing.T) string {
+			tbl, rows := goldenRunner().AblateMonoCharge()
+			return tableAndJSON(t, tbl, rows)
+		},
+	},
+}
+
+// goldenRunner is the campaign the table-and-data rows fingerprint.
+func goldenRunner() *Runner {
+	return New(Options{Instructions: 200_000, Seed: 1,
+		Benches: []string{"swim", "mcf", "crafty"}})
+}
+
+// tableAndJSON renders a figure's table followed by its data as JSON.
+func tableAndJSON(t *testing.T, tbl stats.Table, data any) string {
+	raw, err := json.Marshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl.String() + string(raw) + "\n"
 }
 
 // TestFig4RunToRunDeterminism runs the Figure 4 campaign twice in-process
@@ -93,7 +186,7 @@ func TestCampaignDeterminism(t *testing.T) {
 		g := g
 		t.Run(g.name, func(t *testing.T) {
 			t.Parallel()
-			out := g.run()
+			out := g.run(t)
 			sum := sha256.Sum256([]byte(out))
 			got := hex.EncodeToString(sum[:])
 			t.Logf("%s: sha256=%s length=%d", g.name, got, len(out))

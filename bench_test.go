@@ -163,13 +163,15 @@ func BenchmarkReencScalars(b *testing.B) {
 
 // BenchmarkSimulatorThroughput measures raw simulation speed: simulated
 // instructions per second for the paper's default protected configuration.
+// Each iteration simulates through RunObserved, which bypasses the run
+// cache that Run would answer every iteration after the first from.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	r := harness.New(harness.Options{Instructions: 1_000_000, Seed: 1})
 	cfg := config.Default()
 	b.ResetTimer()
 	var instr uint64
 	for i := 0; i < b.N; i++ {
-		out := r.Run("swim", cfg)
+		out := r.RunObserved("swim", cfg, harness.Obs{})
 		instr += out.CPU.Instructions
 	}
 	b.ReportMetric(float64(instr)/b.Elapsed().Seconds(), "sim_instr/s")

@@ -158,12 +158,12 @@ func main() {
 	}
 	var outs []harness.RunOut
 	if len(benches) > 1 {
-		// Every run of a multi-benchmark table is independent: warm the
+		// Every run of a multi-benchmark table is independent: run the
 		// baselines, then fan the runs out. With -metrics each run records
 		// into its own registry and the merge sums counters and histograms
 		// exactly as one shared registry would; gauges report the busiest
 		// benchmark.
-		r.WarmBaselines()
+		r.Prefetch(config.Baseline())
 		outs, obs.Reg = r.CampaignObserved(cfg, obs.Reg != nil)
 	} else {
 		outs = []harness.RunOut{r.RunObserved(benches[0], cfg, obs)}

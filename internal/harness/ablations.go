@@ -2,10 +2,8 @@ package harness
 
 import (
 	"fmt"
-	"sync"
 
 	"secmem/internal/config"
-	"secmem/internal/reenc"
 	"secmem/internal/stats"
 )
 
@@ -38,61 +36,31 @@ type AblationRow struct {
 // sweep runs a set of split-counter variants and averages normalized IPC
 // and re-encryption statistics over the campaign's benchmarks.
 func (r *Runner) sweep(mk func() []config.SystemConfig, labels []string) []AblationRow {
-	benches := r.Opt.benches()
 	cfgs := mk()
-	type job struct{ ci, bi int }
-	var jobs []job
-	for ci := range cfgs {
-		for bi := range benches {
-			jobs = append(jobs, job{ci, bi})
-		}
-	}
-	// Per-job results, reduced in job order after the join so the float
-	// averages do not depend on completion order.
-	norms := make([]float64, len(jobs))
-	rsrs := make([]reenc.Stats, len(jobs))
 	// Normalize each configuration against an unprotected machine with the
 	// SAME cache geometry, so stress-sized L2s don't masquerade as scheme
 	// overhead.
-	baseIPC := make(map[string]float64)
-	var baseMu sync.Mutex
-	baselineFor := func(bench string, cfg config.SystemConfig) float64 {
-		key := fmt.Sprintf("%s/%d", bench, cfg.L2.SizeBytes)
-		baseMu.Lock()
-		v, ok := baseIPC[key]
-		baseMu.Unlock()
-		if ok {
-			return v
-		}
-		b := config.Baseline()
-		b.L2 = cfg.L2
-		v = r.Run(bench, b).IPC
-		baseMu.Lock()
-		baseIPC[key] = v
-		baseMu.Unlock()
-		return v
+	bases := make([]config.SystemConfig, len(cfgs))
+	for ci, cfg := range cfgs {
+		bases[ci] = config.Baseline()
+		bases[ci].L2 = cfg.L2
 	}
-	r.parallelFor(len(jobs), func(i int) {
-		j := jobs[i]
-		out := r.Run(benches[j.bi], cfgs[j.ci])
-		norms[i] = out.IPC / baselineFor(benches[j.bi], cfgs[j.ci])
-		rsrs[i] = out.RSR
-	})
-	ipcs := make([][]float64, len(cfgs))
-	cycles := make([][]float64, len(cfgs))
+	r.Prefetch(append(bases, cfgs...)...)
 	rows := make([]AblationRow, len(cfgs))
-	for i, j := range jobs {
-		ipcs[j.ci] = append(ipcs[j.ci], norms[i])
-		rows[j.ci].PageReencs += rsrs[i].PageReencs
-		rows[j.ci].StallCycles += uint64(rsrs[i].StallCycles)
-		if rsrs[i].PageReencs > 0 {
-			cycles[j.ci] = append(cycles[j.ci], rsrs[i].MeanCycles())
+	for ci, cfg := range cfgs {
+		var ipcs, cycles []float64
+		for _, b := range r.Opt.benches() {
+			out := r.Run(b, cfg)
+			ipcs = append(ipcs, out.IPC/r.Run(b, bases[ci]).IPC)
+			rows[ci].PageReencs += out.RSR.PageReencs
+			rows[ci].StallCycles += uint64(out.RSR.StallCycles)
+			if out.RSR.PageReencs > 0 {
+				cycles = append(cycles, out.RSR.MeanCycles())
+			}
 		}
-	}
-	for ci := range rows {
 		rows[ci].Label = labels[ci]
-		rows[ci].NormIPC = stats.Mean(ipcs[ci])
-		rows[ci].MeanCycles = stats.Mean(cycles[ci])
+		rows[ci].NormIPC = stats.Mean(ipcs)
+		rows[ci].MeanCycles = stats.Mean(cycles)
 	}
 	return rows
 }

@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"secmem/internal/config"
 	"secmem/internal/core"
 	"secmem/internal/cpu"
-	"secmem/internal/reenc"
 	"secmem/internal/stats"
 	"secmem/internal/trace"
 )
@@ -64,50 +62,31 @@ func (d FigData) set(scheme, bench string, v float64) {
 	d[scheme][bench] = v
 }
 
-// normGrid runs a set of schemes over all benchmarks in parallel and
-// returns normalized IPCs plus per-run outputs.
-func (r *Runner) normGrid(schemes map[string]config.SystemConfig) (FigData, map[string]map[string]RunOut) {
-	r.WarmBaselines()
-	benches := r.Opt.benches()
-	type job struct{ scheme, bench string }
-	var jobs []job
+// normGrid runs a set of schemes over all benchmarks and returns their
+// IPCs normalized to the baseline, with each scheme's average.
+func (r *Runner) normGrid(schemes map[string]config.SystemConfig) FigData {
 	names := make([]string, 0, len(schemes))
 	for name := range schemes {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	cfgs := []config.SystemConfig{config.Baseline()}
 	for _, s := range names {
-		for _, b := range benches {
-			jobs = append(jobs, job{s, b})
-		}
+		cfgs = append(cfgs, schemes[s])
 	}
+	r.Prefetch(cfgs...)
 	data := make(FigData)
-	outs := make(map[string]map[string]RunOut)
-	var mu sync.Mutex
-	r.parallelFor(len(jobs), func(i int) {
-		j := jobs[i]
-		out := r.Run(j.bench, schemes[j.scheme])
-		norm := 0.0
-		if base := r.Baseline(j.bench); base > 0 {
-			norm = out.IPC / base
-		}
-		mu.Lock()
-		data.set(j.scheme, j.bench, norm)
-		if outs[j.scheme] == nil {
-			outs[j.scheme] = make(map[string]RunOut)
-		}
-		outs[j.scheme][j.bench] = out
-		mu.Unlock()
-	})
-	// Averages across all benchmarks in the campaign.
 	for _, s := range names {
 		var vs []float64
-		for _, b := range benches {
-			vs = append(vs, data[s][b])
+		for _, b := range r.Opt.benches() {
+			v := r.NormIPC(b, schemes[s])
+			data.set(s, b, v)
+			vs = append(vs, v)
 		}
+		// Averages across all benchmarks in the campaign.
 		data.set(s, "Avg", stats.Mean(vs))
 	}
-	return data, outs
+	return data
 }
 
 func (r *Runner) gridTable(title string, data FigData, schemes, shown []string) stats.Table {
@@ -135,13 +114,13 @@ func (r *Runner) Fig4() (stats.Table, FigData) {
 		"Mono64b": EncOnly(config.EncCounterMono, 64),
 		"Direct":  EncOnly(config.EncDirect, 64),
 	}
-	data, outs := r.normGrid(schemes)
+	data := r.normGrid(schemes)
 	order := []string{"Split", "Mono8b", "Mono16b", "Mono32b", "Mono64b", "Direct"}
 	tbl := r.gridTable("Figure 4: Normalized IPC, encryption schemes (no authentication)",
 		data, order, Fig4Benches)
 	var totalReencs uint64
-	for _, out := range outs["Mono8b"] {
-		totalReencs += out.Ctl.FullReencEvents
+	for _, b := range r.Opt.benches() {
+		totalReencs += r.Run(b, schemes["Mono8b"]).Ctl.FullReencEvents
 	}
 	tbl.AddNote("Mono8b whole-memory re-encryptions observed (zero-cost, counted): %d across %d benchmarks",
 		totalReencs, len(r.Opt.benches()))
@@ -169,54 +148,32 @@ func (r *Runner) Table2() (stats.Table, FigData) {
 		{"Mono64b", EncOnly(config.EncCounterMono, 64), 64, false},
 		{"Global32b", EncOnly(config.EncCounterGlobal, 32), 32, true},
 	}
-	benches := r.Opt.benches()
+	cfgs := make([]config.SystemConfig, len(defs))
+	for i, d := range defs {
+		cfgs[i] = d.cfg
+	}
+	r.Prefetch(cfgs...)
 	data := make(FigData)
 	overflow := make(FigData)
-	var mu sync.Mutex
-	var jobs []struct {
-		d schemeDef
-		b string
-	}
-	for _, d := range defs {
-		for _, b := range benches {
-			jobs = append(jobs, struct {
-				d schemeDef
-				b string
-			}{d, b})
-		}
-	}
-	r.parallelFor(len(jobs), func(i int) {
-		j := jobs[i]
-		out := r.Run(j.b, j.d.cfg)
-		incr := out.FastestIncr
-		if j.d.global {
-			incr = out.CtrIncrements
-		}
-		rate := 0.0
-		if out.Seconds > 0 {
-			rate = float64(incr) / out.Seconds
-		}
-		ttf := math.Inf(1)
-		if rate > 0 {
-			ttf = math.Pow(2, float64(j.d.bits)) / rate
-		}
-		mu.Lock()
-		data.set(j.d.name, j.b, rate)
-		overflow.set(j.d.name, j.b, ttf)
-		mu.Unlock()
-	})
 	for _, d := range defs {
 		var rates []float64
-		for _, b := range benches {
-			rates = append(rates, data[d.name][b])
+		for _, b := range r.Opt.benches() {
+			out := r.Run(b, d.cfg)
+			incr := out.FastestIncr
+			if d.global {
+				incr = out.CtrIncrements
+			}
+			rate := 0.0
+			if out.Seconds > 0 {
+				rate = float64(incr) / out.Seconds
+			}
+			data.set(d.name, b, rate)
+			overflow.set(d.name, b, overflowSeconds(d.bits, rate))
+			rates = append(rates, rate)
 		}
 		avg := stats.Mean(rates)
 		data.set(d.name, "Avg", avg)
-		ttf := math.Inf(1)
-		if avg > 0 {
-			ttf = math.Pow(2, float64(d.bits)) / avg
-		}
-		overflow.set(d.name, "Avg", ttf)
+		overflow.set(d.name, "Avg", overflowSeconds(d.bits, avg))
 	}
 
 	tbl := stats.Table{
@@ -239,6 +196,15 @@ func (r *Runner) Table2() (stats.Table, FigData) {
 	return tbl, overflow
 }
 
+// overflowSeconds is how long a bits-wide counter advancing rate times per
+// second takes to overflow; +Inf when it never advances.
+func overflowSeconds(bits int, rate float64) float64 {
+	if rate > 0 {
+		return math.Pow(2, float64(bits)) / rate
+	}
+	return math.Inf(1)
+}
+
 // Fig5Sizes are the counter-cache sizes swept in Figure 5.
 var Fig5Sizes = []int{16 << 10, 32 << 10, 64 << 10, 128 << 10}
 
@@ -251,7 +217,7 @@ func (r *Runner) Fig5() (stats.Table, FigData) {
 		schemes[fmt.Sprintf("split %dKB", kb)] = WithCounterCache(EncOnly(config.EncCounterSplit, 64), size)
 		schemes[fmt.Sprintf("mono %dKB", kb)] = WithCounterCache(EncOnly(config.EncCounterMono, 64), size)
 	}
-	data, _ := r.normGrid(schemes)
+	data := r.normGrid(schemes)
 	tbl := stats.Table{
 		Title: "Figure 5: Sensitivity to counter cache size (average normalized IPC)",
 		Cols:  []string{"size", "split", "mono64b"},
@@ -280,32 +246,23 @@ type Fig6aResult struct {
 
 // Fig6a regenerates Figure 6(a): split counters versus counter prediction.
 func (r *Runner) Fig6a() (stats.Table, Fig6aResult) {
-	r.WarmBaselines()
-	benches := r.Opt.benches()
-	// Per-bench values sit in bench order and are averaged after the join:
-	// float addition is not associative, so averaging in completion order
-	// would make the figure depend on scheduling.
-	n := len(benches)
-	hit, hitHalf, timelySplit, ipcSplit := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
-	pred1Rate, timely1, ipc1 := make([]float64, n), make([]float64, n), make([]float64, n)
-	timely2, ipc2 := make([]float64, n), make([]float64, n)
 	splitCfg := EncOnly(config.EncCounterSplit, 64)
-	r.parallelFor(n, func(i int) {
-		b := benches[i]
-		out := r.Run(b, splitCfg)
+	r.Prefetch(config.Baseline(), splitCfg, Predict(1), Predict(2))
+	var hit, hitHalf, timelySplit, ipcSplit []float64
+	var pred1Rate, timely1, ipc1, timely2, ipc2 []float64
+	for _, b := range r.Opt.benches() {
+		out, p1, p2 := r.Run(b, splitCfg), r.Run(b, Predict(1)), r.Run(b, Predict(2))
 		base := r.Baseline(b)
-		p1 := r.Run(b, Predict(1))
-		p2 := r.Run(b, Predict(2))
-		hit[i] = out.CtrHitRate()
-		hitHalf[i] = out.CtrHitPlusHalf()
-		timelySplit[i] = out.TimelyPadRate()
-		ipcSplit[i] = out.IPC / base
-		pred1Rate[i] = p1.PredictionRate()
-		timely1[i] = p1.TimelyPadRate()
-		ipc1[i] = p1.IPC / base
-		timely2[i] = p2.TimelyPadRate()
-		ipc2[i] = p2.IPC / base
-	})
+		hit = append(hit, out.CtrHitRate())
+		hitHalf = append(hitHalf, out.CtrHitPlusHalf())
+		timelySplit = append(timelySplit, out.TimelyPadRate())
+		ipcSplit = append(ipcSplit, out.IPC/base)
+		pred1Rate = append(pred1Rate, p1.PredictionRate())
+		timely1 = append(timely1, p1.TimelyPadRate())
+		ipc1 = append(ipc1, p1.IPC/base)
+		timely2 = append(timely2, p2.TimelyPadRate())
+		ipc2 = append(ipc2, p2.IPC/base)
+	}
 	res := Fig6aResult{
 		SNCHit:         stats.Mean(hit),
 		SNCHitHalf:     stats.Mean(hitHalf),
@@ -400,7 +357,7 @@ func (r *Runner) Fig7() (stats.Table, FigData) {
 		schemes[fmt.Sprintf("SHA-1 (%d)", lat)] =
 			AuthOnly(config.AuthSHA1, lat, config.AuthCommit, true)
 	}
-	data, _ := r.normGrid(schemes)
+	data := r.normGrid(schemes)
 	order := []string{"GCM", "SHA-1 (80)", "SHA-1 (160)", "SHA-1 (320)", "SHA-1 (640)"}
 	tbl := r.gridTable("Figure 7: Normalized IPC, memory authentication (no encryption)",
 		data, order, Fig7Benches)
@@ -422,7 +379,7 @@ func (r *Runner) Fig8() (stats.Table, FigData) {
 		"SHA parallel": AuthOnly(config.AuthSHA1, 320, config.AuthCommit, true),
 		"SHA nonpar":   AuthOnly(config.AuthSHA1, 320, config.AuthCommit, false),
 	}
-	data, _ := r.normGrid(schemes)
+	data := r.normGrid(schemes)
 	tbl := stats.Table{
 		Title: "Figure 8: Authentication requirements and tree parallelism (average normalized IPC)",
 		Cols:  []string{"configuration", "GCM", "SHA-1 (320)"},
@@ -442,7 +399,7 @@ func (r *Runner) Fig9() (stats.Table, FigData) {
 	for _, name := range CombinedNames() {
 		schemes[name] = Combined(name)
 	}
-	data, _ := r.normGrid(schemes)
+	data := r.normGrid(schemes)
 	tbl := r.gridTable("Figure 9: Normalized IPC, combined encryption + authentication",
 		data, CombinedNames(), Fig9Benches)
 	return tbl, data
@@ -467,7 +424,7 @@ func (r *Runner) Fig10() (stats.Table, FigData) {
 			schemes[fmt.Sprintf("%s/mac%d", name, mac)] = cfg
 		}
 	}
-	data, _ := r.normGrid(schemes)
+	data := r.normGrid(schemes)
 	tbl := stats.Table{
 		Title: "Figure 10: Sensitivity of combined schemes (average normalized IPC)",
 		Cols:  append([]string{"variant"}, CombinedNames()...),
@@ -509,13 +466,6 @@ type ScalarsResult struct {
 // 4-bit minors, which overflow frequently without changing the mechanism
 // being measured.
 func (r *Runner) Scalars() (stats.Table, ScalarsResult) {
-	benches := r.Opt.benches()
-	// Per-bench results, reduced in bench order after the join: float
-	// addition is not associative, so accumulating across workers in
-	// completion order would make the scalars interleaving-dependent.
-	rsr := make([]reenc.Stats, len(benches))
-	splitContrib := make([]float64, len(benches))
-	monoContrib := make([]float64, len(benches))
 	// The stressed configuration: 4-bit minors and a small L2 (so the hot
 	// write set actually cycles through memory) make page re-encryptions
 	// happen at campaign scale.
@@ -524,25 +474,13 @@ func (r *Runner) Scalars() (stats.Table, ScalarsResult) {
 	// The rate-measurement configuration is the paper's default.
 	rateCfg := EncOnly(config.EncCounterSplit, 64)
 	memBlocks := float64(rateCfg.MemBytes / 64)
-	r.parallelFor(len(benches), func(i int) {
-		b := benches[i]
-		rsr[i] = r.Run(b, stressCfg).RSR
-		// Analytic rates from the default-geometry run.
-		rate := r.Run(b, rateCfg)
-		if rate.Seconds > 0 {
-			var split float64
-			for _, f := range rate.PageFastestIncrs {
-				split += float64(f) / 128 * 64 / rate.Seconds
-			}
-			splitContrib[i] = split
-			monoContrib[i] = float64(rate.FastestIncr) / 256 * memBlocks / rate.Seconds
-		}
-	})
+	r.Prefetch(stressCfg, rateCfg)
 	var onchip, meancyc []float64
 	maxConc := 0
 	var stalls, reencs uint64
 	var splitRate, monoRate float64 // re-encrypted blocks per second
-	for i, st := range rsr {
+	for _, b := range r.Opt.benches() {
+		st := r.Run(b, stressCfg).RSR
 		if st.PageReencs > 0 {
 			onchip = append(onchip, st.OnChipFraction())
 			meancyc = append(meancyc, st.MeanCycles())
@@ -552,8 +490,16 @@ func (r *Runner) Scalars() (stats.Table, ScalarsResult) {
 			maxConc = st.MaxConcurrent
 		}
 		stalls += uint64(st.StallCycles)
-		splitRate += splitContrib[i]
-		monoRate += monoContrib[i]
+		// Analytic rates from the default-geometry run.
+		rate := r.Run(b, rateCfg)
+		if rate.Seconds > 0 {
+			var split float64
+			for _, f := range rate.PageFastestIncrs {
+				split += float64(f) / 128 * 64 / rate.Seconds
+			}
+			splitRate += split
+			monoRate += float64(rate.FastestIncr) / 256 * memBlocks / rate.Seconds
+		}
 	}
 	res := ScalarsResult{
 		OnChipFraction:  stats.Mean(onchip),

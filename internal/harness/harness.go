@@ -3,9 +3,17 @@
 // workload, normalizes IPC against the unprotected baseline, and formats
 // each of the paper's tables and figures.
 //
-// Runs are independent, so the harness fans them out across CPUs; results
-// are deterministic for a given (options, scheme) regardless of
-// parallelism.
+// A Runner simulates each (benchmark, configuration) pair at most once and
+// caches the result, since the figures share machines: Figure 8's commit
+// rows are Figure 7's machines, Figure 10's are Figure 9's, and every
+// figure normalizes to the baseline. Each figure hands its configurations
+// to Prefetch, which simulates the pairs not yet cached across CPUs, and
+// then reduces the cached runs serially in benchmark order. Runs are
+// deterministic in (options, benchmark, configuration), so results depend
+// neither on parallelism nor on which figures ran before. Instrumented
+// runs bypass the cache. Cached results share their PageFastestIncrs
+// slice, which nothing may mutate, and a Runner's Opt must not change
+// after New.
 package harness
 
 import (
@@ -63,7 +71,9 @@ func (o Options) benches() []string {
 	return trace.Names()
 }
 
-// RunOut captures everything a figure needs from one simulation.
+// RunOut captures everything a figure needs from one simulation. Runner
+// caches it by value, so every caller of Run for one pair shares its
+// PageFastestIncrs slice, which nothing may mutate.
 type RunOut struct {
 	Bench  string
 	Scheme string
@@ -120,13 +130,21 @@ func (r RunOut) PredictionRate() float64 {
 	return float64(r.Predicted) / float64(r.Ctl.PadReads)
 }
 
-// Runner executes runs and caches baseline IPCs.
+// Runner executes runs and caches every uninstrumented one.
 type Runner struct {
+	// Opt must not change after New: the cache keys a run by benchmark and
+	// configuration only.
 	Opt Options
 
-	mu        sync.Mutex
-	baselines map[string]float64
-	tableErr  error
+	mu       sync.Mutex
+	runs     map[runKey]RunOut
+	tableErr error
+}
+
+// runKey names one uninstrumented run.
+type runKey struct {
+	bench string
+	cfg   config.SystemConfig
 }
 
 // noteTableErr records the first malformed-figure-row error. Figure tables
@@ -161,7 +179,7 @@ func New(opt Options) *Runner {
 	if opt.Instructions == 0 {
 		opt.Instructions = DefaultOptions().Instructions
 	}
-	return &Runner{Opt: opt, baselines: make(map[string]float64)}
+	return &Runner{Opt: opt, runs: make(map[runKey]RunOut)}
 }
 
 // Obs bundles the observability sinks of an instrumented run. Any field
@@ -175,16 +193,51 @@ type Obs struct {
 	Smp *obsv.Sampler
 }
 
-// Run simulates one (benchmark, configuration) pair.
+// Run simulates one (benchmark, configuration) pair, or returns the cached
+// result of an earlier Run of the same pair. It is safe for concurrent use;
+// two concurrent calls for one uncached pair both simulate it.
 func (r *Runner) Run(bench string, cfg config.SystemConfig) RunOut {
-	return r.RunObserved(bench, cfg, Obs{})
+	key := runKey{bench, cfg}
+	r.mu.Lock()
+	out, ok := r.runs[key]
+	r.mu.Unlock()
+	if ok {
+		return out
+	}
+	out = r.RunObserved(bench, cfg, Obs{})
+	r.mu.Lock()
+	r.runs[key] = out
+	r.mu.Unlock()
+	return out
 }
 
-// RunObserved is Run with observability attached: the memory system is
-// instrumented against obs before the workload starts, and end-of-run
-// utilization gauges are exported at the run's final cycle. Counters
-// accumulate across successive runs sharing a registry; gauges reflect the
-// latest run.
+// Prefetch runs every campaign benchmark on each configuration across the
+// worker pool and caches the results. Each pair that is not cached yet is
+// simulated once, by one worker, however often cfgs repeats it.
+func (r *Runner) Prefetch(cfgs ...config.SystemConfig) {
+	var todo []runKey
+	queued := make(map[runKey]bool)
+	r.mu.Lock()
+	for _, cfg := range cfgs {
+		for _, b := range r.Opt.benches() {
+			key := runKey{b, cfg}
+			if _, done := r.runs[key]; !done && !queued[key] {
+				queued[key] = true
+				todo = append(todo, key)
+			}
+		}
+	}
+	r.mu.Unlock()
+	r.parallelFor(len(todo), func(i int) {
+		r.Run(todo[i].bench, todo[i].cfg)
+	})
+}
+
+// RunObserved is Run with observability attached and no cache: the memory
+// system is instrumented against obs before the workload starts, and
+// end-of-run utilization gauges are exported at the run's final cycle.
+// Counters accumulate across successive runs sharing a registry; gauges
+// reflect the latest run.
 func (r *Runner) RunObserved(bench string, cfg config.SystemConfig, obs Obs) RunOut {
 	if r.Opt.Functional {
 		cfg.Functional = true
@@ -287,19 +340,9 @@ func (r *Runner) CampaignObserved(cfg config.SystemConfig, metrics bool) ([]RunO
 	return outs, obsv.Merge(regs)
 }
 
-// Baseline returns the unprotected-machine IPC for a benchmark, cached.
+// Baseline returns the unprotected-machine IPC for a benchmark.
 func (r *Runner) Baseline(bench string) float64 {
-	r.mu.Lock()
-	v, ok := r.baselines[bench]
-	r.mu.Unlock()
-	if ok {
-		return v
-	}
-	out := r.Run(bench, config.Baseline())
-	r.mu.Lock()
-	r.baselines[bench] = out.IPC
-	r.mu.Unlock()
-	return out.IPC
+	return r.Run(bench, config.Baseline()).IPC
 }
 
 // NormIPC runs a configuration and normalizes its IPC to the baseline.
@@ -309,15 +352,6 @@ func (r *Runner) NormIPC(bench string, cfg config.SystemConfig) float64 {
 		return 0
 	}
 	return r.Run(bench, cfg).IPC / base
-}
-
-// WarmBaselines computes all baselines in parallel so subsequent figure
-// loops don't serialize on them.
-func (r *Runner) WarmBaselines() {
-	benches := r.Opt.benches()
-	r.parallelFor(len(benches), func(i int) {
-		r.Baseline(benches[i])
-	})
 }
 
 // workerCount resolves Options.Parallelism to an actual worker count,
@@ -337,8 +371,8 @@ func (r *Runner) parallelFor(n int, fn func(i int)) {
 
 // parallelDo runs fn(0..n-1) on up to workers goroutines. Which worker runs
 // which index is scheduler-dependent; callers must write results into
-// per-index slots so the outcome is independent of the assignment (every
-// campaign fan-out does).
+// per-index slots or the run cache, so the outcome is independent of the
+// assignment.
 func parallelDo(workers, n int, fn func(i int)) {
 	if workers > n {
 		workers = n

@@ -28,13 +28,43 @@ func TestBaselineCaching(t *testing.T) {
 	}
 }
 
+// TestRunDeterministic runs one pair on two Runners: a second Run on one
+// Runner would only read the first from the cache.
 func TestRunDeterministic(t *testing.T) {
-	r := quickRunner()
 	cfg := EncOnly(config.EncCounterSplit, 64)
-	x := r.Run("art", cfg)
-	y := r.Run("art", cfg)
-	if x.IPC != y.IPC || x.CPU.Cycles != y.CPU.Cycles {
+	x := quickRunner().Run("art", cfg)
+	y := quickRunner().Run("art", cfg)
+	if !reflect.DeepEqual(x, y) {
 		t.Fatalf("nondeterministic run: %+v vs %+v", x.CPU, y.CPU)
+	}
+}
+
+// TestRunCacheSharesEqualMachines checks that figures share the runs of
+// equal machines and that a cached run is the run itself. Figure 7 runs
+// the baseline and five schemes; Figure 8 adds six, since its commit and
+// parallel rows are Figure 7's GCM and SHA-1 (320) machines.
+func TestRunCacheSharesEqualMachines(t *testing.T) {
+	benches := []string{"swim", "crafty"}
+	opt := Options{Instructions: 50_000, Seed: 1, Benches: benches}
+	r := New(opt)
+	r.Fig7()
+	if len(r.runs) != 12 {
+		t.Errorf("after Fig7: %d cached runs, want 12", len(r.runs))
+	}
+	r.Fig8()
+	if len(r.runs) != 24 {
+		t.Errorf("after Fig8: %d cached runs, want 24", len(r.runs))
+	}
+	for _, cfg := range []config.SystemConfig{config.Baseline(), AuthOnly(config.AuthSHA1, 320, config.AuthCommit, false)} {
+		for _, b := range benches {
+			cached, ok := r.runs[runKey{b, cfg}]
+			if !ok {
+				t.Fatalf("%s on %s not cached", cfg.SchemeName(), b)
+			}
+			if fresh := New(opt).RunObserved(b, cfg, Obs{}); !reflect.DeepEqual(cached, fresh) {
+				t.Errorf("%s on %s: cached run differs from a fresh one:\ncached %+v\nfresh  %+v", cfg.SchemeName(), b, cached, fresh)
+			}
+		}
 	}
 }
 
@@ -177,15 +207,16 @@ func TestZeroStatsRates(t *testing.T) {
 	}
 }
 
-// TestParallelismDoesNotChangeResults runs every campaign fan-out serially
-// and on four workers and requires identical results. Runs are independent
-// simulations, so the worker count must not change any number. The
-// explicit worker count also puts the fan-outs on several goroutines on a
-// one-core host, where GOMAXPROCS would run them serially, so `go test
-// -race` sees every parallelFor site's shared state.
+// TestParallelismDoesNotChangeResults runs every figure's reduction and
+// every parallelFor site serially and on four workers and requires
+// identical results. Runs are independent simulations, so the worker count
+// must not change any number. The explicit worker count also puts the
+// fan-outs on several goroutines on a one-core host, where GOMAXPROCS
+// would run them serially, so `go test -race` sees the shared state of
+// Prefetch, CampaignObserved, MetricDeltas and Fig6b.
 func TestParallelismDoesNotChangeResults(t *testing.T) {
 	cases := []struct {
-		site string
+		name string
 		run  func(r *Runner) any
 	}{
 		{"normGrid", func(r *Runner) any { tbl, data := r.Fig5(); return []any{tbl.String(), data} }},
@@ -206,11 +237,11 @@ func TestParallelismDoesNotChangeResults(t *testing.T) {
 			}
 			return []any{outs, js.String(), plain}
 		}},
-		{"WarmBaselines", func(r *Runner) any { r.WarmBaselines(); return r.baselines }},
+		{"Prefetch", func(r *Runner) any { r.Prefetch(config.Baseline(), config.Default()); return r.runs }},
 		{"MetricDeltas", func(r *Runner) any { return r.MetricDeltas(config.Default()) }},
 	}
 	for _, c := range cases {
-		t.Run(c.site, func(t *testing.T) {
+		t.Run(c.name, func(t *testing.T) {
 			run := func(par int) any {
 				r := New(Options{
 					Instructions: 50_000,
@@ -222,7 +253,7 @@ func TestParallelismDoesNotChangeResults(t *testing.T) {
 			}
 			serial, parallel := run(1), run(4)
 			if !reflect.DeepEqual(serial, parallel) {
-				t.Errorf("%s: results differ between 1 and 4 workers:\nserial   %+v\nparallel %+v", c.site, serial, parallel)
+				t.Errorf("%s: results differ between 1 and 4 workers:\nserial   %+v\nparallel %+v", c.name, serial, parallel)
 			}
 		})
 	}

@@ -82,6 +82,17 @@ var campaignGoldens = []struct {
 		},
 	},
 	{
+		// Figure 6(b)'s windowed runs bypass the run cache and fan out
+		// over benchmarks; this row was captured with the cache in place.
+		name:   "Fig6b",
+		sha256: "1eef60f2229ae3112db5c9078ddd43d5877fc53276fd4fe9cf517c08080532d3",
+		length: 653,
+		run: func(t *testing.T) string {
+			tbl, series := goldenRunner().Fig6b(5)
+			return tableAndJSON(t, tbl, series)
+		},
+	},
+	{
 		name:   "Fig7",
 		sha256: "b573f804c72199d87e49b8e514dc56ccc22845277254709e82c2c47dcbf05bfd",
 		length: 1846,

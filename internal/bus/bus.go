@@ -35,17 +35,13 @@ type Bus struct {
 
 	// Observability handles; all nil-safe, so an uninstrumented bus pays
 	// one predicted branch per call.
-	mXfer  *obsv.Counter
-	mBytes *obsv.Counter
-	hWait  *obsv.Histogram
-	rec    *obsv.Recorder
+	hWait *obsv.Histogram
+	rec   *obsv.Recorder
 }
 
-// Instrument registers the bus's metrics in reg and attaches the trace
-// recorder. Either argument may be nil.
+// Instrument registers the bus's wait histogram in reg and attaches the
+// trace recorder. Either argument may be nil.
 func (b *Bus) Instrument(reg *obsv.Registry, rec *obsv.Recorder) {
-	b.mXfer = reg.Counter("bus.xfer")
-	b.mBytes = reg.Counter("bus.bytes")
 	b.hWait = reg.Histogram("bus.wait")
 	b.rec = rec
 }
@@ -74,8 +70,6 @@ func (b *Bus) Transfer(now sim.Time, n int) sim.Time {
 	b.Bytes += uint64(n)
 	occ := b.Occupancy(n)
 	start := b.res.Acquire(now, occ)
-	b.mXfer.Inc()
-	b.mBytes.Add(uint64(n))
 	b.hWait.Observe(uint64(start - now))
 	b.rec.Span("bus", "xfer", uint64(start), uint64(start+occ))
 	return start

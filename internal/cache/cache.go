@@ -17,8 +17,6 @@ package cache
 import (
 	"fmt"
 	"math/bits"
-
-	"secmem/internal/obsv"
 )
 
 // maxWays is the most ways a set's rank word can hold: one byte each.
@@ -146,18 +144,7 @@ type Cache struct {
 	blockMask uint64
 	blockBits uint
 
-	// Observability handles; nil-safe.
-	mHit  *obsv.Counter
-	mMiss *obsv.Counter
-
 	Stats Stats
-}
-
-// Instrument registers hit/miss counters under prefix (e.g. "l2.hit").
-// reg may be nil.
-func (c *Cache) Instrument(reg *obsv.Registry, prefix string) {
-	c.mHit = reg.Counter(prefix + ".hit")
-	c.mMiss = reg.Counter(prefix + ".miss")
 }
 
 // New builds a cache, panicking on invalid geometry (configuration is
@@ -225,7 +212,6 @@ func (c *Cache) Lookup(addr uint64, write bool) bool {
 			if write {
 				c.flags[base+i] |= flagDirty
 			}
-			c.mHit.Inc()
 			return true
 		}
 	}
@@ -234,7 +220,6 @@ func (c *Cache) Lookup(addr uint64, write bool) bool {
 	} else {
 		c.Stats.ReadMisses++
 	}
-	c.mMiss.Inc()
 	return false
 }
 

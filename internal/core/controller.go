@@ -75,18 +75,15 @@ type Controller struct {
 	wbHead   int
 	draining bool
 
-	// Observability handles (see obs.go); all nil when uninstrumented, so
-	// the hot path pays one predicted branch per hook.
-	reg          *obsv.Registry
-	rec          *obsv.Recorder
-	mFill        *obsv.Counter
-	mWB          *obsv.Counter
-	mTamper      *obsv.Counter
-	hTxn         *obsv.Histogram
-	merkleFetch  []*obsv.Counter // per tree level
-	merkleVerify []*obsv.Counter
-	merkleTrack  []string
-	txnSeq       uint64
+	// Observability state (see obs.go); all nil when uninstrumented, so
+	// the hot path pays one predicted branch per hook. merkleFetch counts
+	// the authentication walk's node fetches per tree level, the one
+	// exported count no statistic holds.
+	rec         *obsv.Recorder
+	hTxn        *obsv.Histogram
+	merkleFetch []uint64
+	merkleTrack []string
+	txnSeq      uint64
 
 	Stats Stats
 }
@@ -303,7 +300,6 @@ func (c *Controller) ReadBlock(now sim.Time, addr uint64) (dataReady, authDone s
 		return t, t, true
 	}
 	c.Stats.Fills++
-	c.mFill.Inc()
 	var txn uint64
 	if c.rec != nil {
 		c.txnSeq++

@@ -73,7 +73,6 @@ func (f *functional) rekey() {
 func (f *functional) tamper(now sim.Time, addr uint64) {
 	f.tampers = append(f.tampers, Tamper{Cycle: now, Addr: addr, Region: f.c.lay.RegionOf(addr)})
 	f.c.Stats.TamperDetected++
-	f.c.mTamper.Inc()
 	f.c.rec.Instant("txn", "tamper", uint64(now))
 }
 

@@ -1,56 +1,45 @@
 package core
 
 import (
+	"secmem/internal/cache"
 	"secmem/internal/merkle"
 	"secmem/internal/obsv"
 	"secmem/internal/sim"
 )
 
-// Instrument registers the controller's metrics in reg and attaches the
+// Instrument registers the controller's histograms in reg and attaches the
 // trace recorder, wiring both through every owned substrate (bus, DRAM,
-// engines, counter store, RSR file, MAC cache). Either argument may be nil;
-// an uninstrumented controller pays one predicted branch per hook.
+// engines, RSR file). Either argument may be nil; an uninstrumented
+// controller pays one predicted branch per hook. Counters are not touched
+// during the run: ExportObs adds them from the statistics at its end.
 //
 // The Registry and Recorder are not safe for concurrent use, so use one
 // pair per simulated machine.
 func (c *Controller) Instrument(reg *obsv.Registry, rec *obsv.Recorder) {
-	c.reg, c.rec = reg, rec
+	c.rec = rec
 	c.bus.Instrument(reg, rec)
-	c.mem.Instrument(reg, rec)
+	c.mem.Instrument(rec)
 	c.aes.Instrument(reg, rec)
 	if c.sha != nil {
 		c.sha.Instrument(reg, rec)
 	}
-	if c.ctrs != nil {
-		c.ctrs.Instrument(reg)
-	}
 	if c.rsrs != nil {
 		c.rsrs.Instrument(reg, rec)
 	}
-	if c.macCache != nil {
-		c.macCache.Instrument(reg, "maccache")
-	}
-	c.mFill = reg.Counter("ctl.fill")
-	c.mWB = reg.Counter("ctl.writeback")
-	c.mTamper = reg.Counter("ctl.tamper")
 	c.hTxn = reg.Histogram("ctl.read.cycles")
 	if c.lay.Geo != nil {
 		n := c.lay.Geo.NumLevels()
-		c.merkleFetch = make([]*obsv.Counter, n)
-		c.merkleVerify = make([]*obsv.Counter, n)
+		c.merkleFetch = make([]uint64, n)
 		c.merkleTrack = make([]string, n)
-		for i := 0; i < n; i++ {
-			name := merkle.LevelName(i)
-			c.merkleFetch[i] = reg.Counter("merkle." + name + ".fetch")
-			c.merkleVerify[i] = reg.Counter("merkle." + name + ".verify")
-			c.merkleTrack[i] = "merkle." + name
+		for i := range c.merkleTrack {
+			c.merkleTrack[i] = "merkle." + merkle.LevelName(i)
 		}
 	}
 }
 
-// noteMerkleNode records one Merkle node fetch+verify against its level's
-// counters and emits the two spans that make level overlap visible in the
-// trace (fetch issueAt..arrive, verify arrive..done).
+// noteMerkleNode counts one Merkle node fetch+verify against its level and
+// emits the two spans that make level overlap visible in the trace (fetch
+// issueAt..arrive, verify arrive..done).
 func (c *Controller) noteMerkleNode(mac uint64, issueAt, arrive, done sim.Time) {
 	if c.merkleFetch == nil {
 		return
@@ -59,8 +48,7 @@ func (c *Controller) noteMerkleNode(mac uint64, issueAt, arrive, done sim.Time) 
 	if lvl < 0 || lvl >= len(c.merkleFetch) {
 		return
 	}
-	c.merkleFetch[lvl].Inc()
-	c.merkleVerify[lvl].Inc()
+	c.merkleFetch[lvl]++
 	if c.rec != nil {
 		track := c.merkleTrack[lvl]
 		c.rec.Span(track, "fetch", uint64(issueAt), uint64(arrive))
@@ -98,42 +86,10 @@ func (c *Controller) RegisterProbes(s *obsv.Sampler) {
 	}
 }
 
-// ExportObs writes end-of-run derived metrics (utilizations, hit rates)
-// into the registry as gauges. end is the run's final cycle. No-op when the
-// controller was never instrumented.
-func (c *Controller) ExportObs(end sim.Time) {
-	if c.reg == nil {
-		return
-	}
-	c.reg.SetGauge("bus.util", c.bus.Utilization(end))
-	c.reg.SetGauge("dram.util", c.mem.Utilization(end))
-	c.reg.SetGauge("aes.util", c.aes.Utilization(end))
-	if c.sha != nil {
-		c.reg.SetGauge("sha.util", c.sha.Utilization(end))
-	}
-	if c.ctrs != nil {
-		c.reg.SetGauge("ctrcache.hitrate", c.ctrs.Stats.HitRate())
-	}
-	if c.rsrs != nil {
-		c.reg.SetGauge("rsr.max_concurrent", float64(c.rsrs.Stats.MaxConcurrent))
-		c.reg.SetGauge("rsr.onchip_fraction", c.rsrs.Stats.OnChipFraction())
-	}
-	if c.macCache != nil {
-		c.reg.SetGauge("maccache.hitrate", c.macCache.Stats.HitRate())
-	}
-	if c.rec != nil {
-		// Surface trace truncation in the metrics snapshot so a capped
-		// recorder is visible even when only the metrics file is kept.
-		c.reg.SetGauge("trace.dropped", float64(c.rec.Dropped()))
-	}
-}
-
 // Instrument wires the whole hierarchy (L1, L2, controller and its
 // substrates) into reg/rec. Either argument may be nil.
 func (m *MemSystem) Instrument(reg *obsv.Registry, rec *obsv.Recorder) {
 	m.reg = reg
-	m.l1.Instrument(reg, "l1")
-	m.l2.Instrument(reg, "l2")
 	m.ctl.Instrument(reg, rec)
 }
 
@@ -150,13 +106,81 @@ func (m *MemSystem) AttachSampler(s *obsv.Sampler) {
 	m.ctl.RegisterProbes(s)
 }
 
-// ExportObs writes end-of-run derived metrics for the hierarchy and the
-// controller below it. No-op when uninstrumented.
+// ExportObs writes the run's counters and its end-of-run gauges
+// (utilizations, hit rates) into the registry. end is the run's final
+// cycle. No-op when uninstrumented.
 func (m *MemSystem) ExportObs(end sim.Time) {
-	if m.reg == nil {
+	reg, c := m.reg, m.ctl
+	if reg == nil {
 		return
 	}
-	m.reg.SetGauge("l1.hitrate", m.l1.Stats.HitRate())
-	m.reg.SetGauge("l2.hitrate", m.l2.Stats.HitRate())
-	m.ctl.ExportObs(end)
+	m.addCounters(reg)
+	reg.SetGauge("l1.hitrate", m.l1.Stats.HitRate())
+	reg.SetGauge("l2.hitrate", m.l2.Stats.HitRate())
+	reg.SetGauge("bus.util", c.bus.Utilization(end))
+	reg.SetGauge("dram.util", c.mem.Utilization(end))
+	reg.SetGauge("aes.util", c.aes.Utilization(end))
+	if c.sha != nil {
+		reg.SetGauge("sha.util", c.sha.Utilization(end))
+	}
+	if c.ctrs != nil {
+		reg.SetGauge("ctrcache.hitrate", c.ctrs.Stats.HitRate())
+	}
+	if c.rsrs != nil {
+		reg.SetGauge("rsr.max_concurrent", float64(c.rsrs.Stats.MaxConcurrent))
+		reg.SetGauge("rsr.onchip_fraction", c.rsrs.Stats.OnChipFraction())
+	}
+	if c.macCache != nil {
+		reg.SetGauge("maccache.hitrate", c.macCache.Stats.HitRate())
+	}
+	if c.rec != nil {
+		// Surface trace truncation in the metrics snapshot so a capped
+		// recorder is visible even when only the metrics file is kept.
+		reg.SetGauge("trace.dropped", float64(c.rec.Dropped()))
+	}
+}
+
+// addCounters adds every counter from the statistic it reports, the only
+// place a counter is named. It adds each machine's totals once per run, so
+// a registry shared by successive runs, or merged with obsv.Merge, sums
+// them.
+func (m *MemSystem) addCounters(reg *obsv.Registry) {
+	c := m.ctl
+	add := func(name string, v uint64) { reg.Counter(name).Add(v) }
+	addCache := func(name string, ch *cache.Cache) {
+		add(name+".hit", ch.Stats.Accesses()-ch.Stats.Misses())
+		add(name+".miss", ch.Stats.Misses())
+	}
+	addCache("l1", m.l1)
+	addCache("l2", m.l2)
+	add("bus.xfer", c.bus.Transfers)
+	add("bus.bytes", c.bus.Bytes)
+	add("dram.read", c.mem.Reads)
+	add("dram.write", c.mem.Writes)
+	add("aes.issue", c.aes.Issues())
+	if c.sha != nil {
+		add("sha.issue", c.sha.Issues())
+	}
+	add("ctl.fill", c.Stats.Fills)
+	add("ctl.writeback", c.Stats.WriteBacks)
+	add("ctl.tamper", c.Stats.TamperDetected)
+	if s := c.ctrs; s != nil {
+		add("ctrcache.hit", s.Stats.Hits)
+		add("ctrcache.halfmiss", s.Stats.HalfMisses)
+		add("ctrcache.miss", s.Stats.Misses)
+		add("ctrcache.incr", s.Stats.Increments)
+		add("ctrcache.overflow", s.Stats.MinorOverflows+s.Stats.FullOverflows)
+	}
+	if f := c.rsrs; f != nil {
+		add("rsr.pagereenc", f.Stats.PageReencs)
+		add("rsr.stall", f.Stats.SamePageStalls+f.Stats.AllocStalls)
+	}
+	if c.macCache != nil {
+		addCache("maccache", c.macCache)
+	}
+	// Every fetched node is verified, so one count serves both series.
+	for i, n := range c.merkleFetch {
+		add(c.merkleTrack[i]+".fetch", n)
+		add(c.merkleTrack[i]+".verify", n)
+	}
 }

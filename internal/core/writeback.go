@@ -13,7 +13,6 @@ import (
 // counter, emit the block, and update its leaf MAC in the Merkle tree.
 func (c *Controller) writeBackData(now sim.Time, addr uint64) {
 	c.Stats.WriteBacks++
-	c.mWB.Inc()
 	if c.needCounters() {
 		ctrReady, _ := c.counterReady(now, addr)
 		_, ov := c.ctrs.Increment(addr)

@@ -16,7 +16,6 @@ import (
 
 	"secmem/internal/cache"
 	"secmem/internal/config"
-	"secmem/internal/obsv"
 	"secmem/internal/sim"
 )
 
@@ -175,23 +174,7 @@ type Store struct {
 	// A refill overwrites it, so it belongs to the block resident there.
 	fillDone []sim.Time
 
-	// Observability handles; nil-safe.
-	mHit      *obsv.Counter
-	mHalfMiss *obsv.Counter
-	mMiss     *obsv.Counter
-	mIncr     *obsv.Counter
-	mOverflow *obsv.Counter
-
 	Stats Stats
-}
-
-// Instrument registers the counter cache's metrics in reg (may be nil).
-func (s *Store) Instrument(reg *obsv.Registry) {
-	s.mHit = reg.Counter("ctrcache.hit")
-	s.mHalfMiss = reg.Counter("ctrcache.halfmiss")
-	s.mMiss = reg.Counter("ctrcache.miss")
-	s.mIncr = reg.Counter("ctrcache.incr")
-	s.mOverflow = reg.Counter("ctrcache.overflow")
 }
 
 // New builds a store.
@@ -296,14 +279,12 @@ func (s *Store) Increment(addr uint64) (newValue uint64, ov Overflow) {
 		return s.values[addr], Overflow{}
 	}
 	s.Stats.Increments++
-	s.mIncr.Inc()
 	s.trackGrowth(addr)
 	switch s.cfg.Org {
 	case OrgSplit:
 		m := s.minors[addr] + 1
 		if m >= 1<<uint(s.cfg.MinorBits) {
 			s.Stats.MinorOverflows++
-			s.mOverflow.Inc()
 			s.minors[addr] = 0
 			return s.Value(addr), Overflow{Kind: PageOverflow, PageAddr: s.PageAddr(addr)}
 		}
@@ -316,7 +297,6 @@ func (s *Store) Increment(addr uint64) (newValue uint64, ov Overflow) {
 			s.global = 0
 			wrapped = true
 			s.Stats.FullOverflows++
-			s.mOverflow.Inc()
 		}
 		s.values[addr] = s.global
 		if wrapped {
@@ -328,7 +308,6 @@ func (s *Store) Increment(addr uint64) (newValue uint64, ov Overflow) {
 		if s.cfg.Bits < 64 && v >= 1<<uint(s.cfg.Bits) {
 			s.values[addr] = 0
 			s.Stats.FullOverflows++
-			s.mOverflow.Inc()
 			return 0, Overflow{Kind: FullOverflow}
 		}
 		s.values[addr] = v
@@ -407,16 +386,13 @@ func (s *Store) CacheLookup(addr uint64, now sim.Time) (res LookupResult, readyA
 		line := s.cache.Line(ctrBlock)
 		if t := s.fillDone[line]; t > now {
 			s.Stats.HalfMisses++
-			s.mHalfMiss.Inc()
 			return HalfMiss, t, ctrBlock
 		}
 		s.fillDone[line] = 0
 		s.Stats.Hits++
-		s.mHit.Inc()
 		return Hit, now, ctrBlock
 	}
 	s.Stats.Misses++
-	s.mMiss.Inc()
 	return Miss, 0, ctrBlock
 }
 

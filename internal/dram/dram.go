@@ -52,19 +52,12 @@ type DRAM struct {
 	Reads  uint64
 	Writes uint64
 
-	// Observability handles; nil-safe.
-	mRead  *obsv.Counter
-	mWrite *obsv.Counter
-	rec    *obsv.Recorder
+	// rec is the trace recorder; nil-safe.
+	rec *obsv.Recorder
 }
 
-// Instrument registers the device's metrics in reg and attaches the trace
-// recorder. Either argument may be nil.
-func (d *DRAM) Instrument(reg *obsv.Registry, rec *obsv.Recorder) {
-	d.mRead = reg.Counter("dram.read")
-	d.mWrite = reg.Counter("dram.write")
-	d.rec = rec
-}
+// Instrument attaches the trace recorder, which may be nil.
+func (d *DRAM) Instrument(rec *obsv.Recorder) { d.rec = rec }
 
 // New creates a DRAM device.
 func New(cfg Config) *DRAM {
@@ -89,7 +82,6 @@ func (d *DRAM) Config() Config { return d.cfg }
 func (d *DRAM) AccessRead(now sim.Time) sim.Time {
 	d.Reads++
 	done, start := d.pipe.IssueStart(now)
-	d.mRead.Inc()
 	d.rec.Span("dram", "read", uint64(start), uint64(done))
 	return done
 }
@@ -99,7 +91,6 @@ func (d *DRAM) AccessRead(now sim.Time) sim.Time {
 func (d *DRAM) AccessWrite(now sim.Time) sim.Time {
 	d.Writes++
 	done, start := d.pipe.IssueStart(now)
-	d.mWrite.Inc()
 	d.rec.Span("dram", "write", uint64(start), uint64(done))
 	return done
 }

@@ -17,9 +17,8 @@ type AES struct {
 	pipe *sim.Pipeline
 
 	// Observability handles; nil-safe.
-	mIssue *obsv.Counter
-	hWait  *obsv.Histogram
-	rec    *obsv.Recorder
+	hWait *obsv.Histogram
+	rec   *obsv.Recorder
 }
 
 // AESDefaults are the paper's AES engine parameters.
@@ -39,17 +38,15 @@ func NewAES(count int, latency sim.Time) *AES {
 	return &AES{pipe: sim.NewPipeline(count, ii, latency)}
 }
 
-// Instrument registers the engine's metrics in reg and attaches the trace
-// recorder. Either argument may be nil.
+// Instrument registers the engine's wait histogram in reg and attaches the
+// trace recorder. Either argument may be nil.
 func (a *AES) Instrument(reg *obsv.Registry, rec *obsv.Recorder) {
-	a.mIssue = reg.Counter("aes.issue")
 	a.hWait = reg.Histogram("aes.pipe.wait")
 	a.rec = rec
 }
 
 func (a *AES) issue(ready sim.Time) sim.Time {
 	done, start := a.pipe.IssueStart(ready)
-	a.mIssue.Inc()
 	a.hWait.Observe(uint64(start - ready))
 	a.rec.Span("aes", "pad", uint64(start), uint64(done))
 	return done
@@ -89,9 +86,8 @@ type SHA1 struct {
 	pipe *sim.Pipeline
 
 	// Observability handles; nil-safe.
-	mIssue *obsv.Counter
-	hWait  *obsv.Histogram
-	rec    *obsv.Recorder
+	hWait *obsv.Histogram
+	rec   *obsv.Recorder
 }
 
 // SHA1Defaults are the paper's SHA-1 engine parameters.
@@ -110,10 +106,9 @@ func NewSHA1(count int, latency sim.Time) *SHA1 {
 	return &SHA1{pipe: sim.NewPipeline(count, ii, latency)}
 }
 
-// Instrument registers the engine's metrics in reg and attaches the trace
-// recorder. Either argument may be nil.
+// Instrument registers the engine's wait histogram in reg and attaches the
+// trace recorder. Either argument may be nil.
 func (s *SHA1) Instrument(reg *obsv.Registry, rec *obsv.Recorder) {
-	s.mIssue = reg.Counter("sha.issue")
 	s.hWait = reg.Histogram("sha.pipe.wait")
 	s.rec = rec
 }
@@ -124,7 +119,6 @@ func (s *SHA1) Instrument(reg *obsv.Registry, rec *obsv.Recorder) {
 // latency disadvantage the paper exploits.
 func (s *SHA1) Hash(ready sim.Time) sim.Time {
 	done, start := s.pipe.IssueStart(ready)
-	s.mIssue.Inc()
 	s.hWait.Observe(uint64(start - ready))
 	s.rec.Span("sha", "hash", uint64(start), uint64(done))
 	return done

@@ -87,17 +87,13 @@ type File struct {
 	Stats      Stats
 
 	// Observability handles; nil-safe.
-	mReenc  *obsv.Counter
-	mStall  *obsv.Counter
 	hCycles *obsv.Histogram
 	rec     *obsv.Recorder
 }
 
-// Instrument registers the RSR file's metrics in reg and attaches the trace
-// recorder. Either argument may be nil.
+// Instrument registers the RSR file's duration histogram in reg and
+// attaches the trace recorder. Either argument may be nil.
 func (f *File) Instrument(reg *obsv.Registry, rec *obsv.Recorder) {
-	f.mReenc = reg.Counter("rsr.pagereenc")
-	f.mStall = reg.Counter("rsr.stall")
 	f.hCycles = reg.Histogram("rsr.cycles")
 	f.rec = rec
 }
@@ -152,7 +148,6 @@ func (f *File) Allocate(now sim.Time, page, oldMajor uint64) (*Register, sim.Tim
 	if b := f.Busy(now, page); b != nil {
 		// Same-page overflow while still re-encrypting: stall until freed.
 		f.Stats.SamePageStalls++
-		f.mStall.Inc()
 		f.Stats.StallCycles += b.FreeAt - now
 		start = b.FreeAt
 	}
@@ -165,7 +160,6 @@ func (f *File) Allocate(now sim.Time, page, oldMajor uint64) (*Register, sim.Tim
 	}
 	if best.FreeAt > start {
 		f.Stats.AllocStalls++
-		f.mStall.Inc()
 		f.Stats.StallCycles += best.FreeAt - start
 		start = best.FreeAt
 	}
@@ -190,7 +184,6 @@ func (f *File) Allocate(now sim.Time, page, oldMajor uint64) (*Register, sim.Tim
 		best.done[i] = false
 	}
 	f.Stats.PageReencs++
-	f.mReenc.Inc()
 	return best, start
 }
 

@@ -493,11 +493,7 @@ func (r *Runner) Scalars() (stats.Table, ScalarsResult) {
 		// Analytic rates from the default-geometry run.
 		rate := r.Run(b, rateCfg)
 		if rate.Seconds > 0 {
-			var split float64
-			for _, f := range rate.PageFastestIncrs {
-				split += float64(f) / 128 * 64 / rate.Seconds
-			}
-			splitRate += split
+			splitRate += float64(rate.PageFastestSum) / 128 * 64 / rate.Seconds
 			monoRate += float64(rate.FastestIncr) / 256 * memBlocks / rate.Seconds
 		}
 	}

@@ -11,15 +11,12 @@
 // then reduces the cached runs serially in benchmark order. Runs are
 // deterministic in (options, benchmark, configuration), so results depend
 // neither on parallelism nor on which figures ran before. Instrumented
-// runs bypass the cache. Cached results share their PageFastestIncrs
-// slice, which nothing may mutate, and a Runner's Opt must not change
-// after New.
+// runs bypass the cache, and a Runner's Opt must not change after New.
 package harness
 
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"secmem/internal/config"
@@ -72,8 +69,7 @@ func (o Options) benches() []string {
 }
 
 // RunOut captures everything a figure needs from one simulation. Runner
-// caches it by value, so every caller of Run for one pair shares its
-// PageFastestIncrs slice, which nothing may mutate.
+// caches it by value.
 type RunOut struct {
 	Bench  string
 	Scheme string
@@ -89,9 +85,9 @@ type RunOut struct {
 	BusBusy, BusWait                  uint64  // bus occupancy and queue delay
 	AESIssues                         uint64
 	Predicted                         uint64 // correct counter predictions (prediction mode)
-	// PageFastestIncrs holds, per touched encryption page, the write-back
-	// count of its fastest-advancing block (Section 6.1 analysis).
-	PageFastestIncrs []uint64
+	// PageFastestSum sums, over touched encryption pages, the write-back
+	// count of each page's fastest-advancing block (Section 6.1 analysis).
+	PageFastestSum uint64
 }
 
 // CtrHitRate is hits over all counter-cache lookups.
@@ -298,15 +294,9 @@ func collectRunOut(bench string, cfg config.SystemConfig, mem *core.MemSystem, r
 				pageFastest[page] = count
 			}
 		})
-		out.PageFastestIncrs = make([]uint64, 0, len(pageFastest))
 		for _, v := range pageFastest {
-			out.PageFastestIncrs = append(out.PageFastestIncrs, v)
+			out.PageFastestSum += v
 		}
-		// Map iteration order would leak into the RunOut otherwise; sorted,
-		// identical runs compare DeepEqual and goldens stay byte-stable.
-		sort.Slice(out.PageFastestIncrs, func(i, j int) bool {
-			return out.PageFastestIncrs[i] < out.PageFastestIncrs[j]
-		})
 	}
 	if rsrs := mem.Controller().RSRs(); rsrs != nil {
 		out.RSR = rsrs.Stats

@@ -30,10 +30,11 @@ import (
 // Wall-clock reads and process-global randomness are not flagged: when
 // they reach an output, the determinism and golden tests fail.
 //
-// Lexical soundness caveat (mirrors sharedstate's): rule 1 sees appends
-// and sink calls written directly in the range body; an append hidden
-// behind a locally bound closure called from the loop is not attributed
-// to the loop.
+// Lexical soundness caveat: rule 1 sees appends and sink calls written
+// directly in the range body; an append hidden behind a locally bound
+// closure called from the loop is not attributed to the loop. Rule 2 sees
+// accumulations written in a concurrent body itself, not in the functions
+// it calls.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc:  "no map-order or float-merge nondeterminism in simulation outputs",
@@ -177,8 +178,8 @@ func orderedSinkCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 	return "", false
 }
 
-// checkFloatMerge applies rule 2 over the module-wide concurrent-body sets
-// (shared with sharedstate via the module index's cache).
+// checkFloatMerge applies rule 2 over the module-wide concurrent-body sets,
+// which the module index computes once per Run.
 func checkFloatMerge(pass *Pass) {
 	m := pass.module
 	cc := m.concurrency()
@@ -213,7 +214,7 @@ func checkFloatMerge(pass *Pass) {
 			default:
 				return
 			}
-			id, _ := writeRoot(info, target)
+			id := writeRoot(target)
 			if id == nil {
 				return
 			}
@@ -284,4 +285,294 @@ func walkBody(body *ast.BlockStmt, visit func(*ast.BlockStmt)) {
 			walkBody(lit.Body, visit)
 		}
 	})
+}
+
+// litScan is the module-wide scan feeding the concurrent-body fixpoint.
+type litScan struct {
+	// pkgOf maps each literal to its package; parent maps nested literals
+	// to their innermost enclosing literal (nil = declared at function
+	// level).
+	pkgOf  map[*ast.FuncLit]*Package
+	parent map[*ast.FuncLit]*ast.FuncLit
+	// goLits are literals launched directly by a go statement.
+	goLits map[*ast.FuncLit]bool
+	// goFuncs are named module functions launched by a go statement.
+	goFuncs map[*types.Func]bool
+	// goVars are function-typed objects invoked by a go statement.
+	goVars map[types.Object]bool
+	// bindings maps function-typed objects to literals bound to them.
+	bindings map[types.Object][]*ast.FuncLit
+	// passes maps callee-parameter objects to function-typed argument
+	// objects passed for them (hotness flows param -> argument).
+	passes map[types.Object][]types.Object
+	// mentions maps function-typed objects to the literals (or named
+	// functions, via declMentions) whose bodies mention them.
+	mentions     map[types.Object][]*ast.FuncLit
+	declMentions map[types.Object][]*types.Func
+}
+
+// scanLiterals walks every module function once, recording function
+// literals, go statements, bindings of literals to function-typed
+// objects, hotness hand-offs at call sites, and mentions of function-typed
+// objects inside literals.
+func scanLiterals(mod *moduleIndex) *litScan {
+	s := &litScan{
+		pkgOf:        make(map[*ast.FuncLit]*Package),
+		parent:       make(map[*ast.FuncLit]*ast.FuncLit),
+		goLits:       make(map[*ast.FuncLit]bool),
+		goFuncs:      make(map[*types.Func]bool),
+		goVars:       make(map[types.Object]bool),
+		bindings:     make(map[types.Object][]*ast.FuncLit),
+		passes:       make(map[types.Object][]types.Object),
+		mentions:     make(map[types.Object][]*ast.FuncLit),
+		declMentions: make(map[types.Object][]*types.Func),
+	}
+	// Parameter objects per module function, in declaration order, for
+	// resolving call-argument bindings.
+	paramObjs := make(map[*types.Func][]types.Object)
+	for fn, decl := range mod.decls {
+		var objs []types.Object
+		if decl.Type.Params != nil {
+			info := mod.pkgOf[fn].Info
+			for _, field := range decl.Type.Params.List {
+				if len(field.Names) == 0 {
+					objs = append(objs, nil)
+					continue
+				}
+				for _, name := range field.Names {
+					objs = append(objs, info.Defs[name])
+				}
+			}
+		}
+		paramObjs[fn] = objs
+	}
+
+	funcObj := func(info *types.Info, e ast.Expr) types.Object {
+		switch e := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			if obj := info.Uses[e]; obj != nil {
+				return obj
+			}
+			return info.Defs[e]
+		case *ast.SelectorExpr:
+			if sel, ok := info.Selections[e]; ok {
+				return sel.Obj()
+			}
+			return info.Uses[e.Sel]
+		}
+		return nil
+	}
+
+	for fn, decl := range mod.decls {
+		pkg := mod.pkgOf[fn]
+		info := pkg.Info
+		var walk func(n ast.Node, enclosing *ast.FuncLit)
+		record := func(obj types.Object, enclosing *ast.FuncLit) {
+			if obj == nil {
+				return
+			}
+			if _, isFunc := obj.Type().Underlying().(*types.Signature); !isFunc {
+				return
+			}
+			if enclosing != nil {
+				s.mentions[obj] = append(s.mentions[obj], enclosing)
+			} else {
+				s.declMentions[obj] = append(s.declMentions[obj], fn)
+			}
+		}
+		bind := func(obj types.Object, rhs ast.Expr) {
+			if obj == nil {
+				return
+			}
+			if lit, ok := ast.Unparen(rhs).(*ast.FuncLit); ok {
+				s.bindings[obj] = append(s.bindings[obj], lit)
+			}
+		}
+		walk = func(n ast.Node, enclosing *ast.FuncLit) {
+			ast.Inspect(n, func(m ast.Node) bool {
+				switch m := m.(type) {
+				case *ast.FuncLit:
+					if m != n {
+						s.pkgOf[m] = pkg
+						s.parent[m] = enclosing
+						walk(m.Body, m)
+						return false
+					}
+				case *ast.GoStmt:
+					if lit, ok := ast.Unparen(m.Call.Fun).(*ast.FuncLit); ok {
+						s.goLits[lit] = true
+					} else if obj := funcObj(info, m.Call.Fun); obj != nil {
+						if callee, ok := obj.(*types.Func); ok {
+							if _, inModule := mod.decls[callee]; inModule {
+								s.goFuncs[callee] = true
+							}
+						} else {
+							s.goVars[obj] = true
+						}
+					}
+				case *ast.Ident:
+					if obj := info.Uses[m]; obj != nil {
+						record(obj, enclosing)
+					}
+				case *ast.AssignStmt:
+					for i, lhs := range m.Lhs {
+						if i >= len(m.Rhs) {
+							break
+						}
+						bind(funcObj(info, lhs), m.Rhs[i])
+					}
+				case *ast.ValueSpec:
+					for i, name := range m.Names {
+						if i >= len(m.Values) {
+							break
+						}
+						bind(info.Defs[name], m.Values[i])
+					}
+				case *ast.KeyValueExpr:
+					if key, ok := m.Key.(*ast.Ident); ok {
+						bind(info.Uses[key], m.Value)
+					}
+				case *ast.CallExpr:
+					callee, _ := calleeObject(info, m).(*types.Func)
+					params := paramObjs[callee]
+					if params == nil {
+						return true
+					}
+					for i, arg := range m.Args {
+						if i >= len(params) || params[i] == nil {
+							continue
+						}
+						if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
+							s.bindings[params[i]] = append(s.bindings[params[i]], lit)
+						} else if obj := funcObj(info, arg); obj != nil {
+							s.passes[params[i]] = append(s.passes[params[i]], obj)
+						}
+					}
+				}
+				return true
+			})
+		}
+		walk(decl.Body, nil)
+	}
+	return s
+}
+
+// propagateConcurrency finds the concurrent bodies: the function literals,
+// and the named functions, that may run on another goroutine. They are
+// discovered module-wide, not just at go statements, because the
+// program's parallelism is funneled through a worker pool: a literal
+// passed to harness.parallelFor runs on a worker goroutine though no go
+// keyword appears at the call site. The rules, iterated to a fixpoint:
+// (1) a literal in a go statement is concurrent; (2) a function-typed
+// parameter, variable or field mentioned inside a concurrent body is
+// "hot", and every literal bound to a hot object (by assignment,
+// composite literal or call argument) is concurrent, which covers
+// worker-pool submissions, locally stored closures invoked from a
+// goroutine, and callbacks parked in fields; (3) literals nested inside a
+// concurrent body are concurrent; (4) a named module function launched
+// with go f(), or passed for a hot parameter, is concurrent.
+func propagateConcurrency(s *litScan) (map[*ast.FuncLit]bool, map[*types.Func]bool) {
+	conc := make(map[*ast.FuncLit]bool, len(s.goLits))
+	hot := make(map[types.Object]bool, len(s.goVars))
+	for lit := range s.goLits {
+		conc[lit] = true
+	}
+	for obj := range s.goVars {
+		hot[obj] = true
+	}
+	concFuncs := make(map[*types.Func]bool, len(s.goFuncs))
+	for fn := range s.goFuncs {
+		concFuncs[fn] = true
+	}
+	for round := 0; round < 10; round++ {
+		changed := false
+		mark := func(lit *ast.FuncLit) {
+			if !conc[lit] {
+				conc[lit] = true
+				changed = true
+			}
+		}
+		// Nested literals of concurrent literals run on the same goroutine.
+		for lit, parent := range s.parent {
+			if parent != nil && conc[parent] {
+				mark(lit)
+			}
+		}
+		// A function-typed object mentioned in a concurrent context is hot.
+		for obj, lits := range s.mentions {
+			if hot[obj] {
+				continue
+			}
+			for _, lit := range lits {
+				if conc[lit] {
+					hot[obj] = true
+					changed = true
+					break
+				}
+			}
+		}
+		for obj, fns := range s.declMentions {
+			if hot[obj] {
+				continue
+			}
+			for _, fn := range fns {
+				if concFuncs[fn] {
+					hot[obj] = true
+					changed = true
+					break
+				}
+			}
+		}
+		// Literals bound to hot objects are concurrent; function-typed
+		// arguments passed into hot parameters become hot.
+		for obj, lits := range s.bindings {
+			if !hot[obj] {
+				continue
+			}
+			for _, lit := range lits {
+				mark(lit)
+			}
+		}
+		for param, args := range s.passes {
+			if !hot[param] {
+				continue
+			}
+			for _, arg := range args {
+				if fn, ok := arg.(*types.Func); ok {
+					if !concFuncs[fn] {
+						concFuncs[fn] = true
+						changed = true
+					}
+					continue
+				}
+				if !hot[arg] {
+					hot[arg] = true
+					changed = true
+				}
+			}
+		}
+		if !changed {
+			break
+		}
+	}
+	return conc, concFuncs
+}
+
+// writeRoot resolves an assignment target to its root identifier (x for
+// x, x[i], x.f and *x), or nil.
+func writeRoot(e ast.Expr) *ast.Ident {
+	for {
+		switch t := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			return t
+		case *ast.IndexExpr:
+			e = t.X
+		case *ast.SelectorExpr:
+			e = t.X
+		case *ast.StarExpr:
+			e = t.X
+		default:
+			return nil
+		}
+	}
 }

@@ -27,7 +27,6 @@ func TestGoldenFixtures(t *testing.T) {
 		{SecretFlow, []string{"secretflow/leaky", "secretflow/clean", "secretflow/interproc"}},
 		{CTTiming, []string{"cttiming/branchy", "cttiming/clean", "cttiming/interproc"}},
 		{TaintEscape, []string{"taintescape/alias", "taintescape/clean"}},
-		{SharedState, []string{"sharedstate/racy", "sharedstate/clean"}},
 		{Determinism, []string{"determinism/violating", "determinism/clean"}},
 		{GoroutineLife, []string{"goroutinelife/leaky", "goroutinelife/clean"}},
 	}

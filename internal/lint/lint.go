@@ -17,10 +17,8 @@
 //     data (the constant-time discipline, checked statically).
 //   - taintescape: exported APIs must not return or store un-copied aliases
 //     of secret state.
-//   - sharedstate: state reached from more than one goroutine must be
-//     mutex-guarded or accessed via sync/atomic.
-//   - determinism: no map-iteration order, wall clock, or cross-goroutine
-//     float accumulation may reach simulation outputs.
+//   - determinism: no map-iteration order or cross-goroutine float
+//     accumulation may reach simulation outputs.
 //   - goroutinelife: every go statement carries a provable termination
 //     signal, and spawning in a loop must be bounded (worker pools).
 //
@@ -29,12 +27,12 @@
 // pad, and plaintext state across aescipher, gcmmode, gf128, sha1sum, and
 // core. The pass analyzes one function at a time; the same annotations on
 // the functions of each secret chain declare what crosses a call. The
-// concurrency analyzers (sharedstate, determinism, goroutinelife) guard
-// the program's one concurrent piece: the harness.parallelDo fan-out
-// that runs a campaign's simulations on worker goroutines. The simulator
-// itself is serial. Every analyzer keeps its place by catching a seeded
-// bug that go test, go test -race and the other checks miss (DESIGN.md
-// §14).
+// concurrency analyzers (determinism, goroutinelife) guard the program's
+// one concurrent piece: the harness.parallelDo fan-out that runs a
+// campaign's simulations on worker goroutines. The simulator itself is
+// serial, and go test -race guards the fan-out's shared state. Every
+// analyzer keeps its place by catching a seeded bug that go test, go test
+// -race and the other checks miss (DESIGN.md §14).
 //
 // The compiler cannot see any of these properties; the analyzers keep all
 // packages honest through refactors. cmd/secmemlint is the CLI driver and
@@ -112,7 +110,6 @@ func All() []*Analyzer {
 		SecretFlow,
 		CTTiming,
 		TaintEscape,
-		SharedState,
 		Determinism,
 		GoroutineLife,
 	}

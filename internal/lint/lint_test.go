@@ -45,7 +45,6 @@ func TestViolationsAreDetected(t *testing.T) {
 		"secretflow":     "secretflow/interproc",
 		"cttiming":       "cttiming/interproc",
 		"taintescape":    "taintescape/alias",
-		"sharedstate":    "sharedstate/racy",
 		"determinism":    "determinism/violating",
 		"goroutinelife":  "goroutinelife/leaky",
 	}

@@ -6,22 +6,19 @@ import (
 )
 
 // moduleIndex is the module-wide state every pass of one Run shares: the
-// declaration of each function the module defines, and the concurrency
-// analyzers' module-wide results, computed on first demand. sharedstate,
-// determinism and goroutinelife follow a launched or called function into
-// its body, possibly in another package; the taint engine uses the index to
-// tell a module callee, whose effects its annotations declare, from a call
-// that leaves the module.
+// declaration of each function the module defines, and the concurrent-body
+// scan, computed on first demand. determinism and goroutinelife follow a
+// launched or called function into its body, possibly in another package;
+// the taint engine uses the index to tell a module callee, whose effects
+// its annotations declare, from a call that leaves the module.
 type moduleIndex struct {
 	// decls maps each module function object to its declaration.
 	decls map[*types.Func]*ast.FuncDecl
 	// pkgOf maps each module function to the package whose type info
 	// resolves its body.
 	pkgOf map[*types.Func]*Package
-	// shared caches sharedstate's findings.
-	shared *sharedAnalysis
 	// conc caches the concurrent-body fixpoint (scanLiterals +
-	// propagateConcurrency) shared by sharedstate and determinism.
+	// propagateConcurrency) that determinism's float-merge rule runs over.
 	conc *concurrency
 }
 
@@ -48,9 +45,9 @@ func indexModule(pkgs []*Package) *moduleIndex {
 	return m
 }
 
-// concurrency bundles the module-wide concurrent-body discovery so every
-// analyzer that needs "which bodies may run on another goroutine" pays
-// for it once per Run.
+// concurrency bundles the module-wide concurrent-body discovery, so the
+// question "which bodies may run on another goroutine" is answered once
+// per Run rather than once per package.
 type concurrency struct {
 	scan      *litScan
 	conc      map[*ast.FuncLit]bool

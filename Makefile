@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt-check test race vet lint lint-bench lint-fix-audit fuzz-smoke bench bench-check trace-smoke metrics-baseline metrics-compare ci
+.PHONY: all build fmt-check test bench-test race vet lint lint-bench lint-fix-audit fuzz-smoke bench bench-check trace-smoke metrics-baseline metrics-compare ci
 
 all: build
 
@@ -14,6 +14,12 @@ fmt-check:
 
 test:
 	$(GO) test ./...
+
+# The benchmark in bench/ is a module of its own, so `go test ./...` at the
+# root skips its unit tests; they compile against internal/harness and
+# internal/core, and bench-check only runs the binary.
+bench-test:
+	cd bench && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...
@@ -109,4 +115,4 @@ metrics-compare:
 	$(GO) run ./cmd/secmemsim -bench swim -instr 200000 -metrics $(SMOKE_DIR)-fresh.json >/dev/null
 	$(GO) run ./cmd/secmemobs -compare -tol $(METRICS_TOL) BENCH_metrics.json $(SMOKE_DIR)-fresh.json
 
-ci: build fmt-check vet lint test race fuzz-smoke trace-smoke metrics-compare bench-check
+ci: build fmt-check vet lint test bench-test race fuzz-smoke trace-smoke metrics-compare bench-check

@@ -230,8 +230,8 @@ func (r *Runner) Prefetch(cfgs ...config.SystemConfig) {
 }
 
 // RunObserved is Run with observability attached and no cache: the memory
-// system is instrumented against obs before the workload starts, and
-// end-of-run utilization gauges are exported at the run's final cycle.
+// system is instrumented against obs before the workload starts, and the
+// run's counters and end-of-run gauges are exported at its final cycle.
 // Counters accumulate across successive runs sharing a registry; gauges
 // reflect the latest run.
 func (r *Runner) RunObserved(bench string, cfg config.SystemConfig, obs Obs) RunOut {

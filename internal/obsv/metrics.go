@@ -6,10 +6,12 @@
 //
 // The design constraint is that instrumentation must be free to leave in:
 // every handle type no-ops on a nil receiver, so an uninstrumented subsystem
-// holds nil pointers and each metric call costs exactly one predicted
-// branch. Registration (Registry.Counter and friends) happens once at
-// machine-construction time; the hot path only touches the returned
-// pointers and never allocates.
+// holds nil pointers and each histogram or trace call costs exactly one
+// predicted branch. Histograms are registered once, when a machine is
+// instrumented; the hot path only touches the returned pointers and never
+// allocates. Counter handles are not touched on the hot path at all: the
+// simulator counts in its own statistics and, at the end of a run, adds
+// each counter from the statistic it reports.
 //
 // The registry snapshot is deterministic: the same simulated run produces
 // byte-identical JSON, which the trace-smoke CI target relies on.

@@ -17,21 +17,20 @@ func regions() Regions {
 	}
 }
 
-func splitStore() *Store {
-	return New(Config{
-		Org: OrgSplit, MinorBits: 7, PageBlocks: 64,
-		Regions: regions(),
-		Cache:   cache.Config{Name: "snc", SizeBytes: 4096, Ways: 8, BlockBytes: 64},
-	})
+// snc is the 8-set counter cache of the tests.
+func snc() cache.Config { return cache.Config{Name: "snc", SizeBytes: 4096, Ways: 8, BlockBytes: 64} }
+
+func splitConfig() Config {
+	return Config{Org: OrgSplit, MinorBits: 7, PageBlocks: 64, Regions: regions(), Cache: snc()}
 }
 
-func monoStore(bits int) *Store {
-	return New(Config{
-		Org: OrgMono, Bits: bits,
-		Regions: regions(),
-		Cache:   cache.Config{Name: "snc", SizeBytes: 4096, Ways: 8, BlockBytes: 64},
-	})
+func monoConfig(bits int) Config {
+	return Config{Org: OrgMono, Bits: bits, Regions: regions(), Cache: snc()}
 }
+
+func splitStore() *Store { return New(splitConfig()) }
+
+func monoStore(bits int) *Store { return New(monoConfig(bits)) }
 
 func TestSplitValueConcatenatesMajorMinor(t *testing.T) {
 	s := splitStore()
@@ -69,8 +68,8 @@ func TestSplitMinorOverflowTriggersPageReenc(t *testing.T) {
 	if want := uint64(4096); ov.PageAddr != want {
 		t.Errorf("page addr = %#x, want %#x", ov.PageAddr, want)
 	}
-	if s.minors[blk] != 0 {
-		t.Errorf("minor not left at zero: %d", s.minors[blk])
+	if m := s.ValueWithMajor(blk, 0); m != 0 {
+		t.Errorf("minor not left at zero: %d", m)
 	}
 	if s.Stats.MinorOverflows != 1 {
 		t.Errorf("minor overflows = %d", s.Stats.MinorOverflows)
@@ -110,8 +109,7 @@ func TestMono64NeverOverflows(t *testing.T) {
 }
 
 func TestGlobalCounterSharedAcrossBlocks(t *testing.T) {
-	s := New(Config{Org: OrgGlobal, Bits: 32, Regions: regions(),
-		Cache: cache.Config{Name: "snc", SizeBytes: 4096, Ways: 8, BlockBytes: 64}})
+	s := New(Config{Org: OrgGlobal, Bits: 32, Regions: regions(), Cache: snc()})
 	v1, _ := s.Increment(0)
 	v2, _ := s.Increment(64)
 	v3, _ := s.Increment(0)
@@ -183,8 +181,8 @@ func TestGrowthTracking(t *testing.T) {
 	if n != 10 || blk != 0x40 {
 		t.Errorf("fastest = (%d, %#x), want (10, 0x40)", n, blk)
 	}
-	if s.TotalIncrements() != 13 {
-		t.Errorf("total = %d, want 13", s.TotalIncrements())
+	if s.Stats.Increments != 13 {
+		t.Errorf("total = %d, want 13", s.Stats.Increments)
 	}
 }
 
@@ -223,7 +221,7 @@ func TestCacheLookupHitMissHalfMiss(t *testing.T) {
 	// evict fills fresh ones into it until blk has left.
 	page := uint64(0)
 	evict := func(blk, fillDone uint64) (last uint64) {
-		for s.CacheContains(blk) {
+		for s.Cache().Contains(blk) {
 			page += 8
 			_, _, last = s.CacheLookup(page*64*BlockSize, 500)
 			s.CacheFill(last, fillDone)
@@ -274,7 +272,7 @@ func TestCacheFillEviction(t *testing.T) {
 	if !evicted || ev.Addr != b0 || !ev.Dirty {
 		t.Errorf("eviction = %+v (%v), want dirty %#x", ev, evicted, b0)
 	}
-	if s.CacheContains(b0) {
+	if s.Cache().Contains(b0) {
 		t.Error("evicted counter block still resident")
 	}
 }

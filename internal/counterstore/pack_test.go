@@ -5,25 +5,37 @@ import (
 	"testing/quick"
 )
 
+// The pack tests set counters in the reference model, serialize them with
+// its bit-by-bit packer, and require the store to read every counter back
+// from that image and to pack the same image.
+
+// checkUnpacked unpacks the reference model's image of ctrBlock into s and
+// requires s to pack the same image back.
+func checkUnpacked(t *testing.T, s *Store, r *refStore, ctrBlk uint64) [BlockSize]byte {
+	t.Helper()
+	img := r.pack(ctrBlk)
+	s.UnpackBlock(ctrBlk, img[:])
+	if back := s.PackBlock(ctrBlk); back != img {
+		t.Fatalf("pack(unpack(img)) = %x, want %x", back, img)
+	}
+	return img
+}
+
 func TestSplitPackRoundTrip(t *testing.T) {
 	f := func(major uint64, minorSeeds [8]uint8, blkSel uint8) bool {
-		s := splitStore()
+		s, r := splitStore(), newRefStore(splitConfig())
 		page := uint64(blkSel%4) * 4096
-		s.majors[page] = major
+		r.majors[page] = major
 		for i, m := range minorSeeds {
-			s.minors[page+uint64(i)*64] = uint64(m % 128) // 7-bit
+			r.minors[page+uint64(i)*64] = uint64(m % 128) // 7-bit
 		}
-		ctrBlk := s.CounterBlockAddr(page)
-		img := s.PackBlock(ctrBlk)
-
-		// Unpack into a fresh store and compare.
-		s2 := splitStore()
-		s2.UnpackBlock(ctrBlk, img[:])
-		if s2.majors[page] != major {
+		checkUnpacked(t, s, r, s.CounterBlockAddr(page))
+		if s.Major(page) != major {
 			return false
 		}
-		for i := 0; i < 64; i++ {
-			if s2.minors[page+uint64(i)*64] != s.minors[page+uint64(i)*64] {
+		for i := uint64(0); i < 64; i++ {
+			blk := page + i*64
+			if s.ValueWithMajor(blk, 0) != r.minors[blk] || s.Value(blk) != r.value(blk) {
 				return false
 			}
 		}
@@ -38,62 +50,66 @@ func TestSplitPackIsExactlyOneBlock(t *testing.T) {
 	// 64-bit major + 64 x 7-bit minors = 512 bits: the last bit written is
 	// bit 511, so all 64 bytes are meaningful and a max-valued state fills
 	// the final byte.
-	s := splitStore()
-	s.majors[0] = ^uint64(0)
+	s, r := splitStore(), newRefStore(splitConfig())
+	r.majors[0] = ^uint64(0)
 	for i := 0; i < 64; i++ {
-		s.minors[uint64(i)*64] = 127
+		r.minors[uint64(i)*64] = 127
 	}
-	img := s.PackBlock(s.CounterBlockAddr(0))
+	img := checkUnpacked(t, s, r, s.CounterBlockAddr(0))
 	for i, b := range img {
 		if b != 0xFF {
 			t.Fatalf("byte %d = %#x, want 0xFF (512-bit exact pack)", i, b)
 		}
 	}
+	if s.Major(0) != ^uint64(0) || s.ValueWithMajor(63*64, 0) != 127 {
+		t.Errorf("major %#x, last minor %d", s.Major(0), s.ValueWithMajor(63*64, 0))
+	}
 }
 
 func TestMonoPackRoundTrip(t *testing.T) {
 	for _, bits := range []int{8, 16, 32, 64} {
-		s := monoStore(bits)
+		s, r := monoStore(bits), newRefStore(monoConfig(bits))
 		perBlock := 512 / bits
 		for i := 0; i < perBlock; i++ {
-			s.values[uint64(i)*64] = uint64(i*37+1) & (1<<uint(bits) - 1)
+			r.values[uint64(i)*64] = uint64(i*37+1) & (1<<uint(bits) - 1)
 		}
-		ctrBlk := s.CounterBlockAddr(0)
-		img := s.PackBlock(ctrBlk)
-		s2 := monoStore(bits)
-		s2.UnpackBlock(ctrBlk, img[:])
+		checkUnpacked(t, s, r, s.CounterBlockAddr(0))
 		for i := 0; i < perBlock; i++ {
 			a := uint64(i) * 64
-			if s2.values[a] != s.values[a] {
-				t.Errorf("bits=%d counter %d: %d != %d", bits, i, s2.values[a], s.values[a])
+			if s.Value(a) != r.values[a] {
+				t.Errorf("bits=%d counter %d: %d != %d", bits, i, s.Value(a), r.values[a])
 			}
 		}
 	}
 }
 
 func TestDerivPackRoundTrip(t *testing.T) {
-	s := splitStore()
-	r := regions()
+	s, r := splitStore(), newRefStore(splitConfig())
+	rg := regions()
 	// Derivative counters cover metadata blocks starting at DirectBase,
 	// 32 16-bit counters per block.
 	for i := 0; i < 32; i++ {
-		s.values[r.DirectBase+uint64(i)*64] = uint64(i)*1000 + 5
+		r.values[rg.DirectBase+uint64(i)*64] = uint64(i)*1000 + 5
 	}
-	ctrBlk := s.CounterBlockAddr(r.DirectBase)
-	if ctrBlk < r.DerivBase {
+	ctrBlk := s.CounterBlockAddr(rg.DirectBase)
+	if ctrBlk < rg.DerivBase {
 		t.Fatalf("metadata counter block %#x below deriv base", ctrBlk)
 	}
-	if other := s.CounterBlockAddr(r.DirectBase + 31*64); other != ctrBlk {
+	if other := s.CounterBlockAddr(rg.DirectBase + 31*64); other != ctrBlk {
 		t.Fatalf("32 metadata blocks must share one deriv block: %#x vs %#x", other, ctrBlk)
 	}
-	img := s.PackBlock(ctrBlk)
-	s2 := splitStore()
-	s2.UnpackBlock(ctrBlk, img[:])
+	checkUnpacked(t, s, r, ctrBlk)
 	for i := 0; i < 32; i++ {
-		a := r.DirectBase + uint64(i)*64
-		if s2.values[a] != s.values[a]&0xFFFF {
-			t.Errorf("deriv counter %d: %d != %d", i, s2.values[a], s.values[a]&0xFFFF)
+		a := rg.DirectBase + uint64(i)*64
+		if s.Value(a) != r.values[a] {
+			t.Errorf("deriv counter %d: %d != %d", i, s.Value(a), r.values[a])
 		}
+	}
+	// An increment lands in its own 16-bit field.
+	s.Increment(rg.DirectBase + 5*64)
+	r.increment(rg.DirectBase + 5*64)
+	if got, want := s.PackBlock(ctrBlk), r.pack(ctrBlk); got != want {
+		t.Errorf("image after increment = %x, want %x", got, want)
 	}
 }
 

@@ -254,7 +254,18 @@ func (c SystemConfig) Validate() error {
 		default:
 			return fmt.Errorf("config: monolithic counter bits %d not in {8,16,32,64}", c.MonoCounterBits)
 		}
-	case EncCounterSplit:
+	case EncCounterPredict:
+		if c.PageBlocks <= 0 {
+			return fmt.Errorf("config: page blocks %d not positive", c.PageBlocks)
+		}
+		if c.Auth != AuthNone {
+			return fmt.Errorf("config: the counter-prediction baseline runs without authentication")
+		}
+	}
+	// GCM without counter-mode encryption keeps split counters too (the
+	// Figure 7 and 8 machines), so their geometry is checked whenever the
+	// counters are split.
+	if c.Enc == EncCounterSplit || c.Auth == AuthGCM && !c.Enc.UsesCounters() {
 		if c.MinorBits < 1 || c.MinorBits > 16 {
 			return fmt.Errorf("config: minor counter bits %d out of range", c.MinorBits)
 		}
@@ -269,14 +280,7 @@ func (c SystemConfig) Validate() error {
 				64+c.PageBlocks*c.MinorBits)
 		}
 		if c.RSRs <= 0 {
-			return fmt.Errorf("config: split mode needs at least one RSR")
-		}
-	case EncCounterPredict:
-		if c.PageBlocks <= 0 {
-			return fmt.Errorf("config: page blocks %d not positive", c.PageBlocks)
-		}
-		if c.Auth != AuthNone {
-			return fmt.Errorf("config: the counter-prediction baseline runs without authentication")
+			return fmt.Errorf("config: split counters need at least one RSR")
 		}
 	}
 	if c.Auth != AuthNone {

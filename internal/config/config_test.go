@@ -62,6 +62,12 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"zero AES", func(c *SystemConfig) { c.AESLatency = 0 }},
 		{"zero SHA with SHA auth", func(c *SystemConfig) { c.Auth = AuthSHA1; c.SHA1Latency = 0 }},
 		{"bad counter cache", func(c *SystemConfig) { c.CounterCache.SizeBytes = 100 }},
+		// GCM without counter-mode encryption keeps split counters.
+		{"GCM-only zero minor bits", func(c *SystemConfig) { c.Enc = EncNone; c.MinorBits = 0 }},
+		{"GCM-only zero page blocks", func(c *SystemConfig) { c.Enc = EncNone; c.PageBlocks = 0 }},
+		{"GCM-only no RSRs", func(c *SystemConfig) { c.Enc = EncNone; c.RSRs = 0 }},
+		{"GCM-only minors overflow the block", func(c *SystemConfig) { c.Enc = EncNone; c.MinorBits = 16 }},
+		{"Direct+GCM minors overflow the block", func(c *SystemConfig) { c.Enc = EncDirect; c.MinorBits = 16 }},
 	}
 	for _, m := range mutations {
 		c := Default()

@@ -6,13 +6,17 @@
 //
 // The store always maintains functional counter values (they are needed for
 // seed construction, overflow detection, and growth statistics even in
-// timing-only runs). It also manages derivative counters for Merkle-tree MAC
-// blocks: those share the counter cache but live in their own region and are
-// 64-bit, so they never overflow (Section 4.3).
+// timing-only runs). Every counter lives in the 64-byte image of its counter
+// block, laid out as memory stores it (see pack.go), so filling or evicting
+// a counter block copies its image. The store also manages derivative
+// counters for metadata blocks (counter blocks and Merkle MAC blocks): those
+// share the counter cache but live in their own region, 16 bits each, and
+// wrap without an overflow event (Section 4.3).
 package counterstore
 
 import (
 	"fmt"
+	"math/bits"
 
 	"secmem/internal/cache"
 	"secmem/internal/config"
@@ -23,8 +27,10 @@ import (
 const BlockSize = 64
 
 // Derivative counters (Section 4.3) are 16 bits each, packed 32 to a
-// block: wide enough that no metadata block plausibly wraps within a run,
-// dense enough that the counter cache covers 2 KB of metadata per line.
+// block: dense enough that the counter cache covers 2 KB of metadata per
+// line. A wrap reuses a MAC seed of a block outside the data's encryption;
+// the largest derivative counter over the 21 benchmarks at 4M instructions
+// is 882 (mcf).
 const (
 	derivBits     = 16
 	derivPerBlock = BlockSize * 8 / derivBits
@@ -151,20 +157,54 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(n)
 }
 
+// leafLen is the number of counter blocks in one leaf of a table.
+const leafLen = 512
+
+// table holds per-counter-block state by the block's index in its region:
+// a slice of leaves, each allocated with the first write to one of its
+// entries, so memory follows the counter blocks touched, not the highest
+// index (the top Merkle levels sit at the end of the address map).
+type table[T any] struct{ leaves []*[leafLen]T }
+
+// at returns entry i, or nil while its leaf is unallocated.
+func (t *table[T]) at(i uint64) *T {
+	if l := i / leafLen; l < uint64(len(t.leaves)) && t.leaves[l] != nil {
+		return &t.leaves[l][i%leafLen]
+	}
+	return nil
+}
+
+// slot returns entry i, allocating its leaf if need be.
+func (t *table[T]) slot(i uint64) *T {
+	l := i / leafLen
+	if l >= uint64(len(t.leaves)) {
+		t.leaves = append(t.leaves, make([]*[leafLen]T, l+1-uint64(len(t.leaves)))...)
+	}
+	if t.leaves[l] == nil {
+		t.leaves[l] = new([leafLen]T)
+	}
+	return &t.leaves[l][i%leafLen]
+}
+
 // Store holds all counter state for one simulated machine.
 type Store struct {
 	cfg Config
 
-	// split state
-	minors map[uint64]uint64 // data block addr -> minor value
-	majors map[uint64]uint64 // page addr -> major value
+	// Counter-block images by index in the direct-counter and
+	// derivative-counter regions.
+	direct, deriv table[[BlockSize]byte]
+	global        uint64
 
-	// mono/global/derivative state
-	values map[uint64]uint64 // block addr -> counter value
-	global uint64
+	// Data counters in a direct counter block: 1<<perShift of them, each
+	// width bits, the first at bit offset first (past the split major).
+	perShift     uint
+	first, width uint
 
-	// growth accounting (Table 2): per-data-block increment counts.
-	incr     map[uint64]uint64
+	// Growth accounting (Table 2): per-data-block write-back counts, one
+	// slice per direct counter block, allocated with its first data
+	// write-back. They are statistics, not hardware state, so they stay
+	// outside the images and survive ResetAll.
+	incr     table[[]uint32]
 	maxIncr  uint64
 	maxBlock uint64
 
@@ -179,19 +219,24 @@ type Store struct {
 
 // New builds a store.
 func New(cfg Config) *Store {
-	if cfg.Org == OrgSplit {
-		if cfg.MinorBits < 1 || cfg.MinorBits > 16 || cfg.PageBlocks <= 0 {
+	s := &Store{cfg: cfg}
+	switch {
+	case cfg.Org == OrgSplit:
+		pb := cfg.PageBlocks
+		if cfg.MinorBits < 1 || cfg.MinorBits > 16 || pb <= 0 || pb&(pb-1) != 0 || 64+pb*cfg.MinorBits > 512 {
 			panic(fmt.Sprintf("counterstore: bad split geometry %+v", cfg))
 		}
-	} else if cfg.Bits != 8 && cfg.Bits != 16 && cfg.Bits != 32 && cfg.Bits != 64 {
+		s.first, s.width = 64, uint(cfg.MinorBits)
+		s.perShift = uint(bits.TrailingZeros(uint(pb)))
+	case cfg.Bits != 8 && cfg.Bits != 16 && cfg.Bits != 32 && cfg.Bits != 64:
 		panic(fmt.Sprintf("counterstore: bad counter width %d", cfg.Bits))
+	case cfg.Org == OrgGlobal:
+		s.width = 64 // stored per-block values are full width for decryption
+	default:
+		s.width = uint(cfg.Bits)
 	}
-	s := &Store{
-		cfg:    cfg,
-		minors: make(map[uint64]uint64),
-		majors: make(map[uint64]uint64),
-		values: make(map[uint64]uint64),
-		incr:   make(map[uint64]uint64),
+	if cfg.Org != OrgSplit {
+		s.perShift = uint(bits.TrailingZeros(512 / s.width))
 	}
 	s.cache = cache.New(cfg.Cache)
 	s.fillDone = make([]sim.Time, s.cache.Lines())
@@ -219,99 +264,108 @@ func (s *Store) isMeta(addr uint64) bool {
 
 // CounterBlockAddr maps a protected block to the memory block holding its
 // counter. Data blocks map into the direct-counter region with a density
-// depending on the organization; MAC blocks map into the derivative-counter
-// region at 64 bits per counter.
+// depending on the organization; metadata blocks map into the
+// derivative-counter region, 32 counters per block.
 func (s *Store) CounterBlockAddr(addr uint64) uint64 {
 	if s.isMeta(addr) {
-		idx := (addr - s.cfg.Regions.DirectBase) / BlockSize
-		return s.cfg.Regions.DerivBase + idx/derivPerBlock*BlockSize
+		return s.cfg.Regions.DerivBase + s.derivIndex(addr)/derivPerBlock*BlockSize
 	}
-	idx := addr / BlockSize
-	switch s.cfg.Org {
-	case OrgSplit:
-		// One counter block per encryption page: the major plus all minors.
-		return s.cfg.Regions.DirectBase + idx/uint64(s.cfg.PageBlocks)*BlockSize
-	default:
-		perBlock := uint64(512 / s.counterBits())
-		return s.cfg.Regions.DirectBase + idx/perBlock*BlockSize
-	}
+	return s.cfg.Regions.DirectBase + addr/BlockSize>>s.perShift*BlockSize
 }
 
-func (s *Store) counterBits() int {
-	if s.cfg.Org == OrgGlobal {
-		return 64 // stored per-block values are full width for decryption
+// derivIndex is a metadata block's index, counted from DirectBase.
+func (s *Store) derivIndex(addr uint64) uint64 {
+	return (addr - s.cfg.Regions.DirectBase) / BlockSize
+}
+
+// locate finds the counter of a protected block: its counter block's table
+// and index there, and its bit offset and width in the image.
+func (s *Store) locate(addr uint64) (t *table[[BlockSize]byte], cb uint64, off, width uint) {
+	if s.isMeta(addr) {
+		i := s.derivIndex(addr)
+		return &s.deriv, i / derivPerBlock, uint(i%derivPerBlock) * derivBits, derivBits
 	}
-	return s.cfg.Bits
+	i := addr / BlockSize
+	return &s.direct, i >> s.perShift, s.first + uint(i&(1<<s.perShift-1))*s.width, s.width
 }
 
 // Value returns the current counter value for a protected block, as used in
 // the encryption/authentication seed. Split counters concatenate major and
 // minor (major << minorBits | minor).
 func (s *Store) Value(addr uint64) uint64 {
-	if s.isMeta(addr) {
-		return s.values[addr]
+	t, cb, off, w := s.locate(addr)
+	img := t.at(cb)
+	if img == nil {
+		return 0
 	}
-	switch s.cfg.Org {
-	case OrgSplit:
-		return s.majors[s.PageAddr(addr)]<<uint(s.cfg.MinorBits) | s.minors[addr]
-	default:
-		return s.values[addr]
+	v := field(img, off, w)
+	if s.cfg.Org == OrgSplit && !s.isMeta(addr) {
+		v |= field(img, 0, 64) << w
 	}
+	return v
 }
 
 // ValueWithMajor returns a split-counter value under an explicit major (the
 // RSR uses the page's old major to decrypt blocks during re-encryption).
 func (s *Store) ValueWithMajor(addr, major uint64) uint64 {
-	return major<<uint(s.cfg.MinorBits) | s.minors[addr]
+	var minor uint64
+	if t, cb, off, w := s.locate(addr); t.at(cb) != nil {
+		minor = field(t.at(cb), off, w)
+	}
+	return major<<s.width | minor
 }
 
-// Major returns the page's current major counter.
-func (s *Store) Major(pageAddr uint64) uint64 { return s.majors[pageAddr] }
+// Major returns the page's current major counter (split organization).
+func (s *Store) Major(pageAddr uint64) uint64 {
+	if img := s.direct.at(pageAddr / BlockSize >> s.perShift); img != nil {
+		return field(img, 0, 64)
+	}
+	return 0
+}
 
 // Increment advances the block's counter for a write-back and reports any
 // overflow consequence. For split counters, a wrapping minor is left at zero
 // and the overflow handler (the RSR machinery in the core package) must call
 // BumpMajor to advance the page; the returned overflow identifies the page.
 func (s *Store) Increment(addr uint64) (newValue uint64, ov Overflow) {
+	t, cb, off, w := s.locate(addr)
+	img := t.slot(cb)
 	if s.isMeta(addr) {
-		s.values[addr]++
 		s.Stats.DerivIncrements++
-		return s.values[addr], Overflow{}
+		v := (field(img, off, w) + 1) & (1<<derivBits - 1)
+		setField(img, off, w, v)
+		return v, Overflow{}
 	}
 	s.Stats.Increments++
 	s.trackGrowth(addr)
 	switch s.cfg.Org {
 	case OrgSplit:
-		m := s.minors[addr] + 1
-		if m >= 1<<uint(s.cfg.MinorBits) {
+		m := field(img, off, w) + 1
+		if m >= 1<<w {
 			s.Stats.MinorOverflows++
-			s.minors[addr] = 0
-			return s.Value(addr), Overflow{Kind: PageOverflow, PageAddr: s.PageAddr(addr)}
+			m = 0
+			ov = Overflow{Kind: PageOverflow, PageAddr: s.PageAddr(addr)}
 		}
-		s.minors[addr] = m
-		return s.Value(addr), Overflow{}
+		setField(img, off, w, m)
+		return field(img, 0, 64)<<w | m, ov
 	case OrgGlobal:
 		s.global++
-		var wrapped bool
 		if s.cfg.Bits < 64 && s.global >= 1<<uint(s.cfg.Bits) {
 			s.global = 0
-			wrapped = true
 			s.Stats.FullOverflows++
+			ov.Kind = FullOverflow
 		}
-		s.values[addr] = s.global
-		if wrapped {
-			return s.global, Overflow{Kind: FullOverflow}
-		}
-		return s.global, Overflow{}
+		setField(img, off, w, s.global)
+		return s.global, ov
 	default: // OrgMono
-		v := s.values[addr] + 1
-		if s.cfg.Bits < 64 && v >= 1<<uint(s.cfg.Bits) {
-			s.values[addr] = 0
+		v := field(img, off, w) + 1
+		if w < 64 && v >= 1<<w {
+			v = 0
 			s.Stats.FullOverflows++
-			return 0, Overflow{Kind: FullOverflow}
+			ov.Kind = FullOverflow
 		}
-		s.values[addr] = v
-		return v, Overflow{}
+		setField(img, off, w, v)
+		return v, ov
 	}
 }
 
@@ -319,22 +373,26 @@ func (s *Store) Increment(addr uint64) (newValue uint64, ov Overflow) {
 // reset per block as the RSR processes them (ResetMinor), matching Section
 // 4.2's lazy ordering. It returns the old and new major values.
 func (s *Store) BumpMajor(pageAddr uint64) (oldMajor, newMajor uint64) {
-	oldMajor = s.majors[pageAddr]
-	newMajor = oldMajor + 1
-	s.majors[pageAddr] = newMajor
-	return oldMajor, newMajor
+	img := s.direct.slot(pageAddr / BlockSize >> s.perShift)
+	oldMajor = field(img, 0, 64)
+	setField(img, 0, 64, oldMajor+1)
+	return oldMajor, oldMajor + 1
 }
 
 // ResetMinor zeroes a block's minor counter (called as each block of a
 // re-encrypting page is handled).
-func (s *Store) ResetMinor(addr uint64) { s.minors[addr] = 0 }
+func (s *Store) ResetMinor(addr uint64) {
+	if t, cb, off, w := s.locate(addr); t.at(cb) != nil {
+		setField(t.at(cb), off, w, 0)
+	}
+}
 
 // ResetAll zeroes every counter; whole-memory re-encryption (monolithic
-// overflow key change) starts all counters over under the new key.
+// overflow key change) starts all counters over under the new key. The
+// growth counts are statistics of the run and stay.
 func (s *Store) ResetAll() {
-	clear(s.minors)
-	clear(s.majors)
-	clear(s.values)
+	clear(s.direct.leaves)
+	clear(s.deriv.leaves)
 	s.global = 0
 }
 
@@ -342,9 +400,14 @@ func (s *Store) trackGrowth(addr uint64) {
 	if addr >= s.cfg.Regions.DataBytes {
 		return
 	}
-	n := s.incr[addr] + 1
-	s.incr[addr] = n
-	if n > s.maxIncr {
+	i := addr / BlockSize
+	counts := s.incr.slot(i >> s.perShift)
+	if *counts == nil {
+		*counts = make([]uint32, 1<<s.perShift)
+	}
+	c := &(*counts)[i&(1<<s.perShift-1)]
+	*c++
+	if n := uint64(*c); n > s.maxIncr {
 		s.maxIncr = n
 		s.maxBlock = addr
 	}
@@ -356,16 +419,23 @@ func (s *Store) FastestCounter() (increments uint64, blockAddr uint64) {
 	return s.maxIncr, s.maxBlock
 }
 
-// TotalIncrements returns total data write-backs, the global counter's
-// growth (Table 2's Global32b column).
-func (s *Store) TotalIncrements() uint64 { return s.Stats.Increments }
-
-// ForEachIncrement visits every data block's write-back count. The Section
-// 6.1 work-ratio analysis derives whole-memory and per-page re-encryption
-// rates from this distribution.
+// ForEachIncrement visits every written data block's write-back count, in
+// ascending block address order. The Section 6.1 work-ratio analysis
+// derives whole-memory and per-page re-encryption rates from this
+// distribution.
 func (s *Store) ForEachIncrement(fn func(blockAddr, count uint64)) {
-	for a, n := range s.incr {
-		fn(a, n)
+	for l, leaf := range s.incr.leaves {
+		if leaf == nil {
+			continue
+		}
+		for j, counts := range leaf {
+			first := (uint64(l)*leafLen + uint64(j)) << s.perShift
+			for k, n := range counts {
+				if n != 0 {
+					fn((first+uint64(k))*BlockSize, uint64(n))
+				}
+			}
+		}
 	}
 }
 
@@ -408,8 +478,3 @@ func (s *Store) CacheFill(ctrBlock uint64, ready sim.Time) (ev cache.Eviction, e
 // modifies it); absent blocks are ignored (the caller has already arranged
 // the fetch).
 func (s *Store) CacheDirty(ctrBlock uint64) { s.cache.SetDirty(ctrBlock) }
-
-// CacheContains reports counter-cache residence without side effects.
-func (s *Store) CacheContains(ctrBlock uint64) bool {
-	return s.cache.Contains(ctrBlock)
-}

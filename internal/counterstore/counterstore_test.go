@@ -167,6 +167,48 @@ func TestDerivativeCountersIndependent(t *testing.T) {
 	}
 }
 
+// TestDerivativeCounterWraps: a derivative counter is the 16-bit field of
+// its image, so the on-chip value wraps exactly where the memory image does.
+func TestDerivativeCounterWraps(t *testing.T) {
+	s := splitStore()
+	mac := regions().MacBase + 128
+	for i := 0; i < 1<<16; i++ {
+		if _, ov := s.Increment(mac); ov.Kind != NoOverflow {
+			t.Fatalf("increment %d reported %+v", i+1, ov)
+		}
+	}
+	if v := s.Value(mac); v != 0 {
+		t.Errorf("value after 65,536 increments = %d, want 0", v)
+	}
+	if img := s.PackBlock(s.CounterBlockAddr(mac)); img != [BlockSize]byte{} {
+		t.Errorf("image after the wrap = %x, want zeros", img)
+	}
+}
+
+// TestSteadyStateAllocationFree: once a counter block has been written,
+// incrementing, reading, packing and unpacking its counters allocates
+// nothing, on every organization.
+func TestSteadyStateAllocationFree(t *testing.T) {
+	for _, cfg := range []Config{splitConfig(), monoConfig(8),
+		{Org: OrgGlobal, Bits: 32, Regions: regions(), Cache: snc()}} {
+		s := New(cfg)
+		blocks := []uint64{0x40, 300 * 4096, regions().MacBase + 128, regions().DirectBase + 64}
+		step := func() {
+			for _, a := range blocks {
+				s.Increment(a)
+				s.Value(a)
+				cb := s.CounterBlockAddr(a)
+				img := s.PackBlock(cb)
+				s.UnpackBlock(cb, img[:])
+			}
+		}
+		step()
+		if n := testing.AllocsPerRun(100, step); n != 0 {
+			t.Errorf("org %d: %v allocations per step, want 0", cfg.Org, n)
+		}
+	}
+}
+
 func TestGrowthTracking(t *testing.T) {
 	s := monoStore(64)
 	for i := 0; i < 10; i++ {

@@ -5,122 +5,74 @@ import (
 	"fmt"
 )
 
-// This file implements the byte-level serialization of counter blocks used
-// by functional mode: the processor trusts what it reads from memory, so the
-// simulated DRAM must hold real counter bytes that can be rolled back by the
-// attacker — that is exactly the Section 4.3 counter-replay surface.
+// This file defines the counter-block image, which is both the store's own
+// storage and what functional mode writes to and reads from memory: the
+// processor trusts what it reads from memory, so the simulated DRAM must
+// hold real counter bytes that can be rolled back by the attacker — that is
+// exactly the Section 4.3 counter-replay surface.
 //
 // A split counter block packs the 64-bit major counter followed by
-// PageBlocks minor counters of MinorBits each, bit-contiguously — for the
-// paper's 7-bit minors and 64-block pages that is exactly 512 bits, one
-// cache block. Monolithic blocks pack 512/Bits counters of Bits bits.
+// PageBlocks minor counters of MinorBits each, bit-contiguously and most
+// significant bit first — for the paper's 7-bit minors and 64-block pages
+// that is exactly 512 bits, one cache block; any bits past the last minor
+// are zero. Monolithic blocks pack 512/Bits counters of Bits bits, global
+// blocks eight 64-bit values, and derivative blocks 32 16-bit counters.
 
-// PackBlock serializes the counters stored in the counter block at
-// ctrBlock into a 64-byte image.
-func (s *Store) PackBlock(ctrBlock uint64) [BlockSize]byte {
-	var out [BlockSize]byte
-	if ctrBlock >= s.cfg.Regions.DerivBase {
-		// Derivative counters: 32 x 16-bit values (low 16 bits of the
-		// stored counter; the on-chip value is authoritative).
-		first := s.cfg.Regions.DirectBase + (ctrBlock-s.cfg.Regions.DerivBase)/BlockSize*derivPerBlock*BlockSize
-		for i := 0; i < derivPerBlock; i++ {
-			binary.BigEndian.PutUint16(out[i*2:], uint16(s.values[first+uint64(i)*BlockSize]))
-		}
-		return out
-	}
-	if ctrBlock < s.cfg.Regions.DirectBase {
-		panic(fmt.Sprintf("counterstore: %#x is not a counter block", ctrBlock))
-	}
-	idx := (ctrBlock - s.cfg.Regions.DirectBase) / BlockSize
-	switch s.cfg.Org {
-	case OrgSplit:
-		page := idx * uint64(s.cfg.PageBlocks) * BlockSize
-		bw := newBitWriter(out[:])
-		bw.write(s.majors[page], 64)
-		for i := 0; i < s.cfg.PageBlocks; i++ {
-			bw.write(s.minors[page+uint64(i)*BlockSize], uint(s.cfg.MinorBits))
-		}
-		return out
-	default:
-		perBlock := uint64(512 / s.counterBits())
-		first := idx * perBlock * BlockSize
-		bw := newBitWriter(out[:])
-		for i := uint64(0); i < perBlock; i++ {
-			bw.write(s.values[first+i*BlockSize], uint(s.counterBits()))
-		}
-		return out
-	}
+// field reads the w-bit counter at bit offset off of img. Every counter
+// sits in the 64-bit big-endian word that starts at its first byte, or in
+// the image's last word: minors are at most 16 bits wide, and the wider
+// counters are byte-aligned.
+func field(img *[BlockSize]byte, off, w uint) uint64 {
+	j := min(off/8, BlockSize-8)
+	word := binary.BigEndian.Uint64(img[j:])
+	return word >> (64 - (off - 8*j) - w) & (uint64(1)<<w - 1)
 }
 
-// UnpackBlock deserializes a 64-byte counter block image into the store,
-// overwriting the affected counters. This is the "trust what memory says"
+// setField writes the low w bits of v as the counter at bit offset off.
+func setField(img *[BlockSize]byte, off, w uint, v uint64) {
+	j := min(off/8, BlockSize-8)
+	shift := 64 - (off - 8*j) - w
+	mask := (uint64(1)<<w - 1) << shift
+	word := binary.BigEndian.Uint64(img[j:])
+	binary.BigEndian.PutUint64(img[j:], word&^mask|v<<shift&mask)
+}
+
+// image finds the table and index of the counter block at ctrBlock.
+func (s *Store) image(ctrBlock uint64) (*table[[BlockSize]byte], uint64) {
+	rg := s.cfg.Regions
+	switch {
+	case ctrBlock >= rg.DerivBase:
+		return &s.deriv, (ctrBlock - rg.DerivBase) / BlockSize
+	case ctrBlock >= rg.DirectBase:
+		return &s.direct, (ctrBlock - rg.DirectBase) / BlockSize
+	}
+	panic(fmt.Sprintf("counterstore: %#x is not a counter block", ctrBlock))
+}
+
+// PackBlock returns the 64-byte image of the counter block at ctrBlock.
+func (s *Store) PackBlock(ctrBlock uint64) [BlockSize]byte {
+	t, i := s.image(ctrBlock)
+	if img := t.at(i); img != nil {
+		return *img
+	}
+	return [BlockSize]byte{}
+}
+
+// UnpackBlock installs a 64-byte counter block image in the store,
+// overwriting the counters it holds. This is the "trust what memory says"
 // step a real memory controller performs on a counter-cache fill; calling it
 // with attacker-modified bytes reproduces the counter-replay vulnerability
-// when counter authentication is disabled.
+// when counter authentication is disabled. Bits past a split block's last
+// minor are cleared, as they hold no counter.
 func (s *Store) UnpackBlock(ctrBlock uint64, img []byte) {
 	if len(img) < BlockSize {
 		panic("counterstore: short counter block image")
 	}
-	if ctrBlock >= s.cfg.Regions.DerivBase {
-		first := s.cfg.Regions.DirectBase + (ctrBlock-s.cfg.Regions.DerivBase)/BlockSize*derivPerBlock*BlockSize
-		for i := 0; i < derivPerBlock; i++ {
-			s.values[first+uint64(i)*BlockSize] = uint64(binary.BigEndian.Uint16(img[i*2:]))
-		}
-		return
+	t, i := s.image(ctrBlock)
+	dst := t.slot(i)
+	copy(dst[:], img)
+	if end := s.first + s.width<<s.perShift; t == &s.direct && end < BlockSize*8 {
+		dst[end/8] &^= 0xFF >> (end % 8)
+		clear(dst[(end+7)/8:])
 	}
-	if ctrBlock < s.cfg.Regions.DirectBase {
-		panic(fmt.Sprintf("counterstore: %#x is not a counter block", ctrBlock))
-	}
-	idx := (ctrBlock - s.cfg.Regions.DirectBase) / BlockSize
-	switch s.cfg.Org {
-	case OrgSplit:
-		page := idx * uint64(s.cfg.PageBlocks) * BlockSize
-		br := newBitReader(img)
-		s.majors[page] = br.read(64)
-		for i := 0; i < s.cfg.PageBlocks; i++ {
-			s.minors[page+uint64(i)*BlockSize] = br.read(uint(s.cfg.MinorBits))
-		}
-	default:
-		perBlock := uint64(512 / s.counterBits())
-		first := idx * perBlock * BlockSize
-		br := newBitReader(img)
-		for i := uint64(0); i < perBlock; i++ {
-			s.values[first+i*BlockSize] = br.read(uint(s.counterBits()))
-		}
-	}
-}
-
-type bitWriter struct {
-	buf []byte
-	pos uint // bit position
-}
-
-func newBitWriter(buf []byte) *bitWriter { return &bitWriter{buf: buf} }
-
-func (w *bitWriter) write(v uint64, bits uint) {
-	for i := int(bits) - 1; i >= 0; i-- {
-		if v>>uint(i)&1 == 1 {
-			w.buf[w.pos/8] |= 1 << (7 - w.pos%8)
-		}
-		w.pos++
-	}
-}
-
-type bitReader struct {
-	buf []byte
-	pos uint
-}
-
-func newBitReader(buf []byte) *bitReader { return &bitReader{buf: buf} }
-
-func (r *bitReader) read(bits uint) uint64 {
-	var v uint64
-	for i := uint(0); i < bits; i++ {
-		v <<= 1
-		if r.buf[r.pos/8]>>(7-r.pos%8)&1 == 1 {
-			v |= 1
-		}
-		r.pos++
-	}
-	return v
 }

@@ -188,8 +188,8 @@ func TestInstrumentedRunPopulatesRegistry(t *testing.T) {
 					levelFetches += fetch
 				}
 			}
-			if levelFetches > m.ctl.Stats.MacFetches {
-				t.Errorf("per-level Merkle fetches sum to %d, above the %d MacFetches", levelFetches, m.ctl.Stats.MacFetches)
+			if levelFetches != m.ctl.Stats.MacFetches {
+				t.Errorf("per-level Merkle fetches sum to %d, want the %d MacFetches", levelFetches, m.ctl.Stats.MacFetches)
 			}
 			for _, name := range tc.nonzero {
 				if snap.Counters[name] == 0 {

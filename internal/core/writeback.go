@@ -124,7 +124,7 @@ func (c *Controller) updateParentMac(now sim.Time, addr uint64) {
 			if ev, evicted := nc.Fill(mac, false); evicted {
 				c.onNodeVictim(arrive, ev)
 			}
-			c.authChain(now, mac, arrive)
+			c.noteMerkleNode(mac, macDone, arrive, c.authChain(now, mac, arrive))
 		}
 	}
 	nc.SetDirty(mac)

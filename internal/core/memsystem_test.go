@@ -209,9 +209,12 @@ func TestSchemeNameOnRunOutput(t *testing.T) {
 	_ = config.Default()
 }
 
-// TestMissPathAllocationFree: once the write-back buffer and the counter
-// tables have grown, an L2 miss allocates nothing, including the dirty
-// victim's write-back with its counter bump and Merkle update.
+// TestMissPathAllocationFree: once the write-back buffer has grown and the
+// counter store holds the table leaves and growth counts of the counter
+// blocks the stream touches, an L2 miss allocates nothing, including the
+// dirty victim's write-back with its counter bump and Merkle update. The
+// store keeps counters in counter-block images, not maps, so whether a
+// pass allocates does not depend on a map's random hash seed.
 func TestMissPathAllocationFree(t *testing.T) {
 	m := mustSystem(t, config.Default())
 	// Stores to 2 MB of consecutive blocks, twice the L2: after the first

@@ -308,11 +308,12 @@ func (s *Store) Value(addr uint64) uint64 {
 // ValueWithMajor returns a split-counter value under an explicit major (the
 // RSR uses the page's old major to decrypt blocks during re-encryption).
 func (s *Store) ValueWithMajor(addr, major uint64) uint64 {
+	t, cb, off, w := s.locate(addr)
 	var minor uint64
-	if t, cb, off, w := s.locate(addr); t.at(cb) != nil {
-		minor = field(t.at(cb), off, w)
+	if img := t.at(cb); img != nil {
+		minor = field(img, off, w)
 	}
-	return major<<s.width | minor
+	return major<<w | minor
 }
 
 // Major returns the page's current major counter (split organization).
@@ -382,8 +383,9 @@ func (s *Store) BumpMajor(pageAddr uint64) (oldMajor, newMajor uint64) {
 // ResetMinor zeroes a block's minor counter (called as each block of a
 // re-encrypting page is handled).
 func (s *Store) ResetMinor(addr uint64) {
-	if t, cb, off, w := s.locate(addr); t.at(cb) != nil {
-		setField(t.at(cb), off, w, 0)
+	t, cb, off, w := s.locate(addr)
+	if img := t.at(cb); img != nil {
+		setField(img, off, w, 0)
 	}
 }
 

@@ -28,9 +28,8 @@ const BlockSize = 64
 
 // Derivative counters (Section 4.3) are 16 bits each, packed 32 to a
 // block: dense enough that the counter cache covers 2 KB of metadata per
-// line. A wrap reuses a MAC seed of a block outside the data's encryption;
-// the largest derivative counter over the 21 benchmarks at 4M instructions
-// is 882 (mcf).
+// line. They wrap without an overflow event; the largest over the 21
+// benchmarks at 4M instructions on the default machine is 882 (mcf).
 const (
 	derivBits     = 16
 	derivPerBlock = BlockSize * 8 / derivBits

@@ -156,42 +156,72 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(n)
 }
 
+// counterBlock is one counter block's on-chip state: its memory image and,
+// for a direct counter block, the write-back count of each data block it
+// covers (Table 2), allocated with its first data write-back. The counts
+// are statistics, not hardware state, so they stay outside the image and
+// survive ResetAll.
+type counterBlock struct {
+	img  [BlockSize]byte
+	incr []uint32
+}
+
 // leafLen is the number of counter blocks in one leaf of a table.
 const leafLen = 512
 
-// table holds per-counter-block state by the block's index in its region:
-// a slice of leaves, each allocated with the first write to one of its
-// entries, so memory follows the counter blocks touched, not the highest
-// index (the top Merkle levels sit at the end of the address map).
-type table[T any] struct{ leaves []*[leafLen]T }
+// table finds a counter block by its index in its region: a slice of
+// leaves of pointers, each leaf allocated with the first write to one of
+// its blocks and each block with its own first write, so memory follows
+// the counter blocks written, not the highest index (the top Merkle levels
+// sit at the end of the address map).
+type table struct{ leaves []*[leafLen]*counterBlock }
 
-// at returns entry i, or nil while its leaf is unallocated.
-func (t *table[T]) at(i uint64) *T {
+// at returns block i, or nil while it is unwritten.
+func (t *table) at(i uint64) *counterBlock {
 	if l := i / leafLen; l < uint64(len(t.leaves)) && t.leaves[l] != nil {
-		return &t.leaves[l][i%leafLen]
+		return t.leaves[l][i%leafLen]
 	}
 	return nil
 }
 
-// slot returns entry i, allocating its leaf if need be.
-func (t *table[T]) slot(i uint64) *T {
+// slot returns block i, allocating it if need be.
+func (t *table) slot(i uint64) *counterBlock {
 	l := i / leafLen
 	if l >= uint64(len(t.leaves)) {
-		t.leaves = append(t.leaves, make([]*[leafLen]T, l+1-uint64(len(t.leaves)))...)
+		t.leaves = append(t.leaves, make([]*[leafLen]*counterBlock, l+1-uint64(len(t.leaves)))...)
 	}
-	if t.leaves[l] == nil {
-		t.leaves[l] = new([leafLen]T)
+	leaf := t.leaves[l]
+	if leaf == nil {
+		leaf = new([leafLen]*counterBlock)
+		t.leaves[l] = leaf
 	}
-	return &t.leaves[l][i%leafLen]
+	if leaf[i%leafLen] == nil {
+		leaf[i%leafLen] = new(counterBlock)
+	}
+	return leaf[i%leafLen]
+}
+
+// each calls fn on every written block, in ascending index order.
+func (t *table) each(fn func(i uint64, b *counterBlock)) {
+	for l, leaf := range t.leaves {
+		if leaf == nil {
+			continue
+		}
+		for j, b := range leaf {
+			if b != nil {
+				fn(uint64(l)*leafLen+uint64(j), b)
+			}
+		}
+	}
 }
 
 // Store holds all counter state for one simulated machine.
 type Store struct {
 	cfg Config
 
-	// Counter-block images by index in the direct-counter and
-	// derivative-counter regions.
-	direct, deriv table[[BlockSize]byte]
+	// Counter blocks by index in the direct-counter and derivative-counter
+	// regions.
+	direct, deriv table
 	global        uint64
 
 	// Data counters in a direct counter block: 1<<perShift of them, each
@@ -199,11 +229,7 @@ type Store struct {
 	perShift     uint
 	first, width uint
 
-	// Growth accounting (Table 2): per-data-block write-back counts, one
-	// slice per direct counter block, allocated with its first data
-	// write-back. They are statistics, not hardware state, so they stay
-	// outside the images and survive ResetAll.
-	incr     table[[]uint32]
+	// Growth accounting (Table 2): the fastest per-data-block count.
 	maxIncr  uint64
 	maxBlock uint64
 
@@ -279,7 +305,7 @@ func (s *Store) derivIndex(addr uint64) uint64 {
 
 // locate finds the counter of a protected block: its counter block's table
 // and index there, and its bit offset and width in the image.
-func (s *Store) locate(addr uint64) (t *table[[BlockSize]byte], cb uint64, off, width uint) {
+func (s *Store) locate(addr uint64) (t *table, cb uint64, off, width uint) {
 	if s.isMeta(addr) {
 		i := s.derivIndex(addr)
 		return &s.deriv, i / derivPerBlock, uint(i%derivPerBlock) * derivBits, derivBits
@@ -293,13 +319,13 @@ func (s *Store) locate(addr uint64) (t *table[[BlockSize]byte], cb uint64, off, 
 // minor (major << minorBits | minor).
 func (s *Store) Value(addr uint64) uint64 {
 	t, cb, off, w := s.locate(addr)
-	img := t.at(cb)
-	if img == nil {
+	b := t.at(cb)
+	if b == nil {
 		return 0
 	}
-	v := field(img, off, w)
+	v := field(&b.img, off, w)
 	if s.cfg.Org == OrgSplit && !s.isMeta(addr) {
-		v |= field(img, 0, 64) << w
+		v |= field(&b.img, 0, 64) << w
 	}
 	return v
 }
@@ -309,16 +335,16 @@ func (s *Store) Value(addr uint64) uint64 {
 func (s *Store) ValueWithMajor(addr, major uint64) uint64 {
 	t, cb, off, w := s.locate(addr)
 	var minor uint64
-	if img := t.at(cb); img != nil {
-		minor = field(img, off, w)
+	if b := t.at(cb); b != nil {
+		minor = field(&b.img, off, w)
 	}
 	return major<<w | minor
 }
 
 // Major returns the page's current major counter (split organization).
 func (s *Store) Major(pageAddr uint64) uint64 {
-	if img := s.direct.at(pageAddr / BlockSize >> s.perShift); img != nil {
-		return field(img, 0, 64)
+	if b := s.direct.at(pageAddr / BlockSize >> s.perShift); b != nil {
+		return field(&b.img, 0, 64)
 	}
 	return 0
 }
@@ -329,7 +355,7 @@ func (s *Store) Major(pageAddr uint64) uint64 {
 // BumpMajor to advance the page; the returned overflow identifies the page.
 func (s *Store) Increment(addr uint64) (newValue uint64, ov Overflow) {
 	t, cb, off, w := s.locate(addr)
-	img := t.slot(cb)
+	img := &t.slot(cb).img
 	if s.isMeta(addr) {
 		s.Stats.DerivIncrements++
 		v := (field(img, off, w) + 1) & (1<<derivBits - 1)
@@ -373,7 +399,7 @@ func (s *Store) Increment(addr uint64) (newValue uint64, ov Overflow) {
 // reset per block as the RSR processes them (ResetMinor), matching Section
 // 4.2's lazy ordering. It returns the old and new major values.
 func (s *Store) BumpMajor(pageAddr uint64) (oldMajor, newMajor uint64) {
-	img := s.direct.slot(pageAddr / BlockSize >> s.perShift)
+	img := &s.direct.slot(pageAddr / BlockSize >> s.perShift).img
 	oldMajor = field(img, 0, 64)
 	setField(img, 0, 64, oldMajor+1)
 	return oldMajor, oldMajor + 1
@@ -383,8 +409,8 @@ func (s *Store) BumpMajor(pageAddr uint64) (oldMajor, newMajor uint64) {
 // re-encrypting page is handled).
 func (s *Store) ResetMinor(addr uint64) {
 	t, cb, off, w := s.locate(addr)
-	if img := t.at(cb); img != nil {
-		setField(img, off, w, 0)
+	if b := t.at(cb); b != nil {
+		setField(&b.img, off, w, 0)
 	}
 }
 
@@ -392,7 +418,7 @@ func (s *Store) ResetMinor(addr uint64) {
 // overflow key change) starts all counters over under the new key. The
 // growth counts are statistics of the run and stay.
 func (s *Store) ResetAll() {
-	clear(s.direct.leaves)
+	s.direct.each(func(_ uint64, b *counterBlock) { b.img = [BlockSize]byte{} })
 	clear(s.deriv.leaves)
 	s.global = 0
 }
@@ -402,11 +428,11 @@ func (s *Store) trackGrowth(addr uint64) {
 		return
 	}
 	i := addr / BlockSize
-	counts := s.incr.slot(i >> s.perShift)
-	if *counts == nil {
-		*counts = make([]uint32, 1<<s.perShift)
+	b := s.direct.slot(i >> s.perShift)
+	if b.incr == nil {
+		b.incr = make([]uint32, 1<<s.perShift)
 	}
-	c := &(*counts)[i&(1<<s.perShift-1)]
+	c := &b.incr[i&(1<<s.perShift-1)]
 	*c++
 	if n := uint64(*c); n > s.maxIncr {
 		s.maxIncr = n
@@ -425,19 +451,13 @@ func (s *Store) FastestCounter() (increments uint64, blockAddr uint64) {
 // derives whole-memory and per-page re-encryption rates from this
 // distribution.
 func (s *Store) ForEachIncrement(fn func(blockAddr, count uint64)) {
-	for l, leaf := range s.incr.leaves {
-		if leaf == nil {
-			continue
-		}
-		for j, counts := range leaf {
-			first := (uint64(l)*leafLen + uint64(j)) << s.perShift
-			for k, n := range counts {
-				if n != 0 {
-					fn((first+uint64(k))*BlockSize, uint64(n))
-				}
+	s.direct.each(func(i uint64, b *counterBlock) {
+		for k, n := range b.incr {
+			if n != 0 {
+				fn((i<<s.perShift+uint64(k))*BlockSize, uint64(n))
 			}
 		}
-	}
+	})
 }
 
 // ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ func setField(img *[BlockSize]byte, off, w uint, v uint64) {
 }
 
 // image finds the table and index of the counter block at ctrBlock.
-func (s *Store) image(ctrBlock uint64) (*table[[BlockSize]byte], uint64) {
+func (s *Store) image(ctrBlock uint64) (*table, uint64) {
 	rg := s.cfg.Regions
 	switch {
 	case ctrBlock >= rg.DerivBase:
@@ -52,8 +52,8 @@ func (s *Store) image(ctrBlock uint64) (*table[[BlockSize]byte], uint64) {
 // PackBlock returns the 64-byte image of the counter block at ctrBlock.
 func (s *Store) PackBlock(ctrBlock uint64) [BlockSize]byte {
 	t, i := s.image(ctrBlock)
-	if img := t.at(i); img != nil {
-		return *img
+	if b := t.at(i); b != nil {
+		return b.img
 	}
 	return [BlockSize]byte{}
 }
@@ -69,7 +69,7 @@ func (s *Store) UnpackBlock(ctrBlock uint64, img []byte) {
 		panic("counterstore: short counter block image")
 	}
 	t, i := s.image(ctrBlock)
-	dst := t.slot(i)
+	dst := &t.slot(i).img
 	copy(dst[:], img)
 	if end := s.first + s.width<<s.perShift; t == &s.direct && end < BlockSize*8 {
 		dst[end/8] &^= 0xFF >> (end % 8)

@@ -1,7 +1,6 @@
 package counterstore
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -496,7 +495,7 @@ func checkStoreOracle(t *testing.T, c Config, ops []storeOp) {
 				}
 			}
 			a := oracleAddr(c, opPack, cb, pick, 0)
-			if got, want := s.PackBlock(a), r.pack(a); !bytes.Equal(got[:], want[:]) {
+			if got, want := s.PackBlock(a), r.pack(a); got != want {
 				t.Fatalf("%s: final image of %#x = %x, want %x", name, a, got, want)
 			}
 		}

@@ -299,6 +299,56 @@ func TestMonoOverflowWholeMemoryReencrypt(t *testing.T) {
 	}
 }
 
+// TestMonoOverflowRebuildKeepsMacCacheNodes: the tree rebuild after a
+// whole-memory re-encryption rewrites the MACs held in on-chip nodes. With
+// a dedicated MAC cache those nodes are not in the L2, and they must still
+// leave the chip dirty, or memory keeps the old epoch's MACs.
+func TestMonoOverflowRebuildKeepsMacCacheNodes(t *testing.T) {
+	cfg := smallCfg()
+	cfg.Enc = config.EncCounterMono
+	cfg.MonoCounterBits = 8
+	cfg.MacCacheBytes = 4 << 10
+	m := mustSystem(t, cfg)
+	payload := func(a uint64) []byte { return bytes.Repeat([]byte{byte(a>>12) | 1}, 64) }
+	now := uint64(0)
+	for i := uint64(0); i < 256; i++ {
+		m.WriteBytes(now, i<<12, payload(i<<12))
+		now += 100
+	}
+	m.Drain(now)
+	// Each round evicts 0x5000 from its L2 set, so its counter wraps on
+	// write-backs the caches make themselves, with MAC nodes on-chip.
+	buf := make([]byte, 64)
+	setStride := uint64(cfg.L2.SizeBytes / cfg.L2.Ways)
+	for w := 0; w < 300; w++ {
+		m.WriteBytes(now, 0x5000, payload(0x5000))
+		for k := uint64(1); k <= 6; k++ {
+			m.ReadBytes(now, 0x5000+k*setStride, buf)
+		}
+		now += 1000
+	}
+	if m.Controller().Stats.FullReencEvents == 0 {
+		t.Fatal("no whole-memory re-encryption")
+	}
+	// Cycle the rebuilt nodes out of the MAC cache, then read everything.
+	for k := uint64(0); k < 2000; k++ {
+		if a := k*192 + 64; a%4096 != 0 {
+			m.ReadBytes(now, a, buf)
+		}
+		now += 100
+	}
+	for i := uint64(0); i < 256; i++ {
+		m.ReadBytes(now, i<<12, buf)
+		if !bytes.Equal(buf, payload(i<<12)) {
+			t.Fatalf("block %#x corrupted", i<<12)
+		}
+		now += 100
+	}
+	if n := m.Controller().Stats.TamperDetected; n != 0 {
+		t.Fatalf("spurious tamper: %d", n)
+	}
+}
+
 func TestSafeVsLazyAuthTiming(t *testing.T) {
 	// AuthDone must trail DataReady when authentication is on and a miss
 	// walks the tree.

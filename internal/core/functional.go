@@ -402,7 +402,7 @@ func (f *functional) rebuildTree(now sim.Time) {
 				copy(m[lo:hi], mac[:n])
 				// The on-chip copy now differs from memory; it must be
 				// written back eventually or the new MAC is lost.
-				f.c.l2.SetDirty(parent)
+				f.c.nodeCache().SetDirty(parent)
 			} else {
 				var pc [BlockSize]byte
 				f.c.mem.ReadBlock(parent, pc[:])

@@ -272,12 +272,11 @@ func (f *functional) updateParentSlot(addr uint64) {
 		f.root.Set(mac[:n])
 		return
 	}
-	node, okNode := f.meta[parent]
-	if !okNode {
-		// The timing path fetched and filled the parent; mirror it.
-		node = new([BlockSize]byte)
-		f.c.mem.ReadBlock(parent, node[:])
-		f.meta[parent] = node
+	node, ok := f.meta[parent]
+	if !ok {
+		// updateParentMac found the parent on-chip or fetched and verified
+		// it; adopting memory's copy here would trust unverified bytes.
+		panic(fmt.Sprintf("core: parent node %#x of %#x has no on-chip copy", parent, addr))
 	}
 	lo, hi := f.c.lay.Geo.MacOffset(slot)
 	copy(node[lo:hi], mac[:n])

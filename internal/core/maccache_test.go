@@ -74,6 +74,38 @@ func TestMacCacheStillDetectsTampering(t *testing.T) {
 	}
 }
 
+// TestMacCacheDrainKeepsParentTrusted: Drain must not leave a Merkle node
+// resident in the MAC cache once its trusted on-chip copy is gone, or the
+// next write-back under it adopts the node's memory image unverified. Here
+// the attacker flips the slot that holds B's MAC in the parent of A and B;
+// the write-back of A must overwrite it from the trusted copy rather than
+// launder it into the tree, so B still reads back clean.
+func TestMacCacheDrainKeepsParentTrusted(t *testing.T) {
+	m := mustSystem(t, macCacheCfg())
+	const a, b = 0x2000, 0x2040
+	geo := m.Controller().Layout().Geo
+	parent, slot, _ := geo.Parent(b)
+	if p, _, _ := geo.Parent(a); p != parent {
+		t.Fatalf("%#x and %#x are not siblings", a, b)
+	}
+	want := bytes.Repeat([]byte{0xB0}, 64)
+	m.WriteBytes(0, a, bytes.Repeat([]byte{0xA0}, 64))
+	m.WriteBytes(100, b, want)
+	m.Drain(200)
+	m.WriteBytes(1000, a, bytes.Repeat([]byte{0xA1}, 64))
+	lo, _ := geo.MacOffset(slot)
+	dram.NewAttacker(m.Controller().DRAM()).FlipBit(parent, lo*8)
+	m.Drain(2000)
+	buf := make([]byte, 64)
+	m.ReadBytes(3000, b, buf)
+	if !bytes.Equal(buf, want) {
+		t.Fatal("block B corrupted")
+	}
+	if tampers := m.Controller().Tampers(); len(tampers) != 0 {
+		t.Fatalf("untouched block flagged: %+v", tampers)
+	}
+}
+
 func TestMacCacheReducesL2DataPressure(t *testing.T) {
 	// With tree nodes out of the L2, data should miss less: the effect the
 	// paper predicts when it warns about codes sharing the data cache.

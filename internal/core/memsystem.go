@@ -124,8 +124,12 @@ func (m *MemSystem) evictL2(now sim.Time, ev cache.Eviction) {
 }
 
 // Drain writes every dirty block in the hierarchy back to memory (data,
-// then counters), leaving the caches empty. Functional examples use it to
-// force the off-chip image current before staging attacks.
+// then Merkle nodes, then counters), so the off-chip image is current.
+// Functional examples use it before staging attacks. The L1, the L2 and
+// the MAC cache give up every line they held through the victim path an
+// eviction takes, which drops each line's on-chip copy with it; a tree
+// node that a write-back fetches on the way may stay, clean. Counter
+// blocks stay cached, clean.
 func (m *MemSystem) Drain(now sim.Time) {
 	// L1 dirty lines merge into L2 first, where inclusion keeps them
 	// resident (see Access).
@@ -150,15 +154,13 @@ func (m *MemSystem) Drain(now sim.Time) {
 			}
 		}
 		if mc := m.ctl.MacCache(); mc != nil {
-			var dirtyMacs []uint64
-			mc.ForEach(func(addr uint64, dirty bool) {
-				if dirty {
-					dirtyMacs = append(dirtyMacs, addr)
+			var nodes []uint64
+			mc.ForEach(func(addr uint64, _ bool) { nodes = append(nodes, addr) })
+			for _, a := range nodes {
+				if present, dirty := mc.Invalidate(a); present {
+					m.ctl.onNodeVictim(now, cache.Eviction{Addr: a, Dirty: dirty})
+					m.ctl.drain()
 				}
-			})
-			for _, a := range dirtyMacs {
-				mc.CleanLine(a)
-				m.ctl.HandleEviction(now, a)
 			}
 		}
 		dirtyLeft := false

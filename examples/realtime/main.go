@@ -49,7 +49,7 @@ func main() {
 
 	memM, resM := run(mono, bench, instr)
 	stM := memM.Controller().Stats
-	freezeSec := float64(stM.FreezeCycles) / (mono.ClockGHz * 1e9)
+	freezeSec := float64(stM.FreezeCycles) / (cpu.ClockGHz * 1e9)
 	fmt.Println("Mono8b (8-bit monolithic counters):")
 	fmt.Printf("  whole-memory re-encryptions: %d\n", stM.FullReencEvents)
 	fmt.Printf("  total freeze time if charged: %d cycles (%.1f ms) — the\n",
@@ -64,7 +64,7 @@ func main() {
 	fmt.Println("Split (4-bit minors + 64-bit majors, 8 RSRs):")
 	fmt.Printf("  page re-encryptions: %d, all in the background\n", rsr.PageReencs)
 	fmt.Printf("  mean page re-encryption: %.0f cycles (%.2f us)\n",
-		rsr.MeanCycles(), rsr.MeanCycles()/(split.ClockGHz*1e3))
+		rsr.MeanCycles(), rsr.MeanCycles()/(cpu.ClockGHz*1e3))
 	fmt.Printf("  longest: %d cycles; max concurrent: %d of %d RSRs\n",
 		rsr.MaxCycles, rsr.MaxConcurrent, split.RSRs)
 	fmt.Printf("  write-back stall cycles caused: %d\n", rsr.StallCycles)

@@ -326,6 +326,3 @@ func invMixColumns(s *[16]byte) {
 		s[4*c+3] = mul11[a0] ^ mul13[a1] ^ mul9[a2] ^ mul14[a3] //secmemlint:ignore cttiming models the hardware engine's combinational InvMixColumns network; software table timing out of scope
 	}
 }
-
-// Rounds reports the number of AES rounds for this key size (10, 12, or 14).
-func (c *Cipher) Rounds() int { return c.rounds }

@@ -157,8 +157,8 @@ func TestRoundTripQuick(t *testing.T) {
 func TestRoundsPerKeySize(t *testing.T) {
 	for _, tc := range []struct{ keyLen, rounds int }{{16, 10}, {24, 12}, {32, 14}} {
 		c := MustNew(make([]byte, tc.keyLen))
-		if c.Rounds() != tc.rounds {
-			t.Errorf("key %d bytes: rounds = %d, want %d", tc.keyLen, c.Rounds(), tc.rounds)
+		if c.rounds != tc.rounds {
+			t.Errorf("key %d bytes: rounds = %d, want %d", tc.keyLen, c.rounds, tc.rounds)
 		}
 	}
 }

@@ -9,24 +9,18 @@ import (
 	"secmem/internal/sim"
 )
 
-// Config describes the bus.
-type Config struct {
-	// WidthBytes is the data width per bus cycle (16 for 128 bits).
-	WidthBytes int
-	// CPUCyclesPerBusCycle is the core-to-bus clock ratio times one; with a
-	// 5 GHz core and 600 MHz bus this is 8 (we round 8.33 down; the paper's
-	// 200-cycle round trip subsumes the remainder).
-	CPUCyclesPerBusCycle sim.Time
-}
+// The bus of Section 5, which no experiment varies.
+const (
+	// WidthBytes is the data width per bus cycle: 128 bits.
+	WidthBytes = 16
+	// CPUCyclesPerBusCycle is the core-to-bus clock ratio: 5 GHz over
+	// 600 MHz is 8.33, rounded down; the paper's 200-cycle round trip
+	// subsumes the remainder.
+	CPUCyclesPerBusCycle = 8
+)
 
-// DefaultConfig matches the paper's Section 5 parameters.
-func DefaultConfig() Config {
-	return Config{WidthBytes: 16, CPUCyclesPerBusCycle: 8}
-}
-
-// Bus is the shared transfer resource.
+// Bus is the shared transfer resource. The zero value is an idle bus.
 type Bus struct {
-	cfg Config
 	res sim.Resource
 
 	// Transfers and Bytes accumulate traffic statistics.
@@ -46,21 +40,13 @@ func (b *Bus) Instrument(reg *obsv.Registry, rec *obsv.Recorder) {
 	b.rec = rec
 }
 
-// New creates a bus.
-func New(cfg Config) *Bus {
-	if cfg.WidthBytes <= 0 || cfg.CPUCyclesPerBusCycle == 0 {
-		panic("bus: invalid config")
-	}
-	return &Bus{cfg: cfg}
-}
-
 // Occupancy returns the bus cycles (in CPU cycles) needed to move n bytes.
 func (b *Bus) Occupancy(n int) sim.Time {
 	if n <= 0 {
 		return 0
 	}
-	busCycles := sim.Time((n + b.cfg.WidthBytes - 1) / b.cfg.WidthBytes)
-	return busCycles * b.cfg.CPUCyclesPerBusCycle
+	busCycles := sim.Time((n + WidthBytes - 1) / WidthBytes)
+	return busCycles * CPUCyclesPerBusCycle
 }
 
 // Transfer reserves the bus for an n-byte transfer arriving at now and
@@ -83,10 +69,3 @@ func (b *Bus) QueueDelay() sim.Time { return b.res.WaitedCycles() }
 
 // Utilization is the fraction of [0, end) the bus spent transferring.
 func (b *Bus) Utilization(end sim.Time) float64 { return b.res.Utilization(end) }
-
-// Reset clears the timeline and statistics.
-func (b *Bus) Reset() {
-	b.res.Reset()
-	b.Transfers = 0
-	b.Bytes = 0
-}

@@ -3,7 +3,7 @@ package bus
 import "testing"
 
 func TestOccupancy(t *testing.T) {
-	b := New(DefaultConfig())
+	b := new(Bus)
 	cases := []struct {
 		bytes int
 		want  uint64
@@ -18,7 +18,7 @@ func TestOccupancy(t *testing.T) {
 }
 
 func TestTransferQueuing(t *testing.T) {
-	b := New(DefaultConfig())
+	b := new(Bus)
 	if got := b.Transfer(0, 64); got != 0 {
 		t.Errorf("first transfer start = %d", got)
 	}
@@ -36,7 +36,7 @@ func TestTransferQueuing(t *testing.T) {
 func TestBandwidthSaturation(t *testing.T) {
 	// 100 back-to-back 64-byte transfers at cycle 0 must take 100*32 cycles
 	// of bus occupancy: the bus is the bandwidth bound.
-	b := New(DefaultConfig())
+	b := new(Bus)
 	var last uint64
 	for i := 0; i < 100; i++ {
 		last = b.Transfer(0, 64)
@@ -49,23 +49,10 @@ func TestBandwidthSaturation(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	b := New(DefaultConfig())
-	b.Transfer(0, 64)
-	b.Reset()
-	if b.Transfers != 0 || b.BusyCycles() != 0 {
-		t.Error("Reset did not clear state")
+// TestPaperParameters pins the Section 5 bus: 128 bits at 600 MHz under a
+// 5 GHz core, so a 64-byte block occupies it for 4 bus cycles.
+func TestPaperParameters(t *testing.T) {
+	if WidthBytes != 16 || CPUCyclesPerBusCycle != 8 {
+		t.Errorf("bus = %d bytes x %d cycles, want 16 x 8", WidthBytes, CPUCyclesPerBusCycle)
 	}
-	if got := b.Transfer(0, 64); got != 0 {
-		t.Errorf("post-reset start = %d", got)
-	}
-}
-
-func TestInvalidConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid bus config did not panic")
-		}
-	}()
-	New(Config{WidthBytes: 0, CPUCyclesPerBusCycle: 8})
 }

@@ -180,9 +180,6 @@ func New(cfg Config) *Cache {
 	}
 }
 
-// Config returns the cache geometry.
-func (c *Cache) Config() Config { return c.cfg }
-
 // BlockAddr aligns addr down to its containing block.
 func (c *Cache) BlockAddr(addr uint64) uint64 { return addr & c.blockMask }
 
@@ -384,11 +381,4 @@ func (c *Cache) ForEach(fn func(addr uint64, dirty bool)) {
 			fn(addr, c.flags[li]&flagDirty != 0)
 		}
 	}
-}
-
-// ResidentBlocks counts valid lines.
-func (c *Cache) ResidentBlocks() int {
-	n := 0
-	c.ForEach(func(uint64, bool) { n++ })
-	return n
 }

@@ -232,9 +232,16 @@ func TestForEachAndResidentBlocks(t *testing.T) {
 			t.Errorf("block %#x dirty = %v", a, d)
 		}
 	}
-	if c.ResidentBlocks() != 4 {
-		t.Errorf("ResidentBlocks = %d", c.ResidentBlocks())
+	if n := residentBlocks(c); n != 4 {
+		t.Errorf("resident blocks = %d", n)
 	}
+}
+
+// residentBlocks counts c's valid lines.
+func residentBlocks(c *Cache) int {
+	n := 0
+	c.ForEach(func(uint64, bool) { n++ })
+	return n
 }
 
 func TestVictimAddressReconstruction(t *testing.T) {
@@ -282,7 +289,7 @@ func TestCapacityNeverExceeded(t *testing.T) {
 			if !c.Lookup(blk, false) {
 				c.Fill(blk, false)
 			}
-			if c.ResidentBlocks() > maxBlocks {
+			if residentBlocks(c) > maxBlocks {
 				return false
 			}
 		}

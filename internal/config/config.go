@@ -115,13 +115,14 @@ func (r AuthReq) String() string {
 	}
 }
 
-// SystemConfig is the complete description of one simulated machine.
+// SystemConfig is the complete description of one simulated machine. The
+// parameters no experiment varies are constants of the packages that model
+// them: the core's clock and issue width (cpu), the bus (bus), the memory
+// latency (dram) and the AES engine's latency (engine).
 type SystemConfig struct {
-	// Core parameters (Section 5: 3-issue OoO at 5 GHz).
-	ClockGHz   float64
-	IssueWidth int
-	ROBSize    int
-	MSHRs      int
+	// Core parameters (Section 5: a 3-issue out-of-order core).
+	ROBSize int
+	MSHRs   int
 
 	// Memory hierarchy.
 	L1           cache.Config
@@ -130,22 +131,15 @@ type SystemConfig struct {
 	// MemBytes is the protected data region size (512 MB in the paper);
 	// metadata regions are laid out above it.
 	MemBytes uint64
-	// MemLatencyCycles is the uncontended round-trip memory latency.
-	MemLatencyCycles uint64
-	// BusWidthBytes and BusCPUCyclesPerBusCycle describe the memory bus.
-	BusWidthBytes           int
-	BusCPUCyclesPerBusCycle uint64
 
 	// Crypto engines.
-	AESLatency  uint64
 	AESEngines  int
 	SHA1Latency uint64
 
 	// Encryption scheme.
 	Enc             EncryptionMode
 	MonoCounterBits int // 8, 16, 32, or 64 (mono and global modes)
-	MinorBits       int // split mode; 7 in the paper
-	MajorBits       int // split mode; 64 in the paper
+	MinorBits       int // split mode; 7 in the paper, beside a 64-bit major
 	PageBlocks      int // blocks per encryption page; 64 -> 4 KB pages
 	RSRs            int // re-encryption status registers; 8 in the paper
 	// ChargeMonoReenc makes monolithic counter overflow actually perform
@@ -179,10 +173,8 @@ type SystemConfig struct {
 // 64-bit MACs, counters authenticated).
 func Default() SystemConfig {
 	return SystemConfig{
-		ClockGHz:   5.0,
-		IssueWidth: 3,
-		ROBSize:    128,
-		MSHRs:      16,
+		ROBSize: 128,
+		MSHRs:   16,
 		L1: cache.Config{
 			Name: "L1D", SizeBytes: 16 << 10, Ways: 4, BlockBytes: 64, LatencyCycles: 2,
 		},
@@ -192,19 +184,14 @@ func Default() SystemConfig {
 		CounterCache: cache.Config{
 			Name: "SNC", SizeBytes: 32 << 10, Ways: 8, BlockBytes: 64, LatencyCycles: 2,
 		},
-		MemBytes:                512 << 20,
-		MemLatencyCycles:        200,
-		BusWidthBytes:           16,
-		BusCPUCyclesPerBusCycle: 8,
+		MemBytes: 512 << 20,
 
-		AESLatency:  80,
 		AESEngines:  1,
 		SHA1Latency: 320,
 
 		Enc:             EncCounterSplit,
 		MonoCounterBits: 64,
 		MinorBits:       7,
-		MajorBits:       64,
 		PageBlocks:      64,
 		RSRs:            8,
 
@@ -228,11 +215,8 @@ func Baseline() SystemConfig {
 
 // Validate checks the configuration for consistency.
 func (c SystemConfig) Validate() error {
-	if c.IssueWidth <= 0 || c.ROBSize <= 0 || c.MSHRs <= 0 {
+	if c.ROBSize <= 0 || c.MSHRs <= 0 {
 		return fmt.Errorf("config: nonpositive core parameter")
-	}
-	if c.ClockGHz <= 0 {
-		return fmt.Errorf("config: nonpositive clock")
 	}
 	for _, cc := range []cache.Config{c.L1, c.L2} {
 		if err := cc.Validate(); err != nil {
@@ -269,9 +253,6 @@ func (c SystemConfig) Validate() error {
 		if c.MinorBits < 1 || c.MinorBits > 16 {
 			return fmt.Errorf("config: minor counter bits %d out of range", c.MinorBits)
 		}
-		if c.MajorBits != 64 {
-			return fmt.Errorf("config: major counter bits %d unsupported (want 64)", c.MajorBits)
-		}
 		if c.PageBlocks <= 0 || c.PageBlocks&(c.PageBlocks-1) != 0 {
 			return fmt.Errorf("config: page blocks %d not a power of two", c.PageBlocks)
 		}
@@ -290,8 +271,8 @@ func (c SystemConfig) Validate() error {
 			return fmt.Errorf("config: MAC bits %d not in {32,64,128}", c.MACBits)
 		}
 	}
-	if c.AESLatency == 0 || c.AESEngines <= 0 {
-		return fmt.Errorf("config: invalid AES engine parameters")
+	if c.AESEngines <= 0 {
+		return fmt.Errorf("config: AES engine count %d not positive", c.AESEngines)
 	}
 	if c.Auth == AuthSHA1 && c.SHA1Latency == 0 {
 		return fmt.Errorf("config: SHA-1 auth with zero latency")

@@ -11,6 +11,9 @@ func TestDefaultValidates(t *testing.T) {
 	}
 }
 
+// TestDefaultMatchesPaperSection5 pins the parameters a SystemConfig
+// carries; the fixed ones are pinned by the tests of cpu, bus, dram and
+// engine.
 func TestDefaultMatchesPaperSection5(t *testing.T) {
 	c := Default()
 	checks := []struct {
@@ -18,8 +21,6 @@ func TestDefaultMatchesPaperSection5(t *testing.T) {
 		got  any
 		want any
 	}{
-		{"clock", c.ClockGHz, 5.0},
-		{"issue width", c.IssueWidth, 3},
 		{"L1 size", c.L1.SizeBytes, 16 << 10},
 		{"L1 ways", c.L1.Ways, 4},
 		{"L1 latency", c.L1.LatencyCycles, uint64(2)},
@@ -29,8 +30,6 @@ func TestDefaultMatchesPaperSection5(t *testing.T) {
 		{"SNC size", c.CounterCache.SizeBytes, 32 << 10},
 		{"SNC ways", c.CounterCache.Ways, 8},
 		{"memory", c.MemBytes, uint64(512 << 20)},
-		{"memory latency", c.MemLatencyCycles, uint64(200)},
-		{"AES latency", c.AESLatency, uint64(80)},
 		{"SHA1 latency", c.SHA1Latency, uint64(320)},
 		{"minor bits", c.MinorBits, 7},
 		{"page blocks", c.PageBlocks, 64},
@@ -49,17 +48,15 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		name string
 		mut  func(*SystemConfig)
 	}{
-		{"zero issue width", func(c *SystemConfig) { c.IssueWidth = 0 }},
-		{"zero clock", func(c *SystemConfig) { c.ClockGHz = 0 }},
+		{"zero ROB", func(c *SystemConfig) { c.ROBSize = 0 }},
 		{"bad L1", func(c *SystemConfig) { c.L1.Ways = 0 }},
 		{"bad mem size", func(c *SystemConfig) { c.MemBytes = 100 }},
 		{"bad mono bits", func(c *SystemConfig) { c.Enc = EncCounterMono; c.MonoCounterBits = 12 }},
 		{"bad minor bits", func(c *SystemConfig) { c.MinorBits = 0 }},
-		{"bad major bits", func(c *SystemConfig) { c.MajorBits = 32 }},
 		{"bad page blocks", func(c *SystemConfig) { c.PageBlocks = 48 }},
 		{"no RSRs", func(c *SystemConfig) { c.RSRs = 0 }},
 		{"bad MAC bits", func(c *SystemConfig) { c.MACBits = 48 }},
-		{"zero AES", func(c *SystemConfig) { c.AESLatency = 0 }},
+		{"zero AES", func(c *SystemConfig) { c.AESEngines = 0 }},
 		{"zero SHA with SHA auth", func(c *SystemConfig) { c.Auth = AuthSHA1; c.SHA1Latency = 0 }},
 		{"bad counter cache", func(c *SystemConfig) { c.CounterCache.SizeBytes = 100 }},
 		// GCM without counter-mode encryption keeps split counters.

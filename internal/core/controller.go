@@ -104,18 +104,10 @@ func NewController(cfg config.SystemConfig) (*Controller, error) {
 	c := &Controller{
 		cfg: cfg,
 		lay: lay,
-		bus: bus.New(bus.Config{
-			WidthBytes:           cfg.BusWidthBytes,
-			CPUCyclesPerBusCycle: cfg.BusCPUCyclesPerBusCycle,
-		}),
-		aes: engine.NewAES(cfg.AESEngines, cfg.AESLatency),
+		bus: new(bus.Bus),
+		mem: dram.New(lay.TotalBytes, cfg.Functional),
+		aes: engine.NewAES(cfg.AESEngines),
 	}
-	c.mem = dram.New(dram.Config{
-		SizeBytes:       lay.TotalBytes,
-		LatencyCycles:   cfg.MemLatencyCycles,
-		ServiceInterval: 16,
-		Functional:      cfg.Functional,
-	})
 	if cfg.Auth == config.AuthSHA1 {
 		c.sha = engine.NewSHA1(1, cfg.SHA1Latency)
 	}
@@ -193,9 +185,6 @@ func (c *Controller) RSRs() *reenc.File { return c.rsrs }
 // Bus exposes the memory bus for statistics.
 func (c *Controller) Bus() *bus.Bus { return c.bus }
 
-// AES exposes the AES engine for statistics.
-func (c *Controller) AES() *engine.AES { return c.aes }
-
 // DRAM exposes the memory device (functional examples attach attackers).
 func (c *Controller) DRAM() *dram.DRAM { return c.mem }
 
@@ -245,7 +234,7 @@ func (c *Controller) counterReady(now sim.Time, addr uint64) (ready, authDone si
 	// Miss: fetch the counter block, or forward it from the write-back
 	// buffer if its eviction is still queued (the on-chip values were never
 	// discarded, so DRAM would be stale).
-	if c.forwardWB(ctrBlk) {
+	if c.clearWB(ctrBlk) {
 		ready := now + c.sncLatency()
 		if ev, evicted := c.ctrs.CacheFill(ctrBlk, ready); evicted && ev.Dirty {
 			c.enqueueWB(ready, ev.Addr)
@@ -294,7 +283,7 @@ func (c *Controller) inTree(addr uint64) bool {
 // whether the block was forwarded from the write-back buffer — in which
 // case the caller must re-install it dirty, since memory was never updated.
 func (c *Controller) ReadBlock(now sim.Time, addr uint64) (dataReady, authDone sim.Time, forwarded bool) {
-	if c.forwardWB(addr) {
+	if c.clearWB(addr) {
 		// Write-back buffer forward: plaintext never left the chip.
 		t := now + 1
 		return t, t, true
@@ -399,7 +388,7 @@ func (c *Controller) authChain(now sim.Time, addr uint64, arrive sim.Time) sim.T
 		if !c.cfg.ParallelAuth {
 			issueAt = prevDone
 		}
-		if c.forwardWB(mac) {
+		if c.clearWB(mac) {
 			// Write-back buffer forward: trusted dirty copy, no fetch.
 			if ev, evicted := nc.Fill(mac, true); evicted {
 				c.onNodeVictim(issueAt, ev)
@@ -456,17 +445,12 @@ func (c *Controller) enqueueWB(now sim.Time, addr uint64) {
 	c.wbQueue = append(c.wbQueue, wbItem{now: now, addr: addr, live: true})
 }
 
-// forwardWB models a write-back buffer hit: the block is being re-fetched
-// while its write-back is still queued, so the fill is served from the
-// buffer (squashing the write-back) and the block stays dirty on-chip. The
-// functional on-chip copy was never discarded, so no bytes move. Reports
-// whether forwarding happened.
-func (c *Controller) forwardWB(addr uint64) bool {
-	return c.clearWB(addr)
-}
-
 // clearWB marks every live copy of addr still queued as done, reporting
-// whether there was one.
+// whether there was one. drain takes a block's copies this way before
+// writing it back. A fill of a block whose write-back is still queued
+// takes them too: that is a write-back buffer hit, served from the buffer
+// (squashing the write-back), and the block stays dirty on-chip. Its
+// functional on-chip copy was never discarded, so no bytes move.
 func (c *Controller) clearWB(addr uint64) bool {
 	found := false
 	for i := c.wbHead; i < len(c.wbQueue); i++ {

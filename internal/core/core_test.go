@@ -66,7 +66,7 @@ func TestTimingHitVsMiss(t *testing.T) {
 	if !r1.L2Miss {
 		t.Fatal("cold access not an L2 miss")
 	}
-	if r1.DataReady < cfg.MemLatencyCycles {
+	if r1.DataReady < dram.LatencyCycles {
 		t.Errorf("miss data ready at %d, faster than memory latency", r1.DataReady)
 	}
 	r2 := m.Access(r1.DataReady, 0x40, false)

@@ -50,7 +50,8 @@ func TestMacCacheFunctionalRoundTrip(t *testing.T) {
 		t.Fatalf("false positives: %d", n)
 	}
 	// Tree nodes must actually live in the dedicated cache, not the L2.
-	macResident := m.Controller().MacCache().ResidentBlocks()
+	macResident := 0
+	m.Controller().MacCache().ForEach(func(uint64, bool) { macResident++ })
 	if macResident == 0 {
 		t.Error("dedicated MAC cache unused")
 	}

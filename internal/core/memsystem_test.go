@@ -284,10 +284,10 @@ func TestWriteBackBufferQueuedTwice(t *testing.T) {
 	const blk = 0x4000
 	ctl.enqueueWB(100, blk)
 	ctl.enqueueWB(200, blk)
-	if !ctl.forwardWB(blk) {
+	if !ctl.clearWB(blk) {
 		t.Fatal("forward of a queued block missed the buffer")
 	}
-	if ctl.forwardWB(blk) {
+	if ctl.clearWB(blk) {
 		t.Fatal("second forward hit the buffer: the first left a live copy")
 	}
 	ctl.drain()
@@ -302,7 +302,7 @@ func TestWriteBackBufferQueuedTwice(t *testing.T) {
 	}
 	// A copy queued after a forward is live again.
 	ctl.enqueueWB(500, blk)
-	ctl.forwardWB(blk)
+	ctl.clearWB(blk)
 	ctl.enqueueWB(600, blk)
 	ctl.drain()
 	if n := ctl.Stats.WriteBacks; n != 2 {

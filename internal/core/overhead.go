@@ -4,6 +4,9 @@ import (
 	"fmt"
 
 	"secmem/internal/config"
+	"secmem/internal/dram"
+	"secmem/internal/engine"
+	"secmem/internal/sim"
 	"secmem/internal/stats"
 )
 
@@ -90,8 +93,8 @@ type LatencyBreakdown struct {
 // Figure1 computes the three timelines from a configuration's parameters
 // (uncontended; queuing effects come from full simulation).
 func Figure1(cfg config.SystemConfig) []LatencyBreakdown {
-	mem := cfg.MemLatencyCycles
-	aes := cfg.AESLatency + 3*(cfg.AESLatency/16) // 4 pipelined chunk pads
+	mem := uint64(dram.LatencyCycles)
+	aes := uint64(engine.AESLatency + 3*(engine.AESLatency/engine.AESStages)) // 4 pipelined chunk pads
 	snc := cfg.CounterCache.LatencyCycles
 	ghash := uint64(BlockSize/16) + 1
 	return []LatencyBreakdown{
@@ -105,24 +108,17 @@ func Figure1(cfg config.SystemConfig) []LatencyBreakdown {
 			Case:      "counter mode, counter cache hit (Fig 1b)",
 			DataAt:    mem,
 			PadAt:     snc + aes,
-			UsableAt:  maxU(mem, snc+aes) + 1,
+			UsableAt:  sim.Max(mem, snc+aes) + 1,
 			AuthTailC: ghash,
 		},
 		{
 			Case:      "counter mode, counter cache miss (Fig 1c)",
 			DataAt:    mem,
 			PadAt:     snc + mem + aes, // counter fetch first
-			UsableAt:  maxU(mem, snc+mem+aes) + 1,
+			UsableAt:  sim.Max(mem, snc+mem+aes) + 1,
 			AuthTailC: ghash,
 		},
 	}
-}
-
-func maxU(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Figure1Table renders the breakdown.

@@ -130,7 +130,7 @@ func TestPredictionConsumesNFoldAESBandwidth(t *testing.T) {
 	}
 	// Each miss precomputes N pads of 4 chunks.
 	wantMin := m.Controller().Stats.PadReads * PredictN * 4
-	if got := m.Controller().AES().Issues(); got < wantMin {
+	if got := m.Controller().aes.Issues(); got < wantMin {
 		t.Errorf("AES issues = %d, want >= %d (N-fold precomputation)", got, wantMin)
 	}
 }
@@ -175,7 +175,7 @@ func TestPredictInvalidConfigRejected(t *testing.T) {
 		name   string
 		mutate func(*config.SystemConfig)
 	}{
-		{"issue width", func(c *config.SystemConfig) { c.IssueWidth = 0 }},
+		{"ROB size", func(c *config.SystemConfig) { c.ROBSize = 0 }},
 		{"page blocks", func(c *config.SystemConfig) { c.PageBlocks = 0 }},
 		{"auth", func(c *config.SystemConfig) { c.Auth = config.AuthGCM }},
 	} {

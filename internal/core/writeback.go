@@ -107,7 +107,7 @@ func (c *Controller) updateParentMac(now sim.Time, addr uint64) {
 	}
 	nc := c.nodeCache()
 	if !nc.Contains(mac) {
-		if c.forwardWB(mac) {
+		if c.clearWB(mac) {
 			// The parent's own write-back is still queued: forward it from
 			// the write-back buffer (its on-chip copy was never discarded)
 			// instead of reading stale memory.

@@ -159,8 +159,7 @@ func (s Stats) HitRate() float64 {
 // counterBlock is one counter block's on-chip state: its memory image and,
 // for a direct counter block, the write-back count of each data block it
 // covers (Table 2), allocated with its first data write-back. The counts
-// are statistics, not hardware state, so they stay outside the image and
-// survive ResetAll.
+// are statistics, not hardware state, so they stay outside the image.
 type counterBlock struct {
 	img  [BlockSize]byte
 	incr []uint32
@@ -412,15 +411,6 @@ func (s *Store) ResetMinor(addr uint64) {
 	if b := t.at(cb); b != nil {
 		setField(&b.img, off, w, 0)
 	}
-}
-
-// ResetAll zeroes every counter; whole-memory re-encryption (monolithic
-// overflow key change) starts all counters over under the new key. The
-// growth counts are statistics of the run and stay.
-func (s *Store) ResetAll() {
-	s.direct.each(func(_ uint64, b *counterBlock) { b.img = [BlockSize]byte{} })
-	clear(s.deriv.leaves)
-	s.global = 0
 }
 
 func (s *Store) trackGrowth(addr uint64) {

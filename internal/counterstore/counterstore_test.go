@@ -319,16 +319,6 @@ func TestCacheFillEviction(t *testing.T) {
 	}
 }
 
-func TestResetAll(t *testing.T) {
-	s := splitStore()
-	s.Increment(0)
-	s.BumpMajor(0)
-	s.ResetAll()
-	if s.Value(0) != 0 || s.Major(0) != 0 {
-		t.Error("ResetAll left state behind")
-	}
-}
-
 func TestSeedUniquenessAcrossWritebacks(t *testing.T) {
 	// Property: the sequence of (value) returned by repeated increments of
 	// one block never repeats until a page re-encryption intervenes, and

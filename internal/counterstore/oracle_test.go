@@ -113,13 +113,6 @@ func (r *refStore) bumpMajor(page uint64) (uint64, uint64) {
 	return old, old + 1
 }
 
-func (r *refStore) resetAll() {
-	clear(r.minors)
-	clear(r.majors)
-	clear(r.values)
-	r.global = 0
-}
-
 // fields lists, in image order, the map and key of every counter the
 // counter block at ctrBlock holds, with each counter's width in bits.
 func (r *refStore) fields(ctrBlock uint64) (m []map[uint64]uint64, keys []uint64, widths []uint) {
@@ -201,7 +194,6 @@ const (
 	opMajor               // Major (split)
 	opBumpMajor           // BumpMajor (split)
 	opResetMinor          // ResetMinor (split)
-	opResetAll            // ResetAll
 	opPack                // PackBlock of a counter block
 	opUnpack              // UnpackBlock of a random image
 	opUnpackPacked        // UnpackBlock of a packed image with one byte changed
@@ -209,7 +201,7 @@ const (
 )
 
 var storeOpNames = [numStoreOps]string{"inc-data", "inc-meta", "value", "value-with-major",
-	"major", "bump-major", "reset-minor", "reset-all", "pack", "unpack", "unpack-packed"}
+	"major", "bump-major", "reset-minor", "pack", "unpack", "unpack-packed"}
 
 type storeOp struct {
 	kind int
@@ -333,11 +325,10 @@ func oracleImage(seed uint64) [BlockSize]byte {
 func splitOnly(kind int) bool { return kind >= opValueWithMaj && kind <= opResetMinor }
 
 // randomStoreOps draws n operations. Three in four data increments go to
-// three hot blocks, so minors and narrow counters overflow, and a ResetAll
-// comes about once in a thousand operations, so that it seldom prevents it.
+// three hot blocks, so minors and narrow counters overflow.
 func randomStoreOps(c Config, rng *rand.Rand, n int) []storeOp {
 	weights := [numStoreOps]int{opIncData: 500, opIncMeta: 120, opValue: 120, opValueWithMaj: 40,
-		opMajor: 30, opBumpMajor: 30, opResetMinor: 20, opResetAll: 1, opPack: 80, opUnpack: 30, opUnpackPacked: 30}
+		opMajor: 30, opBumpMajor: 30, opResetMinor: 20, opPack: 80, opUnpack: 30, opUnpackPacked: 30}
 	if c.Org != OrgSplit {
 		for k := range weights {
 			if splitOnly(k) {
@@ -450,9 +441,6 @@ func checkStoreOracle(t *testing.T, c Config, ops []storeOp) {
 		case opResetMinor:
 			s.ResetMinor(o.addr)
 			r.minors[o.addr] = 0
-		case opResetAll:
-			s.ResetAll()
-			r.resetAll()
 		case opPack:
 			if got, want := s.PackBlock(o.addr), r.pack(o.addr); got != want {
 				fail("image", fmt.Sprintf("%x", got), fmt.Sprintf("%x", want))

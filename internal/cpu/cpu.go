@@ -25,8 +25,20 @@ import (
 	"secmem/internal/sim"
 )
 
-// SubTicks is the number of sub-cycle ticks per processor cycle.
-const SubTicks = 12
+// The core of Section 5: a 3-issue out-of-order core at 5 GHz. No
+// experiment varies either.
+const (
+	// ClockGHz is the core clock.
+	ClockGHz = 5.0
+	// IssueWidth is the dispatch and retire width, in instructions per
+	// cycle.
+	IssueWidth = 3
+	// SubTicks is the number of sub-cycle ticks per processor cycle, a
+	// multiple of IssueWidth.
+	SubTicks = 12
+	// subPerInstr is the dispatch spacing of consecutive instructions.
+	subPerInstr sim.Time = SubTicks / IssueWidth
+)
 
 // Memory is the interface the core issues accesses through;
 // *core.MemSystem implements it.
@@ -69,9 +81,9 @@ func (r Result) IPC() float64 {
 	return float64(r.Instructions) / float64(r.Cycles)
 }
 
-// Seconds converts the cycle count to wall time at the configured clock.
-func (r Result) Seconds(clockGHz float64) float64 {
-	return float64(r.Cycles) / (clockGHz * 1e9)
+// Seconds converts the cycle count to simulated time at the core clock.
+func (r Result) Seconds() float64 {
+	return float64(r.Cycles) / (ClockGHz * 1e9)
 }
 
 // CPU is the core model. Create one per run.
@@ -125,8 +137,6 @@ func New(cfg config.SystemConfig, mem Memory) *CPU {
 	return c
 }
 
-func (c *CPU) subPerInstr() sim.Time { return SubTicks / sim.Time(c.cfg.IssueWidth) }
-
 // ensureWindow enforces the ROB bound: instruction at index i cannot
 // dispatch until instruction i-ROBSize has retired. Only memory operations
 // can hold retirement back, so only they are tracked.
@@ -148,8 +158,8 @@ func (c *CPU) ensureWindow(i uint64) {
 // noteRetire records a memory instruction's retirement constraint, keeping
 // retire times monotonic (in-order retirement) and paced at IssueWidth.
 func (c *CPU) noteRetire(idx uint64, readySub sim.Time) {
-	if readySub < c.retire+c.subPerInstr() {
-		readySub = c.retire + c.subPerInstr()
+	if readySub < c.retire+subPerInstr {
+		readySub = c.retire + subPerInstr
 	}
 	c.retire = readySub
 	c.memops[(c.moHead+c.moLen)&c.moMask] = memop{idx: idx, retireSub: readySub}
@@ -158,7 +168,6 @@ func (c *CPU) noteRetire(idx uint64, readySub sim.Time) {
 
 // Run executes up to maxInstructions from src and returns the result.
 func (c *CPU) Run(src Source, maxInstructions uint64) Result {
-	spi := c.subPerInstr()
 	for c.res.Instructions < maxInstructions {
 		ev, ok := src.Next()
 		if !ok {
@@ -168,19 +177,19 @@ func (c *CPU) Run(src Source, maxInstructions uint64) Result {
 		n := uint64(ev.NonMemBefore)
 		if rem := maxInstructions - c.res.Instructions; n >= rem {
 			// The stream ends mid-batch: account the tail and stop.
-			c.dispatch += sim.Time(rem) * spi
+			c.dispatch += sim.Time(rem) * subPerInstr
 			c.res.Instructions += rem
 			break
 		}
 		c.index += n
 		c.res.Instructions += n
-		c.dispatch += sim.Time(n) * spi
+		c.dispatch += sim.Time(n) * subPerInstr
 		c.ensureWindow(c.index)
 
 		// Dispatch the memory instruction itself.
 		c.index++
 		c.res.Instructions++
-		c.dispatch += spi
+		c.dispatch += subPerInstr
 		c.ensureWindow(c.index)
 
 		issue := c.dispatch / SubTicks

@@ -37,7 +37,7 @@ func TestIPCNeverExceedsIssueWidth(t *testing.T) {
 		mem := &fakeMem{dataLat: lat, miss: true}
 		src := &randomSource{rng: rand.New(rand.NewSource(seed)), n: 300}
 		res := New(cfg, mem).Run(src, 1e6)
-		return res.IPC() <= float64(cfg.IssueWidth)+1e-9
+		return res.IPC() <= IssueWidth+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -220,7 +220,7 @@ func TestResultAccessors(t *testing.T) {
 	if r.IPC() != 3 {
 		t.Errorf("IPC = %v", r.IPC())
 	}
-	if s := r.Seconds(5); s != 100/(5e9) {
+	if s := r.Seconds(); s != 100/(5e9) {
 		t.Errorf("Seconds = %v", s)
 	}
 	var zero Result

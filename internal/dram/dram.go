@@ -21,31 +21,22 @@ import (
 // BlockSize is the memory block granularity (matches the cache line size).
 const BlockSize = 64
 
-// Config describes the memory device.
-type Config struct {
-	// SizeBytes is the total physical address space (data + metadata
-	// regions). Accesses beyond it panic: layout bugs must not hide.
-	SizeBytes uint64
+// The memory device of Section 5, which no experiment varies.
+const (
 	// LatencyCycles is the uncontended round-trip latency in CPU cycles,
-	// measured below the bus (the paper uses 200).
-	LatencyCycles sim.Time
+	// measured below the bus.
+	LatencyCycles = 200
 	// ServiceInterval is the minimum spacing between row accesses the
 	// device sustains (its internal banking limit). The bus is usually the
 	// tighter bound; 16 cycles is a reasonable device-side limit.
-	ServiceInterval sim.Time
-	// Functional enables the byte-level backing store.
-	Functional bool
-}
-
-// DefaultConfig returns the paper's memory parameters (512 MB, 200-cycle
-// round trip) with the functional store disabled.
-func DefaultConfig() Config {
-	return Config{SizeBytes: 512 << 20, LatencyCycles: 200, ServiceInterval: 16}
-}
+	ServiceInterval = 16
+)
 
 // DRAM is the device.
 type DRAM struct {
-	cfg    Config
+	// size is the total physical address space (data and metadata
+	// regions). Accesses beyond it panic: layout bugs must not hide.
+	size   uint64
 	pipe   *sim.Pipeline
 	blocks map[uint64]*[BlockSize]byte // functional store, block-aligned keys
 
@@ -59,23 +50,21 @@ type DRAM struct {
 // Instrument attaches the trace recorder, which may be nil.
 func (d *DRAM) Instrument(rec *obsv.Recorder) { d.rec = rec }
 
-// New creates a DRAM device.
-func New(cfg Config) *DRAM {
-	if cfg.SizeBytes == 0 || cfg.SizeBytes%BlockSize != 0 {
+// New creates a DRAM device of sizeBytes. functional enables the
+// byte-level backing store.
+func New(sizeBytes uint64, functional bool) *DRAM {
+	if sizeBytes == 0 || sizeBytes%BlockSize != 0 {
 		panic("dram: size must be a positive multiple of the block size")
 	}
 	d := &DRAM{
-		cfg:  cfg,
-		pipe: sim.NewPipeline(1, cfg.ServiceInterval, cfg.LatencyCycles),
+		size: sizeBytes,
+		pipe: sim.NewPipeline(1, ServiceInterval, LatencyCycles),
 	}
-	if cfg.Functional {
+	if functional {
 		d.blocks = make(map[uint64]*[BlockSize]byte)
 	}
 	return d
 }
-
-// Config returns the device configuration.
-func (d *DRAM) Config() Config { return d.cfg }
 
 // AccessRead reserves device service for a block read presented at now
 // (typically after the bus grant) and returns the data-available cycle.
@@ -103,8 +92,8 @@ func (d *DRAM) checkAddr(addr uint64) {
 	if addr%BlockSize != 0 {
 		panic(fmt.Sprintf("dram: unaligned block address %#x", addr))
 	}
-	if addr+BlockSize > d.cfg.SizeBytes {
-		panic(fmt.Sprintf("dram: address %#x beyond %d-byte memory", addr, d.cfg.SizeBytes))
+	if addr+BlockSize > d.size {
+		panic(fmt.Sprintf("dram: address %#x beyond %d-byte memory", addr, d.size))
 	}
 }
 
@@ -156,9 +145,6 @@ func (d *DRAM) ForEachBlock(fn func(addr uint64)) {
 		fn(addr)
 	}
 }
-
-// TouchedBlocks reports how many distinct blocks have been written.
-func (d *DRAM) TouchedBlocks() int { return len(d.blocks) }
 
 // Attacker provides hardware-attack primitives against the backing store.
 // It models a device spliced onto the memory bus or a mod chip on the DIMM:

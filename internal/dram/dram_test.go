@@ -6,15 +6,15 @@ import (
 	"testing"
 )
 
-func funcDRAM() *DRAM {
-	cfg := DefaultConfig()
-	cfg.SizeBytes = 1 << 20
-	cfg.Functional = true
-	return New(cfg)
-}
+func funcDRAM() *DRAM { return New(1<<20, true) }
 
+// timingDRAM is the paper's 512 MB memory without a backing store.
+func timingDRAM() *DRAM { return New(512<<20, false) }
+
+// TestTimingLatency pins the Section 5 memory: a 200-cycle round trip,
+// with the device's 16-cycle service interval between accesses.
 func TestTimingLatency(t *testing.T) {
-	d := New(DefaultConfig())
+	d := timingDRAM()
 	if got := d.AccessRead(1000); got != 1200 {
 		t.Errorf("read done = %d, want 1200", got)
 	}
@@ -40,8 +40,8 @@ func TestFunctionalStore(t *testing.T) {
 	if !bytes.Equal(buf, want) {
 		t.Error("read != write")
 	}
-	if d.TouchedBlocks() != 1 {
-		t.Errorf("touched = %d", d.TouchedBlocks())
+	if !d.HasBlock(0x1000) || d.HasBlock(0x1040) {
+		t.Error("HasBlock disagrees with the blocks written")
 	}
 }
 
@@ -66,7 +66,7 @@ func TestOutOfRangePanics(t *testing.T) {
 }
 
 func TestFunctionalDisabledPanics(t *testing.T) {
-	d := New(DefaultConfig())
+	d := timingDRAM()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("functional read on timing-only DRAM did not panic")
@@ -132,5 +132,5 @@ func TestAttackerRequiresFunctional(t *testing.T) {
 			t.Fatal("attacker on timing-only DRAM did not panic")
 		}
 	}()
-	NewAttacker(New(DefaultConfig()))
+	NewAttacker(timingDRAM())
 }

@@ -21,21 +21,17 @@ type AES struct {
 	rec   *obsv.Recorder
 }
 
-// AESDefaults are the paper's AES engine parameters.
+// The paper's AES engine, which no experiment varies: a 16-stage pipeline
+// with an 80-cycle total latency.
 const (
 	AESLatency = 80
 	AESStages  = 16
 )
 
-// NewAES builds an AES engine bank with `count` engines of the given total
-// latency; the initiation interval is latency/stages per the paper's
-// 16-stage pipeline.
-func NewAES(count int, latency sim.Time) *AES {
-	ii := latency / AESStages
-	if ii == 0 {
-		ii = 1
-	}
-	return &AES{pipe: sim.NewPipeline(count, ii, latency)}
+// NewAES builds an AES engine bank with `count` engines, each issuing one
+// operation every AESLatency/AESStages cycles.
+func NewAES(count int) *AES {
+	return &AES{pipe: sim.NewPipeline(count, AESLatency/AESStages, AESLatency)}
 }
 
 // Instrument registers the engine's wait histogram in reg and attaches the
@@ -72,12 +68,6 @@ func (a *AES) GenerateBlockPads(ready sim.Time) sim.Time {
 // Issues reports the number of 16-byte operations issued.
 func (a *AES) Issues() uint64 { return a.pipe.Issues() }
 
-// Latency reports the engine's configured total latency.
-func (a *AES) Latency() sim.Time { return a.pipe.Latency }
-
-// Engines reports the engine count.
-func (a *AES) Engines() int { return a.pipe.Engines() }
-
 // Utilization is the engine bank's pipeline occupancy over [0, end).
 func (a *AES) Utilization(end sim.Time) float64 { return a.pipe.Utilization(end) }
 
@@ -90,11 +80,9 @@ type SHA1 struct {
 	rec   *obsv.Recorder
 }
 
-// SHA1Defaults are the paper's SHA-1 engine parameters.
-const (
-	SHA1Latency = 320
-	SHA1Stages  = 32
-)
+// SHA1Stages is the depth of the paper's SHA-1 pipeline. Its latency is
+// what the Figure 7 sweep varies (SystemConfig.SHA1Latency).
+const SHA1Stages = 32
 
 // NewSHA1 builds a SHA-1 engine with the given total latency (80-640 in the
 // paper's sweep); II scales with latency to keep the 32-stage pipeline.
@@ -126,9 +114,6 @@ func (s *SHA1) Hash(ready sim.Time) sim.Time {
 
 // Issues reports the number of hashes issued.
 func (s *SHA1) Issues() uint64 { return s.pipe.Issues() }
-
-// Latency reports the configured digest latency.
-func (s *SHA1) Latency() sim.Time { return s.pipe.Latency }
 
 // Utilization is the engine's pipeline occupancy over [0, end).
 func (s *SHA1) Utilization(end sim.Time) float64 { return s.pipe.Utilization(end) }

@@ -41,9 +41,6 @@ func (e Element) Xor(o Element) Element {
 	return Element{e.Hi ^ o.Hi, e.Lo ^ o.Lo}
 }
 
-// IsZero reports whether e is the additive identity.
-func (e Element) IsZero() bool { return e.Hi == 0 && e.Lo == 0 }
-
 // Mul returns the product e*o in GF(2^128) per the NIST SP 800-38D
 // right-shift algorithm (Algorithm 1). Bit i of X is X.Hi's (63-i)th bit for
 // i<64, reflecting GCM's little-endian bit numbering within big-endian bytes.
@@ -124,9 +121,6 @@ func (g *Hash) UpdateLengths(aadBits, ctBits uint64) {
 // Sum returns the current GHASH value — tag material that stays secret
 // until it is masked with the authentication pad and clipped.
 func (g *Hash) Sum() [16]byte { return g.y.Bytes() }
-
-// Reset clears the accumulated state, keeping the subkey.
-func (g *Hash) Reset() { g.y = Element{} }
 
 // GHASH computes the one-shot GHASH_H(aad, ct) with standard zero padding of
 // both regions to block boundaries and the trailing length block.

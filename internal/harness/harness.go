@@ -82,9 +82,7 @@ type RunOut struct {
 	FastestIncr                       uint64
 	RSR                               reenc.Stats
 	Seconds                           float64 // simulated wall time
-	BusBusy, BusWait                  uint64  // bus occupancy and queue delay
-	AESIssues                         uint64
-	Predicted                         uint64 // correct counter predictions (prediction mode)
+	Predicted                         uint64  // correct counter predictions (prediction mode)
 	// PageFastestSum sums, over touched encryption pages, the write-back
 	// count of each page's fastest-advancing block (Section 6.1 analysis).
 	PageFastestSum uint64
@@ -278,7 +276,7 @@ func collectRunOut(bench string, cfg config.SystemConfig, mem *core.MemSystem, r
 		CPU:     res,
 		IPC:     res.IPC(),
 		Ctl:     mem.Controller().Stats,
-		Seconds: res.Seconds(cfg.ClockGHz),
+		Seconds: res.Seconds(),
 	}
 	if ctrs := mem.Controller().Counters(); ctrs != nil {
 		st := ctrs.Stats
@@ -287,23 +285,22 @@ func collectRunOut(bench string, cfg config.SystemConfig, mem *core.MemSystem, r
 		out.FastestIncr, _ = ctrs.FastestCounter()
 		// Per-page fastest counters, for the Section 6.1 analytic work
 		// ratio: a page re-encrypts at the rate of its fastest minor.
-		pageFastest := map[uint64]uint64{}
+		// ForEachIncrement visits in ascending address order, so each
+		// page's blocks arrive together.
+		pageBytes := uint64(cfg.PageBlocks) * 64
+		page, fastest := uint64(0), uint64(0)
 		ctrs.ForEachIncrement(func(addr, count uint64) {
-			page := addr / (uint64(cfg.PageBlocks) * 64)
-			if count > pageFastest[page] {
-				pageFastest[page] = count
+			if p := addr / pageBytes; p != page {
+				out.PageFastestSum += fastest
+				page, fastest = p, 0
 			}
+			fastest = max(fastest, count)
 		})
-		for _, v := range pageFastest {
-			out.PageFastestSum += v
-		}
+		out.PageFastestSum += fastest
 	}
 	if rsrs := mem.Controller().RSRs(); rsrs != nil {
 		out.RSR = rsrs.Stats
 	}
-	out.BusBusy = mem.Controller().Bus().BusyCycles()
-	out.BusWait = mem.Controller().Bus().QueueDelay()
-	out.AESIssues = mem.Controller().AES().Issues()
 	out.Predicted = mem.Controller().CorrectPredictions()
 	return out
 }

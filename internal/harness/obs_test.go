@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"secmem/internal/config"
@@ -34,19 +35,13 @@ func TestSamplerIsTimingNeutral(t *testing.T) {
 	if !reflect.DeepEqual(plain, sampled) {
 		t.Errorf("sampling changed simulated results:\nplain   %+v\nsampled %+v", plain, sampled)
 	}
-	if smp.Len() == 0 {
+	ts := smp.Export()
+	if len(ts.Samples) == 0 {
 		t.Error("sampler recorded nothing over a 200k-instruction run")
 	}
 	for _, name := range []string{"bus.util", "dram.util", "ctl.fills", "ctrcache.hitrate", "rsr.occupancy"} {
-		found := false
-		for _, n := range smp.Names() {
-			if n == name {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("probe %s not registered (have %v)", name, smp.Names())
+		if !slices.Contains(ts.Series, name) {
+			t.Errorf("probe %s not registered (have %v)", name, ts.Series)
 		}
 	}
 }

@@ -23,7 +23,7 @@ func BenchmarkLintRepo(b *testing.B) {
 		if err != nil {
 			b.Fatalf("loading repository: %v", err)
 		}
-		if diags := Run(pkgs, All()); len(diags) > 0 {
+		if diags := RunScoped(pkgs, pkgs, All()); len(diags) > 0 {
 			b.Fatalf("repository is not clean: %s", diags[0])
 		}
 		if elapsed := time.Since(start); elapsed > lintRepoBudget {

@@ -179,7 +179,7 @@ func orderedSinkCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 }
 
 // checkFloatMerge applies rule 2 over the module-wide concurrent-body sets,
-// which the module index computes once per Run.
+// which the module index computes once per run.
 func checkFloatMerge(pass *Pass) {
 	m := pass.module
 	cc := m.concurrency()

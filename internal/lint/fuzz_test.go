@@ -114,6 +114,7 @@ func FuzzSecretAnnotation(f *testing.F) {
 		}
 		// The index must be usable downstream: the taint analyzers over the
 		// fuzzed package must not panic either.
-		Run([]*Package{pkg}, []*Analyzer{SecretFlow, CTTiming, TaintEscape})
+		pkgs := []*Package{pkg}
+		RunScoped(pkgs, pkgs, []*Analyzer{SecretFlow, CTTiming, TaintEscape})
 	})
 }

@@ -52,7 +52,7 @@ func runGolden(t *testing.T, a *Analyzer, dir string) {
 		}
 	}
 	wants := parseWants(t, dir)
-	diags := Run(pkgs, []*Analyzer{a})
+	diags := RunScoped(pkgs, pkgs, []*Analyzer{a})
 	for _, d := range diags {
 		key := wantKey{filepath.Base(d.File), d.Line}
 		w, ok := wants[key]

@@ -69,7 +69,7 @@ func TestIgnorePlacement(t *testing.T) {
 	}
 
 	gotLines := make(map[int]bool)
-	for _, d := range Run(pkgs, []*Analyzer{MacCompare}) {
+	for _, d := range RunScoped(pkgs, pkgs, []*Analyzer{MacCompare}) {
 		if gotLines[d.Line] {
 			t.Errorf("duplicate diagnostic on line %d", d.Line)
 		}

@@ -65,11 +65,11 @@ type Pass struct {
 	analyzer *Analyzer
 	diags    *[]Diagnostic
 	// secrets is the module-wide "//secmemlint:secret" annotation index,
-	// shared by every pass of one Run so cross-package secrets (a gf128
+	// shared by every pass of one run so cross-package secrets (a gf128
 	// field read from gcmmode) resolve consistently.
 	secrets *SecretIndex
 	// module indexes the module's function declarations, shared by every
-	// pass of one Run.
+	// pass of one run.
 	module *moduleIndex
 }
 
@@ -115,15 +115,11 @@ func All() []*Analyzer {
 	}
 }
 
-// Run executes analyzers over pkgs, drops findings silenced by
-// "//secmemlint:ignore" comments, and returns the rest sorted by position.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return RunScoped(pkgs, pkgs, analyzers)
-}
-
 // RunScoped analyzes context — which should be every package of the module,
 // from one Load call — but reports findings only for the packages in
-// selected. The split keeps a scoped run as precise as a full one: the
+// selected, dropping those that "//secmemlint:ignore" comments silence and
+// sorting the rest by position. Passing the same packages twice runs over
+// all of them. The split keeps a scoped run as precise as a full one: the
 // secret annotations of out-of-scope packages (a gf128 field read from
 // gcmmode, a "return" annotation on a callee) and the declarations the
 // concurrency analyzers follow into other packages must be visible while

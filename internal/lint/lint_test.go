@@ -15,7 +15,7 @@ import (
 // "//secmemlint:ignore <analyzer> <reason>" comment at the site.
 func TestRepositoryClean(t *testing.T) {
 	pkgs := loadRepo(t)
-	diags := Run(pkgs, All())
+	diags := RunScoped(pkgs, pkgs, All())
 	for _, d := range diags {
 		t.Errorf("repository violates a crypto invariant: %s", d)
 	}
@@ -53,7 +53,7 @@ func TestViolationsAreDetected(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		diags := Run(pkgs, All())
+		diags := RunScoped(pkgs, pkgs, All())
 		found := false
 		for _, d := range diags {
 			if d.Analyzer == name {

@@ -5,7 +5,7 @@ import (
 	"go/types"
 )
 
-// moduleIndex is the module-wide state every pass of one Run shares: the
+// moduleIndex is the module-wide state every pass of one run shares: the
 // declaration of each function the module defines, and the concurrent-body
 // scan, computed on first demand. determinism and goroutinelife follow a
 // launched or called function into its body, possibly in another package;
@@ -47,7 +47,7 @@ func indexModule(pkgs []*Package) *moduleIndex {
 
 // concurrency bundles the module-wide concurrent-body discovery, so the
 // question "which bodies may run on another goroutine" is answered once
-// per Run rather than once per package.
+// per run rather than once per package.
 type concurrency struct {
 	scan      *litScan
 	conc      map[*ast.FuncLit]bool

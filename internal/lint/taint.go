@@ -61,7 +61,7 @@ var declassifiedPkgs = map[string]bool{
 	"crypto/subtle": true,
 }
 
-// SecretIndex is the module-wide annotation table built once per Run over
+// SecretIndex is the module-wide annotation table built once per run over
 // every loaded package, so a secret declared in gf128 stays secret when
 // gcmmode touches it through a selector.
 type SecretIndex struct {
@@ -73,7 +73,7 @@ type SecretIndex struct {
 	// outs maps functions to the indexes of their "out:" parameters.
 	outs map[*types.Func][]int
 	// taints caches per-function dataflow results across the analyzers of
-	// one Run.
+	// one run.
 	taints map[*ast.FuncDecl]*funcTaint
 }
 

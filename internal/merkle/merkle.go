@@ -130,21 +130,6 @@ func (g *Geometry) Parent(addr uint64) (macBlock uint64, slot int, ok bool) {
 	return l.Base + idx/g.Arity*BlockSize, int(idx % g.Arity), true
 }
 
-// Chain returns the MAC blocks from the leaf's parent up to (and including)
-// the top-level block: the path that must be authenticated on a miss.
-func (g *Geometry) Chain(leafAddr uint64) []uint64 {
-	var path []uint64
-	addr := leafAddr
-	for {
-		mac, _, ok := g.Parent(addr)
-		if !ok {
-			return path
-		}
-		path = append(path, mac)
-		addr = mac
-	}
-}
-
 // MacOffset returns the byte range [lo, hi) of a MAC slot within its block.
 func (g *Geometry) MacOffset(slot int) (lo, hi int) {
 	w := g.MacBits / 8

@@ -82,7 +82,7 @@ func TestParentAndChain(t *testing.T) {
 	if slot3 != 0 {
 		t.Errorf("top block root slot = %d", slot3)
 	}
-	chain := g.Chain(576)
+	chain := chain(g, 576)
 	if len(chain) != 2 || chain[0] != mac || chain[1] != mac2 {
 		t.Errorf("chain = %#v", chain)
 	}
@@ -123,7 +123,7 @@ func TestChainTerminatesAndDescendsFromAnyLeaf(t *testing.T) {
 	g := NewGeometry(1<<22, 1<<22, 32) // arity 16, 4 MB of leaves
 	f := func(raw uint32) bool {
 		leaf := (uint64(raw) % (1 << 22 / 64)) * 64
-		chain := g.Chain(leaf)
+		chain := chain(g, leaf)
 		if len(chain) != g.NumLevels() {
 			return false
 		}
@@ -216,5 +216,19 @@ func TestLevelName(t *testing.T) {
 		if got := LevelName(c.level); got != c.want {
 			t.Errorf("LevelName(%d) = %q, want %q", c.level, got, c.want)
 		}
+	}
+}
+
+// chain walks Parent from a leaf up to the top-level block: the MAC blocks
+// a miss must authenticate.
+func chain(g *Geometry, leafAddr uint64) []uint64 {
+	var path []uint64
+	for addr := leafAddr; ; {
+		mac, _, ok := g.Parent(addr)
+		if !ok {
+			return path
+		}
+		path = append(path, mac)
+		addr = mac
 	}
 }

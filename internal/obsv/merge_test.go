@@ -13,7 +13,7 @@ func TestShardedMergeSemantics(t *testing.T) {
 	// Counters sum; names present in only some registries still merge.
 	regs[0].Counter("ctl.fill").Add(10)
 	regs[1].Counter("ctl.fill").Add(32)
-	regs[2].Counter("only.here").Inc()
+	regs[2].Counter("only.here").Add(1)
 	// Gauges take the max across registries that set them.
 	regs[0].SetGauge("bus.util", 0.25)
 	regs[2].SetGauge("bus.util", 0.75)
@@ -24,16 +24,16 @@ func TestShardedMergeSemantics(t *testing.T) {
 	regs[2].Histogram("lat").Observe(1)
 
 	m := Merge(regs)
-	if got := m.Counter("ctl.fill").Value(); got != 42 {
+	if got := m.Counter("ctl.fill").v; got != 42 {
 		t.Errorf("merged ctl.fill = %d, want 42", got)
 	}
-	if got := m.Counter("only.here").Value(); got != 1 {
+	if got := m.Counter("only.here").v; got != 1 {
 		t.Errorf("merged only.here = %d, want 1", got)
 	}
-	if got := m.Gauge("bus.util").Value(); got != 0.75 {
+	if got := m.Gauge("bus.util").v; got != 0.75 {
 		t.Errorf("merged bus.util = %g, want 0.75 (max)", got)
 	}
-	if got := m.Gauge("solo").Value(); got != -2 {
+	if got := m.Gauge("solo").v; got != -2 {
 		t.Errorf("merged solo = %g, want -2", got)
 	}
 	h := m.Snapshot().Histograms["lat"]
@@ -87,7 +87,7 @@ func TestShardedEmptyShardsIgnored(t *testing.T) {
 	if v, ok := snap.Counters["idle"]; !ok || v != 0 {
 		t.Errorf("registered-but-idle counter lost in merge: %d, %v", v, ok)
 	}
-	if m := Merge(nil); m == nil || len(m.CounterNames()) != 0 {
+	if m := Merge(nil); m == nil || len(m.counters) != 0 {
 		t.Error("merge of no shards not empty")
 	}
 }
@@ -100,7 +100,7 @@ func TestShardCounterIncDoesNotAllocate(t *testing.T) {
 	c := r.Counter("hot.path")
 	h := r.Histogram("hot.lat")
 	avg := testing.AllocsPerRun(1000, func() {
-		c.Inc()
+		c.Add(1)
 		c.Add(3)
 		h.Observe(17)
 	})

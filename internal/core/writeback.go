@@ -141,7 +141,7 @@ func (c *Controller) updateParentMac(now sim.Time, addr uint64) {
 // that write-back itself.
 func (c *Controller) pageReencrypt(now sim.Time, page, skipAddr uint64) {
 	oldMajor, _ := c.ctrs.BumpMajor(page)
-	r, start := c.rsrs.Allocate(now, page, oldMajor)
+	r, start := c.rsrs.Allocate(now, page)
 	completion := start
 	for i := 0; i < c.cfg.PageBlocks; i++ {
 		blk := page + uint64(i)*BlockSize

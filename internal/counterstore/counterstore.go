@@ -53,12 +53,10 @@ const (
 type Regions struct {
 	// DataBytes is the size of the program-data region starting at 0.
 	DataBytes uint64
-	// DirectBase is the base of the direct-counter region.
+	// DirectBase is the base of the direct-counter region. Everything at or
+	// above it (counter blocks and Merkle MAC blocks) is metadata covered
+	// by derivative counters.
 	DirectBase uint64
-	// MacBase is the base of the Merkle MAC region. Everything at or above
-	// DirectBase (counter blocks and MAC blocks) is metadata covered by
-	// derivative counters.
-	MacBase uint64
 	// DerivBase is the base of the derivative-counter region.
 	DerivBase uint64
 }

@@ -12,10 +12,13 @@ func regions() Regions {
 	return Regions{
 		DataBytes:  1 << 20,
 		DirectBase: 1 << 20,
-		MacBase:    2 << 20,
 		DerivBase:  3 << 20,
 	}
 }
+
+// macBase is where the tests' Merkle MAC blocks start: metadata between
+// the direct counters and the derivative counters.
+const macBase uint64 = 2 << 20
 
 // snc is the 8-set counter cache of the tests.
 func snc() cache.Config { return cache.Config{Name: "snc", SizeBytes: 4096, Ways: 8, BlockBytes: 64} }
@@ -147,14 +150,14 @@ func TestCounterBlockAddrDensity(t *testing.T) {
 		t.Error("mono8: 4KB of data straddles counter blocks")
 	}
 	// MAC blocks map to the derivative region.
-	if a := split.CounterBlockAddr(r.MacBase); a < r.DerivBase {
+	if a := split.CounterBlockAddr(macBase); a < r.DerivBase {
 		t.Errorf("MAC counter at %#x, below derivative base", a)
 	}
 }
 
 func TestDerivativeCountersIndependent(t *testing.T) {
 	s := splitStore()
-	mac := regions().MacBase + 128
+	mac := macBase + 128
 	v, ov := s.Increment(mac)
 	if v != 1 || ov.Kind != NoOverflow {
 		t.Fatalf("deriv increment = (%d, %v)", v, ov)
@@ -171,7 +174,7 @@ func TestDerivativeCountersIndependent(t *testing.T) {
 // its image, so the on-chip value wraps exactly where the memory image does.
 func TestDerivativeCounterWraps(t *testing.T) {
 	s := splitStore()
-	mac := regions().MacBase + 128
+	mac := macBase + 128
 	for i := 0; i < 1<<16; i++ {
 		if _, ov := s.Increment(mac); ov.Kind != NoOverflow {
 			t.Fatalf("increment %d reported %+v", i+1, ov)
@@ -192,7 +195,7 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 	for _, cfg := range []Config{splitConfig(), monoConfig(8),
 		{Org: OrgGlobal, Bits: 32, Regions: regions(), Cache: snc()}} {
 		s := New(cfg)
-		blocks := []uint64{0x40, 300 * 4096, regions().MacBase + 128, regions().DirectBase + 64}
+		blocks := []uint64{0x40, 300 * 4096, macBase + 128, regions().DirectBase + 64}
 		step := func() {
 			for _, a := range blocks {
 				s.Increment(a)
@@ -218,7 +221,7 @@ func TestGrowthTracking(t *testing.T) {
 		s.Increment(0x80)
 	}
 	// MAC-block increments must not count toward data growth.
-	s.Increment(regions().MacBase)
+	s.Increment(macBase)
 	n, blk := s.FastestCounter()
 	if n != 10 || blk != 0x40 {
 		t.Errorf("fastest = (%d, %#x), want (10, 0x40)", n, blk)

@@ -27,7 +27,7 @@ func FuzzUnpackBlock(f *testing.F) {
 		case 1: // another page's counter block
 			ctrBlock = s.CounterBlockAddr(8192)
 		default: // derivative block
-			ctrBlock = s.CounterBlockAddr(regions().MacBase)
+			ctrBlock = s.CounterBlockAddr(macBase)
 		}
 		s.UnpackBlock(ctrBlock, img)
 		back := s.PackBlock(ctrBlock)

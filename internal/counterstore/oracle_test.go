@@ -216,7 +216,7 @@ func (o storeOp) String() string {
 // oracleRegions spaces the regions widely: the address pools below reach
 // counter blocks past the first few thousand in both counter regions.
 func oracleRegions() Regions {
-	return Regions{DataBytes: 1 << 30, DirectBase: 1 << 30, MacBase: 9 << 27, DerivBase: 10 << 27}
+	return Regions{DataBytes: 1 << 30, DirectBase: 1 << 30, DerivBase: 10 << 27}
 }
 
 // oracleGeometries lists the split geometries at every minor width, each

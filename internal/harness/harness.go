@@ -71,11 +71,9 @@ func (o Options) benches() []string {
 // RunOut captures everything a figure needs from one simulation. Runner
 // caches it by value.
 type RunOut struct {
-	Bench  string
-	Scheme string
-	CPU    cpu.Result
-	IPC    float64
-	Ctl    core.Stats
+	CPU cpu.Result
+	IPC float64
+	Ctl core.Stats
 	// Counter-cache and counter statistics (zero when unused).
 	CtrHits, CtrHalfMisses, CtrMisses uint64
 	CtrIncrements                     uint64
@@ -265,14 +263,12 @@ func (r *Runner) RunObserved(bench string, cfg config.SystemConfig, obs Obs) Run
 		// nothing useful during a freeze).
 		res.Cycles += mem.Controller().Stats.FreezeCycles
 	}
-	return collectRunOut(bench, cfg, mem, res)
+	return collectRunOut(cfg, mem, res)
 }
 
 // collectRunOut assembles a RunOut from a finished machine.
-func collectRunOut(bench string, cfg config.SystemConfig, mem *core.MemSystem, res cpu.Result) RunOut {
+func collectRunOut(cfg config.SystemConfig, mem *core.MemSystem, res cpu.Result) RunOut {
 	out := RunOut{
-		Bench:   bench,
-		Scheme:  cfg.SchemeName(),
 		CPU:     res,
 		IPC:     res.IPC(),
 		Ctl:     mem.Controller().Stats,

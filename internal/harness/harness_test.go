@@ -195,8 +195,8 @@ func TestPredictorRun(t *testing.T) {
 	if out.CPU.Instructions == 0 || out.Ctl.PadReads == 0 || out.Predicted == 0 {
 		t.Fatalf("predictor run empty: %+v", out)
 	}
-	if out.Scheme != "Pred" {
-		t.Errorf("scheme = %q, want Pred", out.Scheme)
+	if name := Predict(1).SchemeName(); name != "Pred" {
+		t.Errorf("scheme = %q, want Pred", name)
 	}
 }
 

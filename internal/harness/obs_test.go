@@ -93,7 +93,7 @@ func TestCampaignObserved(t *testing.T) {
 	}
 	for i := range outs {
 		if !reflect.DeepEqual(outs[i], wantOuts[i]) {
-			t.Errorf("bench %s: parallel campaign result differs from sequential", outs[i].Bench)
+			t.Errorf("bench %s: parallel campaign result differs from sequential", obsOpts().Benches[i])
 		}
 	}
 

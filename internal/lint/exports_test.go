@@ -2,8 +2,10 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"maps"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -59,6 +61,109 @@ func TestExportsHaveNonTestCallers(t *testing.T) {
 	for _, name := range left {
 		t.Errorf("allowlist entry %s names no exported declaration that lacks a non-test caller", name)
 	}
+	checkFieldsRead(t, pkgs)
+}
+
+// checkFieldsRead fails on an exported struct field under internal/ that no
+// non-test code reads. A read is any selector of the field that is not the
+// direct target of =, :=, ++ or --, so a field that is only ever set is
+// state nothing uses. Embedded fields are exempt, and so are fields with a
+// json tag, which encoding/json reads. fieldAllowlist names the struct
+// types whose fields stay unread, each with its reason.
+func checkFieldsRead(t *testing.T, pkgs []*Package) {
+	read := fieldReads(pkgs)
+	stale := maps.Clone(fieldAllowlist)
+	var unread []string
+	for _, pkg := range pkgs {
+		if !strings.Contains(pkg.Path, "/internal/") {
+			continue
+		}
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			typeName := pkg.Types.Name() + "." + tn.Name()
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if !f.Exported() || f.Embedded() || read[f] {
+					continue
+				}
+				if _, ok := reflect.StructTag(st.Tag(i)).Lookup("json"); ok {
+					continue
+				}
+				if _, ok := fieldAllowlist[typeName]; ok {
+					delete(stale, typeName)
+					continue
+				}
+				unread = append(unread, typeName+"."+f.Name())
+			}
+		}
+	}
+	sort.Strings(unread)
+	for _, name := range unread {
+		t.Errorf("field %s is exported but no non-test code reads it: delete it, or allowlist its type with a reason", name)
+	}
+	var left []string
+	for name := range stale {
+		left = append(left, name)
+	}
+	sort.Strings(left)
+	for _, name := range left {
+		t.Errorf("field allowlist entry %s names no type with an exported field that lacks a non-test read", name)
+	}
+}
+
+// fieldReads collects every struct field that a selector in non-test code
+// reads, that is, every field selected anywhere except as the direct target
+// of an assignment or an increment.
+func fieldReads(pkgs []*Package) map[*types.Var]bool {
+	read := make(map[*types.Var]bool)
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			written := make(map[*ast.SelectorExpr]bool)
+			target := func(e ast.Expr) {
+				if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+					written[sel] = true
+				}
+			}
+			// Inspect visits a statement before its operands, so a
+			// target is marked before its selector is reached.
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					if n.Tok == token.ASSIGN || n.Tok == token.DEFINE {
+						for _, lhs := range n.Lhs {
+							target(lhs)
+						}
+					}
+				case *ast.IncDecStmt:
+					target(n.X)
+				case *ast.SelectorExpr:
+					if sel := pkg.Info.Selections[n]; sel != nil && sel.Kind() == types.FieldVal && !written[n] {
+						read[sel.Obj().(*types.Var).Origin()] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	return read
+}
+
+// fieldAllowlist names the struct types whose exported fields stay without
+// a non-test read, with the reason. cpu.Result, which bench/ hashes too,
+// needs no entry while non-test code reads each of its fields.
+var fieldAllowlist = map[string]string{
+	"core.Stats":         "bench/ hashes it with %+v",
+	"cache.Stats":        "bench/ hashes it with %+v",
+	"counterstore.Stats": "bench/ hashes it with %+v",
+	"core.Tamper":        "tests assert which block was flagged",
 }
 
 // exportAllowlist names the exported declarations that stay without a

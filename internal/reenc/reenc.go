@@ -19,10 +19,11 @@ import (
 	"secmem/internal/sim"
 )
 
-// Register is one RSR.
+// Register is one RSR. The hardware register also holds the page's old
+// major counter; the functional layer takes it from the re-encryption
+// itself, so the model keeps no copy.
 type Register struct {
 	PageAddr uint64
-	OldMajor uint64
 	// FreeAt is the cycle at which this register's re-encryption completes
 	// and the register becomes reusable. A register is busy at time t iff
 	// FreeAt > t and it has been allocated at least once.
@@ -134,7 +135,7 @@ func (f *File) Busy(now sim.Time, page uint64) *Register {
 // already being re-encrypted waits for that RSR to free, and a write-back
 // that finds no free RSR waits for the earliest one. It returns the register
 // and the cycle at which the re-encryption actually begins.
-func (f *File) Allocate(now sim.Time, page, oldMajor uint64) (*Register, sim.Time) {
+func (f *File) Allocate(now sim.Time, page uint64) (*Register, sim.Time) {
 	start := now
 	if b := f.Busy(now, page); b != nil {
 		// Same-page overflow while still re-encrypting: stall until freed.
@@ -166,7 +167,6 @@ func (f *File) Allocate(now sim.Time, page, oldMajor uint64) (*Register, sim.Tim
 	}
 
 	best.PageAddr = page
-	best.OldMajor = oldMajor
 	best.StartedAt = start
 	best.FreeAt = start // provisional until Complete
 	best.inUse = true

@@ -4,11 +4,11 @@ import "testing"
 
 func TestAllocateFreeRegister(t *testing.T) {
 	f := NewFile(8, 64)
-	r, start := f.Allocate(100, 0x1000, 3)
+	r, start := f.Allocate(100, 0x1000)
 	if start != 100 {
 		t.Errorf("start = %d, want 100 (no stall)", start)
 	}
-	if r.PageAddr != 0x1000 || r.OldMajor != 3 || r.remaining != 64 {
+	if r.PageAddr != 0x1000 || r.remaining != 64 {
 		t.Errorf("register = %+v", r)
 	}
 	if f.Stats.PageReencs != 1 || f.Stats.StallCycles != 0 {
@@ -18,7 +18,7 @@ func TestAllocateFreeRegister(t *testing.T) {
 
 func TestDoneBits(t *testing.T) {
 	f := NewFile(1, 4)
-	r, _ := f.Allocate(0, 0, 0)
+	r, _ := f.Allocate(0, 0)
 	if r.done[2] {
 		t.Error("done bit set at allocation")
 	}
@@ -35,7 +35,7 @@ func TestDoneBits(t *testing.T) {
 
 func TestCompleteTracksDuration(t *testing.T) {
 	f := NewFile(2, 2)
-	r, start := f.Allocate(50, 0x2000, 0)
+	r, start := f.Allocate(50, 0x2000)
 	r.MarkDone(0)
 	r.MarkDone(1)
 	f.Complete(r, start+5000)
@@ -49,7 +49,7 @@ func TestCompleteTracksDuration(t *testing.T) {
 
 func TestCompleteWithPendingPanics(t *testing.T) {
 	f := NewFile(1, 2)
-	r, _ := f.Allocate(0, 0, 0)
+	r, _ := f.Allocate(0, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Complete with pending blocks did not panic")
@@ -60,14 +60,14 @@ func TestCompleteWithPendingPanics(t *testing.T) {
 
 func TestSamePageStall(t *testing.T) {
 	f := NewFile(8, 1)
-	r, _ := f.Allocate(0, 0x3000, 0)
+	r, _ := f.Allocate(0, 0x3000)
 	r.MarkDone(0)
 	f.Complete(r, 1000)
 	// Another overflow on the same page at cycle 500: must wait until 1000.
 	if b := f.Busy(500, 0x3000); b == nil {
 		t.Fatal("Busy did not find in-flight page")
 	}
-	_, start := f.Allocate(500, 0x3000, 1)
+	_, start := f.Allocate(500, 0x3000)
 	if start != 1000 {
 		t.Errorf("start = %d, want 1000", start)
 	}
@@ -82,14 +82,14 @@ func TestSamePageStall(t *testing.T) {
 
 func TestAllRegistersBusyStalls(t *testing.T) {
 	f := NewFile(2, 1)
-	r1, _ := f.Allocate(0, 0x1000, 0)
+	r1, _ := f.Allocate(0, 0x1000)
 	r1.MarkDone(0)
 	f.Complete(r1, 300)
-	r2, _ := f.Allocate(0, 0x2000, 0)
+	r2, _ := f.Allocate(0, 0x2000)
 	r2.MarkDone(0)
 	f.Complete(r2, 500)
 	// Third page at cycle 100: both busy; earliest frees at 300.
-	_, start := f.Allocate(100, 0x3000, 0)
+	_, start := f.Allocate(100, 0x3000)
 	if start != 300 {
 		t.Errorf("start = %d, want 300", start)
 	}
@@ -101,7 +101,7 @@ func TestAllRegistersBusyStalls(t *testing.T) {
 func TestConcurrencyHighWaterMark(t *testing.T) {
 	f := NewFile(4, 1)
 	for i := 0; i < 3; i++ {
-		r, start := f.Allocate(0, uint64(0x1000*(i+1)), 0)
+		r, start := f.Allocate(0, uint64(0x1000*(i+1)))
 		r.MarkDone(0)
 		f.Complete(r, start+10000)
 	}

@@ -4,10 +4,7 @@
 // are served FIFO; queuing delay emerges from the shared timeline.
 package bus
 
-import (
-	"secmem/internal/obsv"
-	"secmem/internal/sim"
-)
+import "secmem/internal/sim"
 
 // The bus of Section 5, which no experiment varies.
 const (
@@ -19,26 +16,17 @@ const (
 	CPUCyclesPerBusCycle = 8
 )
 
-// Bus is the shared transfer resource. The zero value is an idle bus.
+// Bus is the shared transfer resource: a one-server timeline, whose issue
+// count is the number of transfers.
 type Bus struct {
-	res sim.Resource
+	sim.Timeline
 
-	// Transfers and Bytes accumulate traffic statistics.
-	Transfers uint64
-	Bytes     uint64
-
-	// Observability handles; all nil-safe, so an uninstrumented bus pays
-	// one predicted branch per call.
-	hWait *obsv.Histogram
-	rec   *obsv.Recorder
+	// Bytes accumulates the bytes transferred.
+	Bytes uint64
 }
 
-// Instrument registers the bus's wait histogram in reg and attaches the
-// trace recorder. Either argument may be nil.
-func (b *Bus) Instrument(reg *obsv.Registry, rec *obsv.Recorder) {
-	b.hWait = reg.Histogram("bus.wait")
-	b.rec = rec
-}
+// New returns an idle bus.
+func New() *Bus { return &Bus{Timeline: sim.NewTimeline(1)} }
 
 // Occupancy returns the bus cycles (in CPU cycles) needed to move n bytes.
 func (b *Bus) Occupancy(n int) sim.Time {
@@ -52,20 +40,11 @@ func (b *Bus) Occupancy(n int) sim.Time {
 // Transfer reserves the bus for an n-byte transfer arriving at now and
 // returns the cycle the transfer starts.
 func (b *Bus) Transfer(now sim.Time, n int) sim.Time {
-	b.Transfers++
 	b.Bytes += uint64(n)
 	occ := b.Occupancy(n)
-	start := b.res.Acquire(now, occ)
-	b.hWait.Observe(uint64(start - now))
-	b.rec.Span("bus", "xfer", uint64(start), uint64(start+occ))
+	start, _ := b.Reserve(now, occ, occ, "xfer")
 	return start
 }
 
-// BusyCycles reports cumulative occupancy, for utilization stats.
-func (b *Bus) BusyCycles() sim.Time { return b.res.BusyCycles() }
-
 // QueueDelay reports cumulative queuing delay imposed on transfers.
-func (b *Bus) QueueDelay() sim.Time { return b.res.WaitedCycles() }
-
-// Utilization is the fraction of [0, end) the bus spent transferring.
-func (b *Bus) Utilization(end sim.Time) float64 { return b.res.Utilization(end) }
+func (b *Bus) QueueDelay() sim.Time { return b.WaitedCycles() }

@@ -5,7 +5,7 @@ import "testing"
 // TestOccupancy pins the Section 5 bus: 16 bytes per bus cycle, and 8
 // core cycles per bus cycle.
 func TestOccupancy(t *testing.T) {
-	b := new(Bus)
+	b := New()
 	cases := []struct {
 		bytes int
 		want  uint64
@@ -20,15 +20,15 @@ func TestOccupancy(t *testing.T) {
 }
 
 func TestTransferQueuing(t *testing.T) {
-	b := new(Bus)
+	b := New()
 	if got := b.Transfer(0, 64); got != 0 {
 		t.Errorf("first transfer start = %d", got)
 	}
 	if got := b.Transfer(0, 64); got != 32 {
 		t.Errorf("second transfer start = %d, want 32", got)
 	}
-	if b.Transfers != 2 || b.Bytes != 128 {
-		t.Errorf("stats = %d transfers, %d bytes", b.Transfers, b.Bytes)
+	if b.Issues() != 2 || b.Bytes != 128 {
+		t.Errorf("stats = %d transfers, %d bytes", b.Issues(), b.Bytes)
 	}
 	if b.QueueDelay() != 32 {
 		t.Errorf("queue delay = %d, want 32", b.QueueDelay())
@@ -38,7 +38,7 @@ func TestTransferQueuing(t *testing.T) {
 func TestBandwidthSaturation(t *testing.T) {
 	// 100 back-to-back 64-byte transfers at cycle 0 must take 100*32 cycles
 	// of bus occupancy: the bus is the bandwidth bound.
-	b := new(Bus)
+	b := New()
 	var last uint64
 	for i := 0; i < 100; i++ {
 		last = b.Transfer(0, 64)

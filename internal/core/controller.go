@@ -47,8 +47,8 @@ type Controller struct {
 
 	bus  *bus.Bus
 	mem  *dram.DRAM
-	aes  *engine.AES
-	sha  *engine.SHA1
+	aes  *engine.Bank
+	sha  *engine.Bank
 	ctrs *counterstore.Store
 	rsrs *reenc.File
 	l2   *cache.Cache
@@ -81,6 +81,7 @@ type Controller struct {
 	// exported count no statistic holds.
 	rec         *obsv.Recorder
 	hTxn        *obsv.Histogram
+	hRSR        *obsv.Histogram
 	merkleFetch []uint64
 	merkleTrack []string
 	txnSeq      uint64
@@ -104,12 +105,12 @@ func NewController(cfg config.SystemConfig) (*Controller, error) {
 	c := &Controller{
 		cfg: cfg,
 		lay: lay,
-		bus: new(bus.Bus),
+		bus: bus.New(),
 		mem: dram.New(lay.TotalBytes, cfg.Functional),
 		aes: engine.NewAES(cfg.AESEngines),
 	}
 	if cfg.Auth == config.AuthSHA1 {
-		c.sha = engine.NewSHA1(1, cfg.SHA1Latency)
+		c.sha = engine.NewSHA1(cfg.SHA1Latency)
 	}
 	if c.needCounters() {
 		c.ctrs = counterstore.New(counterstore.FromSystem(cfg, lay.Regions()))
@@ -324,18 +325,18 @@ func (c *Controller) ReadBlock(now sim.Time, addr uint64) (dataReady, authDone s
 		if padDone <= arrive {
 			c.Stats.TimelyPads++
 		}
-		dataReady = sim.Max(arrive, padDone) + 1
+		dataReady = max(arrive, padDone) + 1
 	}
 
 	if c.cfg.Auth != config.AuthNone {
-		authDone = sim.Max(c.authChain(now, addr, arrive), ctrAuth)
+		authDone = max(c.authChain(now, addr, arrive), ctrAuth)
 	} else {
 		authDone = dataReady
 	}
 	if c.fn != nil {
 		c.fn.onDataFill(now, addr)
 	}
-	end := sim.Max(dataReady, authDone)
+	end := max(dataReady, authDone)
 	c.hTxn.Observe(uint64(end - now))
 	if c.rec != nil {
 		c.rec.End("txn", "read", txn, uint64(end))
@@ -352,10 +353,10 @@ func (c *Controller) macCheckDone(now sim.Time, addr uint64, arrive sim.Time) si
 	switch c.cfg.Auth {
 	case config.AuthGCM:
 		ctrReady, _ := c.counterReady(now, addr)
-		padDone := c.aes.GeneratePad(ctrReady)
-		return sim.Max(arrive, padDone) + engine.GCMAuthTail(BlockSize/16)
+		padDone := c.aes.Issue(ctrReady)
+		return max(arrive, padDone) + engine.GCMAuthTail(BlockSize/16)
 	case config.AuthSHA1:
-		return c.sha.Hash(arrive)
+		return c.sha.Issue(arrive)
 	default:
 		return arrive
 	}

@@ -8,23 +8,25 @@ import (
 )
 
 // Instrument registers the controller's histograms in reg and attaches the
-// trace recorder, wiring both through every owned substrate (bus, DRAM,
-// engines, RSR file). Either argument may be nil; an uninstrumented
-// controller pays one predicted branch per hook. Counters are not touched
-// during the run: ExportObs adds them from the statistics at its end.
+// trace recorder, wiring both through every shared timeline (bus, DRAM,
+// engines). This is the one place a histogram or a trace track is named,
+// as addCounters is for counters. Either argument may be nil; an
+// uninstrumented controller pays one predicted branch per hook. Counters
+// are not touched during the run: ExportObs adds them from the statistics
+// at its end.
 //
 // The Registry and Recorder are not safe for concurrent use, so use one
 // pair per simulated machine.
 func (c *Controller) Instrument(reg *obsv.Registry, rec *obsv.Recorder) {
 	c.rec = rec
-	c.bus.Instrument(reg, rec)
-	c.mem.Instrument(rec)
-	c.aes.Instrument(reg, rec)
+	c.bus.Observe(reg.Histogram("bus.wait"), rec, "bus")
+	c.mem.Observe(nil, rec, "dram")
+	c.aes.Observe(reg.Histogram("aes.pipe.wait"), rec, "aes")
 	if c.sha != nil {
-		c.sha.Instrument(reg, rec)
+		c.sha.Observe(reg.Histogram("sha.pipe.wait"), rec, "sha")
 	}
 	if c.rsrs != nil {
-		c.rsrs.Instrument(reg, rec)
+		c.hRSR = reg.Histogram("rsr.cycles")
 	}
 	c.hTxn = reg.Histogram("ctl.read.cycles")
 	if c.lay.Geo != nil {
@@ -153,7 +155,7 @@ func (m *MemSystem) addCounters(reg *obsv.Registry) {
 	}
 	addCache("l1", m.l1)
 	addCache("l2", m.l2)
-	add("bus.xfer", c.bus.Transfers)
+	add("bus.xfer", c.bus.Issues())
 	add("bus.bytes", c.bus.Bytes)
 	add("dram.read", c.mem.Reads)
 	add("dram.write", c.mem.Writes)

@@ -35,7 +35,7 @@ func workload(t *testing.T, m *MemSystem) sim.Time {
 func counterSources(m *MemSystem) map[string]uint64 {
 	c := m.ctl
 	want := map[string]uint64{
-		"bus.xfer":      c.bus.Transfers,
+		"bus.xfer":      c.bus.Issues(),
 		"bus.bytes":     c.bus.Bytes,
 		"dram.read":     c.mem.Reads,
 		"dram.write":    c.mem.Writes,

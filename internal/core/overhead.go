@@ -6,7 +6,6 @@ import (
 	"secmem/internal/config"
 	"secmem/internal/dram"
 	"secmem/internal/engine"
-	"secmem/internal/sim"
 	"secmem/internal/stats"
 )
 
@@ -108,14 +107,14 @@ func Figure1(cfg config.SystemConfig) []LatencyBreakdown {
 			Case:      "counter mode, counter cache hit (Fig 1b)",
 			DataAt:    mem,
 			PadAt:     snc + aes,
-			UsableAt:  sim.Max(mem, snc+aes) + 1,
+			UsableAt:  max(mem, snc+aes) + 1,
 			AuthTailC: ghash,
 		},
 		{
 			Case:      "counter mode, counter cache miss (Fig 1c)",
 			DataAt:    mem,
 			PadAt:     snc + mem + aes, // counter fetch first
-			UsableAt:  sim.Max(mem, snc+mem+aes) + 1,
+			UsableAt:  max(mem, snc+mem+aes) + 1,
 			AuthTailC: ghash,
 		},
 	}

@@ -68,7 +68,7 @@ func (c *Controller) predictRead(now, arrive sim.Time, addr uint64) sim.Time {
 		if done <= arrive {
 			c.Stats.TimelyPads++
 		}
-		return sim.Max(arrive, done) + 1
+		return max(arrive, done) + 1
 	}
 	p.base[page] = actual
 	return c.aes.GenerateBlockPads(arrive) + 1

@@ -90,10 +90,10 @@ func (c *Controller) updateParentMac(now sim.Time, addr uint64) {
 	switch c.cfg.Auth {
 	case config.AuthGCM:
 		ctrReady, _ := c.counterReady(now, addr)
-		padDone := c.aes.GeneratePad(ctrReady)
+		padDone := c.aes.Issue(ctrReady)
 		macDone = padDone + engine.GCMAuthTail(BlockSize/16)
 	case config.AuthSHA1:
-		macDone = c.sha.Hash(now)
+		macDone = c.sha.Issue(now)
 	}
 
 	mac, _, ok := c.lay.Geo.Parent(addr)
@@ -165,7 +165,7 @@ func (c *Controller) pageReencrypt(now sim.Time, page, skipAddr uint64) {
 		arrive := c.fetch(start)
 		// Decrypt pad under the old major counter (seed known at start).
 		decPad := c.aes.GenerateBlockPads(start)
-		dec := sim.Max(arrive, decPad) + 1
+		dec := max(arrive, decPad) + 1
 		if c.fn != nil {
 			c.fn.onReencBlock(now, blk, oldMajor)
 		}
@@ -183,7 +183,10 @@ func (c *Controller) pageReencrypt(now sim.Time, page, skipAddr uint64) {
 			completion = end
 		}
 	}
-	c.rsrs.Complete(r, sim.Max(completion, start+1))
+	done := max(completion, start+1)
+	c.rsrs.Complete(r, done)
+	c.hRSR.Observe(done - start)
+	c.rec.SpanID("rsr", "reenc", start, done, page)
 }
 
 // fullReencrypt accounts a whole-memory re-encryption (monolithic or global

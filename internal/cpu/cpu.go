@@ -245,10 +245,10 @@ func (c *CPU) Run(src Source, maxInstructions uint64) Result {
 func (c *CPU) policyTimes(r core.AccessResult) (dataReady, retireReady sim.Time) {
 	switch c.cfg.Req {
 	case config.AuthSafe:
-		t := sim.Max(r.DataReady, r.AuthDone)
+		t := max(r.DataReady, r.AuthDone)
 		return t, t
 	case config.AuthCommit:
-		return r.DataReady, sim.Max(r.DataReady, r.AuthDone)
+		return r.DataReady, max(r.DataReady, r.AuthDone)
 	default: // lazy
 		return r.DataReady, r.DataReady
 	}

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"secmem/internal/obsv"
 	"secmem/internal/sim"
 )
 
@@ -32,23 +31,19 @@ const (
 	ServiceInterval = 16
 )
 
-// DRAM is the device.
+// DRAM is the device: a one-server timeline that takes a row access every
+// ServiceInterval cycles, each done LatencyCycles after it starts.
 type DRAM struct {
+	sim.Timeline
+
 	// size is the total physical address space (data and metadata
 	// regions). Accesses beyond it panic: layout bugs must not hide.
 	size   uint64
-	pipe   *sim.Pipeline
 	blocks map[uint64]*[BlockSize]byte // functional store, block-aligned keys
 
 	Reads  uint64
 	Writes uint64
-
-	// rec is the trace recorder; nil-safe.
-	rec *obsv.Recorder
 }
-
-// Instrument attaches the trace recorder, which may be nil.
-func (d *DRAM) Instrument(rec *obsv.Recorder) { d.rec = rec }
 
 // New creates a DRAM device of sizeBytes. functional enables the
 // byte-level backing store.
@@ -56,10 +51,7 @@ func New(sizeBytes uint64, functional bool) *DRAM {
 	if sizeBytes == 0 || sizeBytes%BlockSize != 0 {
 		panic("dram: size must be a positive multiple of the block size")
 	}
-	d := &DRAM{
-		size: sizeBytes,
-		pipe: sim.NewPipeline(1, ServiceInterval, LatencyCycles),
-	}
+	d := &DRAM{Timeline: sim.NewTimeline(1), size: sizeBytes}
 	if functional {
 		d.blocks = make(map[uint64]*[BlockSize]byte)
 	}
@@ -70,8 +62,7 @@ func New(sizeBytes uint64, functional bool) *DRAM {
 // (typically after the bus grant) and returns the data-available cycle.
 func (d *DRAM) AccessRead(now sim.Time) sim.Time {
 	d.Reads++
-	done, start := d.pipe.IssueStart(now)
-	d.rec.Span("dram", "read", uint64(start), uint64(done))
+	_, done := d.Reserve(now, ServiceInterval, LatencyCycles, "read")
 	return done
 }
 
@@ -79,14 +70,9 @@ func (d *DRAM) AccessRead(now sim.Time) sim.Time {
 // the returned cycle is when the device has absorbed the data.
 func (d *DRAM) AccessWrite(now sim.Time) sim.Time {
 	d.Writes++
-	done, start := d.pipe.IssueStart(now)
-	d.rec.Span("dram", "write", uint64(start), uint64(done))
+	_, done := d.Reserve(now, ServiceInterval, LatencyCycles, "write")
 	return done
 }
-
-// Utilization is the fraction of [0, end) the device spent servicing
-// accesses (occupancy of its service pipeline).
-func (d *DRAM) Utilization(end sim.Time) float64 { return d.pipe.Utilization(end) }
 
 func (d *DRAM) checkAddr(addr uint64) {
 	if addr%BlockSize != 0 {

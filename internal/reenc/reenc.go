@@ -15,7 +15,6 @@ package reenc
 import (
 	"fmt"
 
-	"secmem/internal/obsv"
 	"secmem/internal/sim"
 )
 
@@ -80,17 +79,6 @@ type File struct {
 	regs       []Register
 	pageBlocks int
 	Stats      Stats
-
-	// Observability handles; nil-safe.
-	hCycles *obsv.Histogram
-	rec     *obsv.Recorder
-}
-
-// Instrument registers the RSR file's duration histogram in reg and
-// attaches the trace recorder. Either argument may be nil.
-func (f *File) Instrument(reg *obsv.Registry, rec *obsv.Recorder) {
-	f.hCycles = reg.Histogram("rsr.cycles")
-	f.rec = rec
 }
 
 // NewFile builds a file of n registers for pageBlocks-block pages.
@@ -193,8 +181,6 @@ func (f *File) Complete(r *Register, completeAt sim.Time) {
 	if d > f.Stats.MaxCycles {
 		f.Stats.MaxCycles = d
 	}
-	f.hCycles.Observe(uint64(d))
-	f.rec.SpanID("rsr", "reenc", uint64(r.StartedAt), uint64(completeAt), r.PageAddr)
 }
 
 // NoteOnChip counts a block handled lazily in cache.

@@ -10,8 +10,8 @@ import (
 // bitmap and places a request on the server whose last busy cycle is
 // earliest, the lowest index on ties; the request starts at the later of
 // its arrival and the cycle after that server's last busy cycle. The
-// placement rule is reserve's first loop and nothing else, so a change to
-// the rule changes that loop.
+// placement rule is reserve's choice of best and start and nothing else,
+// so a change to the rule changes only those lines.
 type refTimeline struct {
 	busy         [][]bool // busy[s][c]: server s is occupied in cycle c
 	busyCycles   Time
@@ -69,60 +69,19 @@ func (r *refTimeline) utilization(end Time) float64 {
 // cycles and completes lat cycles after it starts.
 type req struct{ at, occ, lat Time }
 
-// underTest adapts one timeline implementation to the oracle. A nil
-// statistic is one the implementation does not report.
-type underTest struct {
-	reserve      func(q req) (start, done Time)
-	busyCycles   func() Time
-	waitedCycles func() Time
-	issues       func() uint64
-	utilization  func(end Time) float64
-}
-
-// resourceUnderTest drives a Resource, which is one server; it reports no
-// completion, so done is start plus the latency.
-func resourceUnderTest() underTest {
-	var r Resource
-	return underTest{
-		reserve: func(q req) (Time, Time) {
-			start := r.Acquire(q.at, q.occ)
-			return start, start + q.lat
-		},
-		busyCycles:   r.BusyCycles,
-		waitedCycles: r.WaitedCycles,
-		utilization:  r.Utilization,
-	}
-}
-
-// pipelineUnderTest drives a Pipeline, whose occupancy and latency are
-// fixed: every request must carry occ == ii and lat == latency.
-func pipelineUnderTest(servers int, ii, latency Time) underTest {
-	p := NewPipeline(servers, ii, latency)
-	return underTest{
-		reserve: func(q req) (Time, Time) {
-			if q.occ != ii || q.lat != latency {
-				panic("sim: pipeline request with a foreign occupancy or latency")
-			}
-			done, start := p.IssueStart(q.at)
-			return start, done
-		},
-		issues:      p.Issues,
-		utilization: p.Utilization,
-	}
-}
-
-// checkOracle presents reqs to ut and to the reference model in order and
-// requires every start and done, and every statistic ut reports, to agree.
-// It also checks two invariants that hold under any placement rule: no
-// cycle has more requests in service than there are servers, and nothing
-// starts before it arrives.
-func checkOracle(t *testing.T, servers int, ut underTest, reqs []req) {
+// checkOracle presents reqs to a timeline of servers servers and to the
+// reference model in order, and requires every start and done, and every
+// statistic, to agree. It also checks two invariants that hold under any
+// placement rule: no cycle has more requests in service than there are
+// servers, and nothing starts before it arrives.
+func checkOracle(t *testing.T, servers int, reqs []req) {
 	t.Helper()
+	tl := NewTimeline(servers)
 	ref := newRefTimeline(servers)
 	inService := map[Time]int{}
 	var end Time
 	for i, q := range reqs {
-		start, done := ut.reserve(q)
+		start, done := tl.Reserve(q.at, q.occ, q.lat, "op")
 		wantStart, wantDone := ref.reserve(q)
 		if start != wantStart || done != wantDone {
 			t.Fatalf("%d servers, request %d %+v: (start, done) = (%d, %d), model (%d, %d)",
@@ -139,27 +98,26 @@ func checkOracle(t *testing.T, servers int, ut underTest, reqs []req) {
 		}
 		end = max(end, done)
 	}
-	if ut.busyCycles != nil && ut.busyCycles() != ref.busyCycles {
-		t.Errorf("BusyCycles = %d, model %d", ut.busyCycles(), ref.busyCycles)
+	if tl.BusyCycles() != ref.busyCycles {
+		t.Errorf("BusyCycles = %d, model %d", tl.BusyCycles(), ref.busyCycles)
 	}
-	if ut.waitedCycles != nil && ut.waitedCycles() != ref.waitedCycles {
-		t.Errorf("WaitedCycles = %d, model %d", ut.waitedCycles(), ref.waitedCycles)
+	if tl.WaitedCycles() != ref.waitedCycles {
+		t.Errorf("WaitedCycles = %d, model %d", tl.WaitedCycles(), ref.waitedCycles)
 	}
-	if ut.issues != nil && ut.issues() != ref.issues {
-		t.Errorf("Issues = %d, model %d", ut.issues(), ref.issues)
+	if tl.Issues() != ref.issues {
+		t.Errorf("Issues = %d, model %d", tl.Issues(), ref.issues)
 	}
 	for _, e := range []Time{0, 1, end / 2, end, 2 * end} {
-		if got, want := ut.utilization(e), ref.utilization(e); got != want {
+		if got, want := tl.Utilization(e), ref.utilization(e); got != want {
 			t.Errorf("Utilization(%d) = %v, model %v", e, got, want)
 		}
 	}
 }
 
 // decodeReqs turns fuzz bytes into a server count and a request sequence.
-// Byte 0 picks 1-4 servers and, for a pipeline, the fixed occupancy and
-// latency. Each later triple moves the arrival cycle by a signed step, so
-// arrivals go backwards as the controller presents them, and sets the
-// request's occupancy and latency.
+// Byte 0 picks 1-4 servers. Each later triple moves the arrival cycle by a
+// signed step, so arrivals go backwards as the controller presents them,
+// and sets the request's occupancy and latency.
 func decodeReqs(data []byte) (servers int, reqs []req) {
 	if len(data) == 0 {
 		return 1, nil
@@ -186,31 +144,13 @@ func randomInput(rng *rand.Rand, n int) []byte {
 	return data
 }
 
-// fixedPipe rewrites every request to the pipeline's occupancy and
-// latency, which byte 0 of the fuzz input picks.
-func fixedPipe(data []byte, reqs []req) (ii, latency Time, out []req) {
-	ii = Time(data[0]>>2%10) + 1
-	latency = ii * Time(data[0]>>5%4*8+1)
-	out = make([]req, len(reqs))
-	for i, q := range reqs {
-		out[i] = req{at: q.at, occ: ii, lat: latency}
-	}
-	return ii, latency, out
-}
-
-// checkAll runs one fuzz input through every implementation: a Resource
-// takes the requests as they are on one server, a Pipeline takes them with
-// its fixed occupancy and latency.
+// checkAll checks one fuzz input against the model.
 func checkAll(t *testing.T, data []byte) {
 	servers, reqs := decodeReqs(data)
-	checkOracle(t, 1, resourceUnderTest(), reqs)
-	if len(data) > 0 {
-		ii, latency, fixed := fixedPipe(data, reqs)
-		checkOracle(t, servers, pipelineUnderTest(servers, ii, latency), fixed)
-	}
+	checkOracle(t, servers, reqs)
 }
 
-// TestTimelinesMatchOracle checks the timelines against the brute-force
+// TestTimelinesMatchOracle checks the timeline against the brute-force
 // model on random request sequences over 1-4 servers.
 func TestTimelinesMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))

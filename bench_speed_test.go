@@ -69,7 +69,7 @@ func BenchmarkGHASHTable(b *testing.B) {
 }
 
 // BenchmarkGHASHSerial measures the same 1 KiB hash through the bit-serial
-// oracle multiply (Element.Mul — gf128.GHASH itself now rides the table).
+// oracle multiply (Element.Mul, the multiply gf128.GHASH uses).
 // The ratio to BenchmarkGHASHTable is the table speedup.
 func BenchmarkGHASHSerial(b *testing.B) {
 	var hb [16]byte

@@ -71,12 +71,6 @@ const (
 	RoleAuth    byte = 1
 )
 
-// BlockCipher is the single-block encryption interface the pad generator
-// needs; *aescipher.Cipher satisfies it.
-type BlockCipher interface {
-	Encrypt(dst, src []byte)
-}
-
 // PadGen generates counter-mode pads and authentication codes for 64-byte
 // memory blocks. It owns the AES instance (the "AES engine" contents) and
 // the Shoup product table of the GHASH subkey H = E_K(0^128); the hot
@@ -84,11 +78,6 @@ type BlockCipher interface {
 // receiver's read-only state and the caller's stack, so they are safe for
 // concurrent use and never allocate.
 type PadGen struct {
-	cipher BlockCipher
-	// aes is cipher devirtualized: when the engine is the repo's own AES
-	// (always, outside tests), block encryption is a concrete call, so
-	// escape analysis keeps seeds and pads on the caller's stack instead
-	// of boxing every 16-byte array for the interface.
 	aes *aescipher.Cipher
 	//secmemlint:secret — product table of the GHASH subkey H = E_K(0^128); knowing H forges MACs
 	tbl    gf128.ProductTable8
@@ -96,50 +85,28 @@ type PadGen struct {
 	authIV byte
 }
 
-// encryptBlk encrypts one 16-byte block by value: array in, array out.
-// Escape analysis is flow-insensitive, so an interface call anywhere in a
-// function sends its buffers to the heap even on the devirtualized path;
-// keeping the fallback's (escaping) copies inside encryptSlow lets the
-// concrete path run entirely on the caller's stack.
+// encrypt encrypts one 16-byte block by value: array in, array out, so
+// seeds and pads stay on the caller's stack.
 //
 //secmemlint:secret return
-func (p *PadGen) encryptBlk(src [16]byte) (out [16]byte) {
-	if p.aes != nil {
-		p.aes.Encrypt(out[:], src[:])
-		return out
-	}
-	return encryptSlow(p.cipher, src)
-}
-
-// encryptSlow is the interface-dispatch fallback; its locals escape, which
-// is acceptable for non-AES test doubles and impossible for the production
-// engine.
-func encryptSlow(cipher BlockCipher, src [16]byte) [16]byte {
-	var dst [16]byte
-	cipher.Encrypt(dst[:], src[:])
-	return dst
+func encrypt(c *aescipher.Cipher, src [16]byte) (out [16]byte) {
+	c.Encrypt(out[:], src[:])
+	return out
 }
 
 // deriveH computes the GHASH subkey H = E_K(0^128) as an 8-bit product
 // table, keeping both the zero block and H itself in stack arrays rather
 // than per-constructor heap slices.
-func deriveH(cipher BlockCipher) gf128.ProductTable8 {
-	var h [16]byte
-	if c, ok := cipher.(*aescipher.Cipher); ok {
-		var zero [16]byte
-		c.Encrypt(h[:], zero[:])
-	} else {
-		h = encryptSlow(cipher, [16]byte{})
-	}
+func deriveH(c *aescipher.Cipher) gf128.ProductTable8 {
+	h := encrypt(c, [16]byte{})
 	return gf128.NewProductTable8(gf128.FromBytes(h[:]))
 }
 
-// NewPadGen creates a PadGen over cipher. eiv and authIV are the two
-// initialization-vector selector bytes from Section 2/3; they must differ so
-// encryption pads and authentication pads never collide.
-func NewPadGen(cipher BlockCipher, eiv, authIV byte) *PadGen {
-	aes, _ := cipher.(*aescipher.Cipher)
-	return &PadGen{cipher: cipher, aes: aes, tbl: deriveH(cipher), eiv: eiv, authIV: authIV}
+// NewPadGen creates a PadGen over an AES instance. eiv and authIV are the
+// two initialization-vector selector bytes from Section 2/3; they must
+// differ so encryption pads and authentication pads never collide.
+func NewPadGen(c *aescipher.Cipher, eiv, authIV byte) *PadGen {
+	return &PadGen{aes: c, tbl: deriveH(c), eiv: eiv, authIV: authIV}
 }
 
 // BlockPad returns the 64-byte encryption pad for the block at blockAddr
@@ -153,7 +120,7 @@ func (p *PadGen) BlockPad(blockAddr, counter uint64) [MemBlockSize]byte {
 	s := MakeSeed(blockAddr, 0, RoleEncrypt, counter, p.eiv)
 	for c := 0; c < BlockChunks; c++ {
 		s[6] = byte(c)
-		pad := p.encryptBlk([16]byte(s))
+		pad := encrypt(p.aes, [16]byte(s))
 		copy(out[c*ChunkSize:(c+1)*ChunkSize], pad[:])
 	}
 	return out
@@ -179,7 +146,7 @@ func (p *PadGen) EncryptBlock(dst, src []byte, blockAddr, counter uint64) {
 //
 //secmemlint:secret return
 func (p *PadGen) AuthPad(blockAddr, counter uint64) [16]byte {
-	return p.encryptBlk([16]byte(MakeSeed(blockAddr, 0, RoleAuth, counter, p.authIV)))
+	return encrypt(p.aes, [16]byte(MakeSeed(blockAddr, 0, RoleAuth, counter, p.authIV)))
 }
 
 // MAC computes the paper's per-block authentication code over a 64-byte
@@ -225,29 +192,14 @@ func (p *PadGen) Verify(ct []byte, blockAddr, counter uint64, mac []byte) bool {
 // AEAD is a standard GCM authenticated-encryption instance with a 96-bit
 // nonce and 128-bit tag.
 type AEAD struct {
-	cipher BlockCipher
-	// aes is cipher devirtualized; see PadGen.aes.
 	aes *aescipher.Cipher
 	//secmemlint:secret — product table of the GHASH subkey H = E_K(0^128)
 	tbl gf128.ProductTable8
 }
 
-// NewAEAD wraps cipher as a GCM AEAD.
-func NewAEAD(cipher BlockCipher) *AEAD {
-	aes, _ := cipher.(*aescipher.Cipher)
-	return &AEAD{cipher: cipher, aes: aes, tbl: deriveH(cipher)}
-}
-
-// encryptBlk encrypts one block by value; see PadGen.encryptBlk for why
-// the fallback lives in a separate function.
-//
-//secmemlint:secret return
-func (a *AEAD) encryptBlk(src [16]byte) (out [16]byte) {
-	if a.aes != nil {
-		a.aes.Encrypt(out[:], src[:])
-		return out
-	}
-	return encryptSlow(a.cipher, src)
+// NewAEAD wraps an AES instance as a GCM AEAD.
+func NewAEAD(c *aescipher.Cipher) *AEAD {
+	return &AEAD{aes: c, tbl: deriveH(c)}
 }
 
 // NonceSize is the supported GCM nonce size (96 bits).
@@ -268,7 +220,7 @@ func (a *AEAD) counterBlock(nonce []byte, ctr uint32) [16]byte {
 func (a *AEAD) ctrCrypt(dst, src, nonce []byte, startCtr uint32) {
 	ctr := startCtr
 	for i := 0; i < len(src); i += 16 {
-		ks := a.encryptBlk(a.counterBlock(nonce, ctr))
+		ks := encrypt(a.aes, a.counterBlock(nonce, ctr))
 		n := len(src) - i
 		if n > 16 {
 			n = 16
@@ -327,7 +279,7 @@ func grow(dst []byte, n int) []byte {
 
 func (a *AEAD) tag(nonce, ct, aad []byte) [16]byte {
 	s := gf128.GHASHTable8(&a.tbl, aad, ct)
-	ek := a.encryptBlk(a.counterBlock(nonce, 1))
+	ek := encrypt(a.aes, a.counterBlock(nonce, 1))
 	for i := range s {
 		s[i] ^= ek[i]
 	}

@@ -9,6 +9,8 @@
 // the NIST GCM test vectors in the gcmmode package.
 package gf128
 
+import "encoding/binary"
+
 // Element is a GF(2^128) element in GCM bit order. Hi holds bits 0..63
 // (first 8 bytes), Lo holds bits 64..127.
 type Element struct {
@@ -77,66 +79,26 @@ func (e Element) Mul(o Element) Element {
 	return z
 }
 
-// Hash is an incremental GHASH computation keyed with H = CIPH_K(0^128).
-// Each 16-byte block folded in costs one field multiplication — the paper's
-// "chain of Galois Field Multiplications and XOR operations". The
-// multiplication is table-driven (see table8.go): NewHash pays the 255
-// table entries once, and every block thereafter is 16 byte lookups instead
-// of a 128-iteration bit-serial product.
-type Hash struct {
-	//secmemlint:secret — Shoup table of the GHASH subkey H = E_K(0^128); knowing H forges tags
-	t ProductTable8
-	//secmemlint:secret — accumulated GHASH state (tag material until pad-masked)
-	y Element
-}
-
-// NewHash returns a GHASH instance for hash subkey h (16 bytes).
-func NewHash(h []byte) *Hash {
-	return &Hash{t: NewProductTable8(FromBytes(h))}
-}
-
-// Update folds one or more complete 16-byte blocks into the hash state.
-// len(p) must be a multiple of 16.
-func (g *Hash) Update(p []byte) {
-	if len(p)%16 != 0 {
-		panic("gf128: GHASH update not block-aligned")
-	}
-	for len(p) > 0 {
-		g.y = g.y.Xor(FromBytes(p[:16])).MulTable8(&g.t)
-		p = p[16:]
-	}
-}
-
-// UpdateLengths folds the final GCM length block: bit lengths of the AAD and
-// ciphertext as two big-endian 64-bit integers.
-func (g *Hash) UpdateLengths(aadBits, ctBits uint64) {
-	var blk [16]byte
-	for i := 0; i < 8; i++ {
-		blk[i] = byte(aadBits >> (56 - 8*i))
-		blk[8+i] = byte(ctBits >> (56 - 8*i))
-	}
-	g.Update(blk[:])
-}
-
-// Sum returns the current GHASH value — tag material that stays secret
-// until it is masked with the authentication pad and clipped.
-func (g *Hash) Sum() [16]byte { return g.y.Bytes() }
-
-// GHASH computes the one-shot GHASH_H(aad, ct) with standard zero padding of
-// both regions to block boundaries and the trailing length block.
+// GHASH computes GHASH_H(aad, ct) with standard zero padding of both
+// regions to block boundaries and the trailing length block. It multiplies
+// with the bit-serial Mul, so it shares no multiply with GHASHTable8, the
+// fast path it is the oracle of.
 func GHASH(h, aad, ct []byte) [16]byte {
-	g := NewHash(h)
+	key := FromBytes(h)
+	var y Element
 	feed := func(p []byte) {
-		full := len(p) / 16 * 16
-		g.Update(p[:full])
-		if rem := len(p) - full; rem > 0 {
+		for len(p) > 0 {
 			var blk [16]byte
-			copy(blk[:], p[full:])
-			g.Update(blk[:])
+			n := copy(blk[:], p)
+			y = y.Xor(FromBytes(blk[:])).Mul(key)
+			p = p[n:]
 		}
 	}
 	feed(aad)
 	feed(ct)
-	g.UpdateLengths(uint64(len(aad))*8, uint64(len(ct))*8)
-	return g.Sum()
+	var lens [16]byte
+	binary.BigEndian.PutUint64(lens[:8], uint64(len(aad))*8)
+	binary.BigEndian.PutUint64(lens[8:], uint64(len(ct))*8)
+	feed(lens[:])
+	return y.Bytes()
 }

@@ -93,30 +93,6 @@ func TestGHASHSpecCase2(t *testing.T) {
 	}
 }
 
-func TestGHASHIncrementalMatchesOneShot(t *testing.T) {
-	h, _ := hex.DecodeString("66e94bd4ef8a2c3b884cfa59ca342b2e")
-	ct := make([]byte, 64)
-	for i := range ct {
-		ct[i] = byte(i * 7)
-	}
-	want := GHASH(h, nil, ct)
-
-	g := NewHash(h)
-	g.Update(ct[:16])
-	g.Update(ct[16:64])
-	g.UpdateLengths(0, uint64(len(ct))*8)
-	if got := g.Sum(); got != want {
-		t.Errorf("incremental = %x, want %x", got, want)
-	}
-
-	g = NewHash(h)
-	g.Update(ct)
-	g.UpdateLengths(0, uint64(len(ct))*8)
-	if got := g.Sum(); got != want {
-		t.Errorf("one update = %x, want %x", got, want)
-	}
-}
-
 func TestGHASHPartialBlockPadding(t *testing.T) {
 	h, _ := hex.DecodeString("66e94bd4ef8a2c3b884cfa59ca342b2e")
 	short := []byte{1, 2, 3}
@@ -129,16 +105,6 @@ func TestGHASHPartialBlockPadding(t *testing.T) {
 	if a == b {
 		t.Error("length block not distinguishing padded inputs")
 	}
-}
-
-func TestUpdateUnalignedPanics(t *testing.T) {
-	g := NewHash(make([]byte, 16))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unaligned Update did not panic")
-		}
-	}()
-	g.Update(make([]byte, 15))
 }
 
 func BenchmarkMul(b *testing.B) {

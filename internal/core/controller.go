@@ -61,10 +61,11 @@ type Controller struct {
 
 	fn *functional
 
-	// victimHook routes L2 victims produced inside the controller (Merkle
-	// node fills) through the memory system, which owns L1 back-
-	// invalidation. Set by MemSystem; nil in controller-only tests.
-	victimHook func(now sim.Time, ev cache.Eviction)
+	// evictL2 routes L2 victims produced inside the controller (Merkle node
+	// fills) through the memory system, which owns L1 back-invalidation:
+	// it merges L1's dirty state before the victim is written back or
+	// dropped, so controller-internal fills respect inclusion.
+	evictL2 func(now sim.Time, ev cache.Eviction)
 
 	// wbQueue is the write-back buffer, a FIFO drained from wbHead. It
 	// serializes eviction cascades so nested fills cannot recurse
@@ -95,19 +96,20 @@ type wbItem struct {
 	live bool // neither forwarded nor written back yet
 }
 
-// NewController builds the controller and its owned substrates. The L2
-// cache is attached afterwards by the memory system, which owns it.
-func NewController(cfg config.SystemConfig) (*Controller, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// newController builds the controller and its owned substrates for a
+// validated configuration. The memory system owns the L2, which holds
+// Merkle nodes and which the RSRs probe for page blocks, and hands in its
+// L2-eviction handler.
+func newController(cfg config.SystemConfig, l2 *cache.Cache, evictL2 func(now sim.Time, ev cache.Eviction)) *Controller {
 	lay := NewLayout(cfg)
 	c := &Controller{
-		cfg: cfg,
-		lay: lay,
-		bus: bus.New(),
-		mem: dram.New(lay.TotalBytes, cfg.Functional),
-		aes: engine.NewAES(cfg.AESEngines),
+		cfg:     cfg,
+		lay:     lay,
+		l2:      l2,
+		evictL2: evictL2,
+		bus:     bus.New(),
+		mem:     dram.New(lay.TotalBytes, cfg.Functional),
+		aes:     engine.NewAES(cfg.AESEngines),
 	}
 	if cfg.Auth == config.AuthSHA1 {
 		c.sha = engine.NewSHA1(cfg.SHA1Latency)
@@ -130,7 +132,7 @@ func NewController(cfg config.SystemConfig) (*Controller, error) {
 	if cfg.Functional {
 		c.fn = newFunctional(c)
 	}
-	return c, nil
+	return c
 }
 
 // nodeCache returns the cache holding Merkle tree nodes: the dedicated MAC
@@ -144,10 +146,10 @@ func (c *Controller) nodeCache() *cache.Cache {
 
 // onNodeVictim handles an eviction from the MAC-node cache. Dedicated-cache
 // victims never involve L1 (metadata is not cached there); shared-L2
-// victims go through the usual routing.
+// victims go through the memory system.
 func (c *Controller) onNodeVictim(now sim.Time, ev cache.Eviction) {
 	if c.macCache == nil {
-		c.onL2Victim(now, ev)
+		c.evictL2(now, ev)
 		return
 	}
 	if ev.Dirty {
@@ -169,10 +171,6 @@ func (c *Controller) MacCache() *cache.Cache { return c.macCache }
 func (c *Controller) needCounters() bool {
 	return c.cfg.Enc.UsesCounters() || c.cfg.Auth == config.AuthGCM
 }
-
-// AttachL2 wires the L2 cache the controller shares with the memory system
-// (Merkle nodes are cached in L2, and the RSR probes it for page blocks).
-func (c *Controller) AttachL2(l2 *cache.Cache) { c.l2 = l2 }
 
 // Layout exposes the address map.
 func (c *Controller) Layout() Layout { return c.lay }
@@ -413,32 +411,6 @@ func (c *Controller) authChain(now sim.Time, addr uint64, arrive sim.Time) sim.T
 		cur = mac
 	}
 	return done
-}
-
-// SetVictimHook registers the memory system's L2-eviction handler so
-// controller-internal fills (Merkle nodes) respect inclusion: the hook
-// back-invalidates L1 and merges its dirty state before the victim is
-// written back or dropped.
-func (c *Controller) SetVictimHook(hook func(now sim.Time, ev cache.Eviction)) {
-	c.victimHook = hook
-}
-
-// onL2Victim routes an L2 eviction produced inside the controller: dirty
-// victims queue for write-back, clean data victims just drop their
-// functional plaintext. With a victim hook installed, the memory system
-// decides (it can see L1).
-func (c *Controller) onL2Victim(now sim.Time, ev cache.Eviction) {
-	if c.victimHook != nil {
-		c.victimHook(now, ev)
-		return
-	}
-	if ev.Dirty {
-		c.enqueueWB(now, ev.Addr)
-		return
-	}
-	if c.fn != nil {
-		c.fn.onCleanEvict(ev.Addr)
-	}
 }
 
 // enqueueWB queues a dirty block's write-back.

@@ -41,18 +41,11 @@ type MemSystem struct {
 
 // NewMemSystem builds the hierarchy for a configuration.
 func NewMemSystem(cfg config.SystemConfig) (*MemSystem, error) {
-	ctl, err := NewController(cfg)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &MemSystem{
-		cfg: cfg,
-		l1:  cache.New(cfg.L1),
-		l2:  cache.New(cfg.L2),
-		ctl: ctl,
-	}
-	ctl.AttachL2(m.l2)
-	ctl.SetVictimHook(m.evictL2)
+	m := &MemSystem{cfg: cfg, l1: cache.New(cfg.L1), l2: cache.New(cfg.L2)}
+	m.ctl = newController(cfg, m.l2, m.evictL2)
 	return m, nil
 }
 

@@ -19,7 +19,8 @@ import (
 // name only they call needs an allowlist entry. Methods that satisfy an
 // interface (String, MarshalJSON, Next, ...) are exempt, since a dynamic
 // call reaches them. exportAllowlist names the rest that stay, each with
-// its reason.
+// its reason. Exported struct fields that nothing reads fail it too (see
+// checkFieldsRead).
 func TestExportsHaveNonTestCallers(t *testing.T) {
 	pkgs := loadRepo(t)
 	used := make(map[types.Object]bool)

@@ -37,8 +37,8 @@ type Time = uint64
 // every occ cycles and finishes each one lat cycles after it issues.
 //
 // A timeline records each request's wait in an optional histogram and its
-// span on an optional recorder track (Observe); unobserved, it pays one
-// predicted branch for each.
+// span on an optional recorder track (Observe); both are nil until then,
+// and a nil one records nothing.
 type Timeline struct {
 	free   []Time // per server, the cycle after its last busy cycle
 	busy   Time

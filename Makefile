@@ -51,8 +51,11 @@ lint-fix-audit:
 # a bit-by-bit packer (FuzzStoreOracle: every counter value, overflow,
 # counter-block image and growth count), and the shared timelines vs a
 # per-cycle busy-bitmap model of placement (FuzzTimeline: every start,
-# done and statistic). One -fuzz target per `go test` invocation, as the
-# tool requires.
+# done and statistic); and the functional machine (FuzzMachine: honest
+# unaligned reads and writes and Drains on fuzzed cache geometries and
+# every protection scheme match a shadow memory with no tamper reported,
+# inclusion held and nothing dirty after a Drain). One -fuzz target per
+# `go test` invocation, as the tool requires.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCollectIgnores -fuzztime=10s ./internal/lint
 	$(GO) test -run='^$$' -fuzz=FuzzSecretAnnotation -fuzztime=10s ./internal/lint
@@ -60,6 +63,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCacheOracle -fuzztime=10s ./internal/cache
 	$(GO) test -run='^$$' -fuzz=FuzzStoreOracle -fuzztime=10s ./internal/counterstore
 	$(GO) test -run='^$$' -fuzz=FuzzTimeline -fuzztime=10s ./internal/sim
+	$(GO) test -run='^$$' -fuzz=FuzzMachine -fuzztime=10s ./internal/core
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .

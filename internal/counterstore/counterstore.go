@@ -21,6 +21,7 @@ import (
 	"secmem/internal/cache"
 	"secmem/internal/config"
 	"secmem/internal/sim"
+	"secmem/internal/sparse"
 )
 
 // BlockSize is the cache/memory block size in bytes.
@@ -163,62 +164,13 @@ type counterBlock struct {
 	incr []uint32
 }
 
-// leafLen is the number of counter blocks in one leaf of a table.
-const leafLen = 512
-
-// table finds a counter block by its index in its region: a slice of
-// leaves of pointers, each leaf allocated with the first write to one of
-// its blocks and each block with its own first write, so memory follows
-// the counter blocks written, not the highest index (the top Merkle levels
-// sit at the end of the address map).
-type table struct{ leaves []*[leafLen]*counterBlock }
-
-// at returns block i, or nil while it is unwritten.
-func (t *table) at(i uint64) *counterBlock {
-	if l := i / leafLen; l < uint64(len(t.leaves)) && t.leaves[l] != nil {
-		return t.leaves[l][i%leafLen]
-	}
-	return nil
-}
-
-// slot returns block i, allocating it if need be.
-func (t *table) slot(i uint64) *counterBlock {
-	l := i / leafLen
-	if l >= uint64(len(t.leaves)) {
-		t.leaves = append(t.leaves, make([]*[leafLen]*counterBlock, l+1-uint64(len(t.leaves)))...)
-	}
-	leaf := t.leaves[l]
-	if leaf == nil {
-		leaf = new([leafLen]*counterBlock)
-		t.leaves[l] = leaf
-	}
-	if leaf[i%leafLen] == nil {
-		leaf[i%leafLen] = new(counterBlock)
-	}
-	return leaf[i%leafLen]
-}
-
-// each calls fn on every written block, in ascending index order.
-func (t *table) each(fn func(i uint64, b *counterBlock)) {
-	for l, leaf := range t.leaves {
-		if leaf == nil {
-			continue
-		}
-		for j, b := range leaf {
-			if b != nil {
-				fn(uint64(l)*leafLen+uint64(j), b)
-			}
-		}
-	}
-}
-
 // Store holds all counter state for one simulated machine.
 type Store struct {
 	cfg Config
 
 	// Counter blocks by index in the direct-counter and derivative-counter
-	// regions.
-	direct, deriv table
+	// regions, each allocated with its first write.
+	direct, deriv sparse.Table[counterBlock]
 	global        uint64
 
 	// Data counters in a direct counter block: 1<<perShift of them, each
@@ -302,7 +254,7 @@ func (s *Store) derivIndex(addr uint64) uint64 {
 
 // locate finds the counter of a protected block: its counter block's table
 // and index there, and its bit offset and width in the image.
-func (s *Store) locate(addr uint64) (t *table, cb uint64, off, width uint) {
+func (s *Store) locate(addr uint64) (t *sparse.Table[counterBlock], cb uint64, off, width uint) {
 	if s.isMeta(addr) {
 		i := s.derivIndex(addr)
 		return &s.deriv, i / derivPerBlock, uint(i%derivPerBlock) * derivBits, derivBits
@@ -316,7 +268,7 @@ func (s *Store) locate(addr uint64) (t *table, cb uint64, off, width uint) {
 // minor (major << minorBits | minor).
 func (s *Store) Value(addr uint64) uint64 {
 	t, cb, off, w := s.locate(addr)
-	b := t.at(cb)
+	b := t.At(cb)
 	if b == nil {
 		return 0
 	}
@@ -332,7 +284,7 @@ func (s *Store) Value(addr uint64) uint64 {
 func (s *Store) ValueWithMajor(addr, major uint64) uint64 {
 	t, cb, off, w := s.locate(addr)
 	var minor uint64
-	if b := t.at(cb); b != nil {
+	if b := t.At(cb); b != nil {
 		minor = field(&b.img, off, w)
 	}
 	return major<<w | minor
@@ -340,7 +292,7 @@ func (s *Store) ValueWithMajor(addr, major uint64) uint64 {
 
 // Major returns the page's current major counter (split organization).
 func (s *Store) Major(pageAddr uint64) uint64 {
-	if b := s.direct.at(pageAddr / BlockSize >> s.perShift); b != nil {
+	if b := s.direct.At(pageAddr / BlockSize >> s.perShift); b != nil {
 		return field(&b.img, 0, 64)
 	}
 	return 0
@@ -352,7 +304,7 @@ func (s *Store) Major(pageAddr uint64) uint64 {
 // BumpMajor to advance the page; the returned overflow identifies the page.
 func (s *Store) Increment(addr uint64) (newValue uint64, ov Overflow) {
 	t, cb, off, w := s.locate(addr)
-	img := &t.slot(cb).img
+	img := &t.Slot(cb).img
 	if s.isMeta(addr) {
 		s.Stats.DerivIncrements++
 		v := (field(img, off, w) + 1) & (1<<derivBits - 1)
@@ -396,7 +348,7 @@ func (s *Store) Increment(addr uint64) (newValue uint64, ov Overflow) {
 // reset per block as the RSR processes them (ResetMinor), matching Section
 // 4.2's lazy ordering. It returns the old and new major values.
 func (s *Store) BumpMajor(pageAddr uint64) (oldMajor, newMajor uint64) {
-	img := &s.direct.slot(pageAddr / BlockSize >> s.perShift).img
+	img := &s.direct.Slot(pageAddr / BlockSize >> s.perShift).img
 	oldMajor = field(img, 0, 64)
 	setField(img, 0, 64, oldMajor+1)
 	return oldMajor, oldMajor + 1
@@ -406,7 +358,7 @@ func (s *Store) BumpMajor(pageAddr uint64) (oldMajor, newMajor uint64) {
 // re-encrypting page is handled).
 func (s *Store) ResetMinor(addr uint64) {
 	t, cb, off, w := s.locate(addr)
-	if b := t.at(cb); b != nil {
+	if b := t.At(cb); b != nil {
 		setField(&b.img, off, w, 0)
 	}
 }
@@ -416,7 +368,7 @@ func (s *Store) trackGrowth(addr uint64) {
 		return
 	}
 	i := addr / BlockSize
-	b := s.direct.slot(i >> s.perShift)
+	b := s.direct.Slot(i >> s.perShift)
 	if b.incr == nil {
 		b.incr = make([]uint32, 1<<s.perShift)
 	}
@@ -439,7 +391,7 @@ func (s *Store) FastestCounter() (increments uint64, blockAddr uint64) {
 // derives whole-memory and per-page re-encryption rates from this
 // distribution.
 func (s *Store) ForEachIncrement(fn func(blockAddr, count uint64)) {
-	s.direct.each(func(i uint64, b *counterBlock) {
+	s.direct.Each(func(i uint64, b *counterBlock) {
 		for k, n := range b.incr {
 			if n != 0 {
 				fn((i<<s.perShift+uint64(k))*BlockSize, uint64(n))

@@ -3,6 +3,8 @@ package counterstore
 import (
 	"encoding/binary"
 	"fmt"
+
+	"secmem/internal/sparse"
 )
 
 // This file defines the counter-block image, which is both the store's own
@@ -38,7 +40,7 @@ func setField(img *[BlockSize]byte, off, w uint, v uint64) {
 }
 
 // image finds the table and index of the counter block at ctrBlock.
-func (s *Store) image(ctrBlock uint64) (*table, uint64) {
+func (s *Store) image(ctrBlock uint64) (*sparse.Table[counterBlock], uint64) {
 	rg := s.cfg.Regions
 	switch {
 	case ctrBlock >= rg.DerivBase:
@@ -52,7 +54,7 @@ func (s *Store) image(ctrBlock uint64) (*table, uint64) {
 // PackBlock returns the 64-byte image of the counter block at ctrBlock.
 func (s *Store) PackBlock(ctrBlock uint64) [BlockSize]byte {
 	t, i := s.image(ctrBlock)
-	if b := t.at(i); b != nil {
+	if b := t.At(i); b != nil {
 		return b.img
 	}
 	return [BlockSize]byte{}
@@ -69,7 +71,7 @@ func (s *Store) UnpackBlock(ctrBlock uint64, img []byte) {
 		panic("counterstore: short counter block image")
 	}
 	t, i := s.image(ctrBlock)
-	dst := &t.slot(i).img
+	dst := &t.Slot(i).img
 	copy(dst[:], img)
 	if end := s.first + s.width<<s.perShift; t == &s.direct && end < BlockSize*8 {
 		dst[end/8] &^= 0xFF >> (end % 8)

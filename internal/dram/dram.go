@@ -6,8 +6,9 @@
 // The backing store is also the attack surface: everything in it sits
 // outside the processor chip's trust boundary, so the Attacker type mutates
 // it directly, exactly like the bus snoopers and mod chips the paper defends
-// against. Sparse storage keeps multi-hundred-megabyte address spaces cheap
-// when only a small working set is touched.
+// against. The store is a sparse.Table of blocks, each allocated with its
+// first write, so a multi-hundred-megabyte address space costs what its
+// written blocks do, and it visits them in ascending address order.
 package dram
 
 import (
@@ -15,6 +16,7 @@ import (
 	"math/rand"
 
 	"secmem/internal/sim"
+	"secmem/internal/sparse"
 )
 
 // BlockSize is the memory block granularity (matches the cache line size).
@@ -38,8 +40,11 @@ type DRAM struct {
 
 	// size is the total physical address space (data and metadata
 	// regions). Accesses beyond it panic: layout bugs must not hide.
-	size   uint64
-	blocks map[uint64]*[BlockSize]byte // functional store, block-aligned keys
+	size uint64
+	// functional enables the backing store, blocks, which holds every
+	// written block by its index (address / BlockSize).
+	functional bool
+	blocks     sparse.Table[[BlockSize]byte]
 
 	Reads  uint64
 	Writes uint64
@@ -51,11 +56,7 @@ func New(sizeBytes uint64, functional bool) *DRAM {
 	if sizeBytes == 0 || sizeBytes%BlockSize != 0 {
 		panic("dram: size must be a positive multiple of the block size")
 	}
-	d := &DRAM{Timeline: sim.NewTimeline(1), size: sizeBytes}
-	if functional {
-		d.blocks = make(map[uint64]*[BlockSize]byte)
-	}
-	return d
+	return &DRAM{Timeline: sim.NewTimeline(1), size: sizeBytes, functional: functional}
 }
 
 // AccessRead reserves device service for a block read presented at now
@@ -87,49 +88,39 @@ func (d *DRAM) checkAddr(addr uint64) {
 // only). Unwritten blocks read as zero.
 func (d *DRAM) ReadBlock(addr uint64, dst []byte) {
 	d.checkAddr(addr)
-	if d.blocks == nil {
+	if !d.functional {
 		panic("dram: functional store disabled")
 	}
-	if b, ok := d.blocks[addr]; ok {
+	if b := d.blocks.At(addr / BlockSize); b != nil {
 		copy(dst, b[:])
 		return
 	}
-	for i := 0; i < BlockSize && i < len(dst); i++ {
-		dst[i] = 0
-	}
+	clear(dst[:min(BlockSize, len(dst))])
 }
 
 // WriteBlock stores the 64-byte block at addr (functional mode only).
 func (d *DRAM) WriteBlock(addr uint64, src []byte) {
 	d.checkAddr(addr)
-	if d.blocks == nil {
+	if !d.functional {
 		panic("dram: functional store disabled")
 	}
-	b, ok := d.blocks[addr]
-	if !ok {
-		b = new([BlockSize]byte)
-		d.blocks[addr] = b
-	}
-	copy(b[:], src)
+	copy(d.blocks.Slot(addr / BlockSize)[:], src)
 }
 
 // Functional reports whether the backing store is enabled.
-func (d *DRAM) Functional() bool { return d.blocks != nil }
+func (d *DRAM) Functional() bool { return d.functional }
 
 // HasBlock reports whether the block at addr has ever been written. The
 // functional verifier uses this to skip MAC checks on uninitialized memory.
 func (d *DRAM) HasBlock(addr uint64) bool {
-	_, ok := d.blocks[addr]
-	return ok
+	return d.blocks.At(addr/BlockSize) != nil
 }
 
-// ForEachBlock visits every written block address (in no particular order).
+// ForEachBlock visits every written block address in ascending order.
 // Whole-memory re-encryption uses it to find everything that needs a new
-// key epoch.
+// key epoch, and re-encrypts in that order.
 func (d *DRAM) ForEachBlock(fn func(addr uint64)) {
-	for addr := range d.blocks {
-		fn(addr)
-	}
+	d.blocks.Each(func(i uint64, _ *[BlockSize]byte) { fn(i * BlockSize) })
 }
 
 // Attacker provides hardware-attack primitives against the backing store.

@@ -3,6 +3,7 @@ package dram
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -42,6 +43,28 @@ func TestFunctionalStore(t *testing.T) {
 	}
 	if !d.HasBlock(0x1000) || d.HasBlock(0x1040) {
 		t.Error("HasBlock disagrees with the blocks written")
+	}
+}
+
+// TestForEachBlockAscends: written blocks are visited in ascending address
+// order, across the store's 512-block leaves, and an unwritten block whose
+// neighbours are written still reads as zeros and fails HasBlock.
+func TestForEachBlockAscends(t *testing.T) {
+	d := funcDRAM()
+	want := []uint64{0x9000, 0x8040, 0x40, 0x8000, 0xC0000, 0x7FC0}
+	for i, a := range want {
+		d.WriteBlock(a, bytes.Repeat([]byte{byte(i + 1)}, BlockSize))
+	}
+	var got []uint64
+	d.ForEachBlock(func(addr uint64) { got = append(got, addr) })
+	asc := []uint64{0x40, 0x7FC0, 0x8000, 0x8040, 0x9000, 0xC0000}
+	if !slices.Equal(got, asc) {
+		t.Fatalf("ForEachBlock visited %#x, want %#x", got, asc)
+	}
+	buf := bytes.Repeat([]byte{0xFF}, BlockSize)
+	d.ReadBlock(0x8080, buf)
+	if !bytes.Equal(buf, make([]byte, BlockSize)) || d.HasBlock(0x8080) {
+		t.Error("unwritten block beside written ones is not an unwritten zero block")
 	}
 }
 

@@ -71,13 +71,15 @@ type Controller struct {
 	// serializes eviction cascades so nested fills cannot recurse
 	// unboundedly, and a re-fetch of a queued block forwards from it
 	// instead of reading stale DRAM. It holds a few items at a time and is
-	// reused from empty after every drain.
+	// reused from empty after every drain. In functional mode fn.queued
+	// holds each item's bytes at the same index.
 	wbQueue  []wbItem
 	wbHead   int
 	draining bool
 
 	// Observability state (see obs.go); all nil when uninstrumented, so
-	// the hot path pays one predicted branch per hook. merkleFetch counts
+	// the hot path pays one predicted branch per hook (each hook inlines
+	// as its nil check). merkleFetch counts
 	// the authentication walk's node fetches per tree level, the one
 	// exported count no statistic holds.
 	rec         *obsv.Recorder
@@ -154,10 +156,22 @@ func (c *Controller) onNodeVictim(now sim.Time, ev cache.Eviction) {
 	}
 	if ev.Dirty {
 		c.enqueueWB(now, ev.Addr)
-		return
 	}
+}
+
+// fillNode installs Merkle node mac in the node cache, dirty for a
+// write-back-buffer forward, and hands any victim to onNodeVictim at now.
+// In functional mode the node's bytes, staged in fn.node, go into its line
+// first: the victim's handler can update the node (it may be the victim's
+// parent) and must find it there.
+func (c *Controller) fillNode(now sim.Time, mac uint64, dirty bool) {
+	nc := c.nodeCache()
+	ev, evicted := nc.Fill(mac, dirty)
 	if c.fn != nil {
-		c.fn.onCleanEvict(ev.Addr)
+		c.fn.install(nc, mac, &c.fn.node)
+	}
+	if evicted {
+		c.onNodeVictim(now, ev)
 	}
 }
 
@@ -233,7 +247,7 @@ func (c *Controller) counterReady(now sim.Time, addr uint64) (ready, authDone si
 	// Miss: fetch the counter block, or forward it from the write-back
 	// buffer if its eviction is still queued (the on-chip values were never
 	// discarded, so DRAM would be stale).
-	if c.clearWB(ctrBlk) {
+	if c.clearWB(ctrBlk) >= 0 {
 		ready := now + c.sncLatency()
 		if ev, evicted := c.ctrs.CacheFill(ctrBlk, ready); evicted && ev.Dirty {
 			c.enqueueWB(ready, ev.Addr)
@@ -282,8 +296,11 @@ func (c *Controller) inTree(addr uint64) bool {
 // whether the block was forwarded from the write-back buffer — in which
 // case the caller must re-install it dirty, since memory was never updated.
 func (c *Controller) ReadBlock(now sim.Time, addr uint64) (dataReady, authDone sim.Time, forwarded bool) {
-	if c.clearWB(addr) {
+	if i := c.clearWB(addr); i >= 0 {
 		// Write-back buffer forward: plaintext never left the chip.
+		if c.fn != nil {
+			c.fn.fill = c.fn.queued[i]
+		}
 		t := now + 1
 		return t, t, true
 	}
@@ -387,11 +404,12 @@ func (c *Controller) authChain(now sim.Time, addr uint64, arrive sim.Time) sim.T
 		if !c.cfg.ParallelAuth {
 			issueAt = prevDone
 		}
-		if c.clearWB(mac) {
+		if i := c.clearWB(mac); i >= 0 {
 			// Write-back buffer forward: trusted dirty copy, no fetch.
-			if ev, evicted := nc.Fill(mac, true); evicted {
-				c.onNodeVictim(issueAt, ev)
+			if c.fn != nil {
+				c.fn.node = c.fn.queued[i]
 			}
+			c.fillNode(issueAt, mac, true)
 			break
 		}
 		c.Stats.MacFetches++
@@ -399,9 +417,7 @@ func (c *Controller) authChain(now sim.Time, addr uint64, arrive sim.Time) sim.T
 		if c.fn != nil {
 			c.fn.onMacFill(now, mac)
 		}
-		if ev, evicted := nc.Fill(mac, false); evicted {
-			c.onNodeVictim(nodeArrive, ev)
-		}
+		c.fillNode(nodeArrive, mac, false)
 		nodeDone := c.macCheckDone(issueAt, mac, nodeArrive)
 		c.noteMerkleNode(mac, issueAt, nodeArrive, nodeDone)
 		if nodeDone > done {
@@ -413,26 +429,30 @@ func (c *Controller) authChain(now sim.Time, addr uint64, arrive sim.Time) sim.T
 	return done
 }
 
-// enqueueWB queues a dirty block's write-back.
+// enqueueWB queues a dirty block's write-back. In functional mode the item
+// takes the bytes in fn.victim, where the block's line left them.
 func (c *Controller) enqueueWB(now sim.Time, addr uint64) {
 	c.wbQueue = append(c.wbQueue, wbItem{now: now, addr: addr, live: true})
+	if c.fn != nil {
+		c.fn.queued = append(c.fn.queued, c.fn.victim)
+	}
 }
 
-// clearWB marks every live copy of addr still queued as done, reporting
-// whether there was one. drain takes a block's copies this way before
-// writing it back. A fill of a block whose write-back is still queued
-// takes them too: that is a write-back buffer hit, served from the buffer
-// (squashing the write-back), and the block stays dirty on-chip. Its
-// functional on-chip copy was never discarded, so no bytes move.
-func (c *Controller) clearWB(addr uint64) bool {
-	found := false
+// clearWB marks every live copy of addr still queued as done, returning
+// the index of the newest, or -1 if there was none. drain takes a block's
+// copies this way before writing it back. A fill of a block whose
+// write-back is still queued takes them too: that is a write-back buffer
+// hit, served from the buffer (squashing the write-back), and the block
+// stays dirty on-chip with the newest copy's bytes.
+func (c *Controller) clearWB(addr uint64) (newest int) {
+	newest = -1
 	for i := c.wbHead; i < len(c.wbQueue); i++ {
 		if it := &c.wbQueue[i]; it.live && it.addr == addr {
 			it.live = false
-			found = true
+			newest = i
 		}
 	}
-	return found
+	return newest
 }
 
 // drain processes queued write-backs. Processing one write-back can fetch
@@ -441,8 +461,9 @@ func (c *Controller) clearWB(addr uint64) bool {
 // the dirty population is bounded by the cache sizes.
 //
 // A block re-installed dirty while its write-back is queued can be queued
-// twice. It is written back once, at its first copy's cycle, if any copy is
-// still live; a forward squashes only the copies already queued.
+// twice. It is written back once, at its first copy's cycle, with its
+// newest copy's bytes, if any copy is still live; a forward squashes only
+// the copies already queued.
 func (c *Controller) drain() {
 	if c.draining {
 		return
@@ -454,27 +475,28 @@ func (c *Controller) drain() {
 			panic("core: write-back cascade did not terminate")
 		}
 		item := c.wbQueue[c.wbHead]
-		live := c.clearWB(item.addr) // false: squashed by a forward
+		newest := c.clearWB(item.addr) // -1: squashed by a forward
 		c.wbHead++
-		if live {
-			c.writeBackAny(item.now, item.addr)
+		if newest < 0 {
+			continue
 		}
+		if c.fn != nil {
+			c.fn.leaving = newest
+		}
+		c.writeBackAny(item.now, item.addr)
 	}
 	c.wbQueue = c.wbQueue[:0]
 	c.wbHead = 0
+	if c.fn != nil {
+		c.fn.queued = c.fn.queued[:0]
+		c.fn.leaving = -1
+	}
 }
 
 // HandleEviction is the memory system's entry point for dirty L2 evictions.
 func (c *Controller) HandleEviction(now sim.Time, addr uint64) {
 	c.enqueueWB(now, addr)
 	c.drain()
-}
-
-// DropClean tells the functional layer a clean block left the chip.
-func (c *Controller) DropClean(addr uint64) {
-	if c.fn != nil {
-		c.fn.onCleanEvict(addr)
-	}
 }
 
 // writeBackAny dispatches a write-back by region.

@@ -3,9 +3,10 @@ package core
 import (
 	"crypto/subtle"
 	"fmt"
-	"sort"
+	"slices"
 
 	"secmem/internal/aescipher"
+	"secmem/internal/cache"
 	"secmem/internal/config"
 	"secmem/internal/gcmmode"
 	"secmem/internal/merkle"
@@ -23,6 +24,14 @@ type Tamper struct {
 // functional is the byte-moving half of the controller. Every hook is
 // invoked from the corresponding timing path, so the functional view of
 // what is on-chip always matches the cache models.
+//
+// On-chip bytes live in slots beside the caches, one per line, found
+// through cache.Line: l2Bytes holds each resident data block's plaintext
+// and, when Merkle nodes share the L2, each resident node; macBytes holds
+// the nodes of a dedicated MAC cache. A dirty block that leaves its line
+// takes its bytes into the write-back buffer (queued), where it is still
+// on-chip until drain writes it back. Counter blocks live in the counter
+// store's tables and are (de)serialized at the edge.
 type functional struct {
 	c *Controller
 	//secmemlint:secret — AES memory-encryption key (on-chip only)
@@ -33,24 +42,42 @@ type functional struct {
 	pads   *gcmmode.PadGen
 	direct *aescipher.Cipher
 
-	// plain holds decrypted data blocks currently resident on-chip; meta
-	// holds the contents of on-chip Merkle nodes. Counter-block contents
-	// live in the counter store's maps and are (de)serialized at the edge.
+	// The slot arrays are allocated with the first fill, so a machine that
+	// is built and never run costs no more than a timing-only one.
 	//
 	//secmemlint:secret — plaintext cache-block contents; must never leave the chip unencrypted
-	plain map[uint64]*[BlockSize]byte
-	meta  map[uint64]*[BlockSize]byte
+	l2Bytes  [][BlockSize]byte
+	macBytes [][BlockSize]byte
+
+	// queued holds the bytes of each write-back buffer item, at its index
+	// in c.wbQueue: what the block's line held when it left. A counter
+	// block's entry is unused; its write-back packs the counter store's
+	// values. leaving is the index of the item drain is writing back, whose
+	// bytes count as on-chip until the write-back is done, or -1.
+	//
+	//secmemlint:secret — plaintext of dirty data blocks on their way off-chip
+	queued  [][BlockSize]byte
+	leaving int
+
+	// fill stages a data block's plaintext from its fetch in ReadBlock to
+	// its L2 fill in MemSystem.Access; node stages a Merkle node from its
+	// fetch to its fill. They are separate because ReadBlock drains the
+	// write-back buffer in between, which can fill nodes. victim holds the
+	// bytes of the line a fill or an invalidation just freed, until the
+	// victim's handler queues them.
+	//
+	//secmemlint:secret — plaintext of the data block being filled
+	fill [BlockSize]byte
+	node [BlockSize]byte
+	//secmemlint:secret — plaintext of the data block being evicted
+	victim [BlockSize]byte
 
 	root    merkle.Root
 	tampers []Tamper
 }
 
 func newFunctional(c *Controller) *functional {
-	f := &functional{
-		c:     c,
-		plain: make(map[uint64]*[BlockSize]byte),
-		meta:  make(map[uint64]*[BlockSize]byte),
-	}
+	f := &functional{c: c, leaving: -1}
 	// A fixed deterministic key keeps runs reproducible; key management is
 	// explicitly out of the paper's scope (Section 4.4).
 	for i := range f.key {
@@ -136,11 +163,75 @@ func (f *functional) computeMac(addr uint64, content []byte, ctr uint64, mac *[1
 	}
 }
 
+// slots returns the slot array beside cache c, the L2 or the MAC cache,
+// allocating both with the first fill.
+func (f *functional) slots(c *cache.Cache) [][BlockSize]byte {
+	if len(f.l2Bytes) == 0 {
+		f.l2Bytes = make([][BlockSize]byte, f.c.l2.Lines())
+		if f.c.macCache != nil {
+			f.macBytes = make([][BlockSize]byte, f.c.macCache.Lines())
+		}
+	}
+	if c == f.c.macCache {
+		return f.macBytes
+	}
+	return f.l2Bytes
+}
+
+// resident returns the slot of block addr in cache c, or nil if the block
+// is not resident there.
+func (f *functional) resident(c *cache.Cache, addr uint64) *[BlockSize]byte {
+	if i := c.Line(addr); i >= 0 {
+		return &f.slots(c)[i]
+	}
+	return nil
+}
+
+// onChip returns the on-chip bytes of block addr, which cache c holds when
+// it is resident: its slot there, else its newest queued copy (a block
+// queued twice left the chip twice, and the later bytes are current), else
+// the copy drain is writing back. It returns nil for a block off-chip.
+func (f *functional) onChip(c *cache.Cache, addr uint64) *[BlockSize]byte {
+	if s := f.resident(c, addr); s != nil {
+		return s
+	}
+	q := f.c.wbQueue
+	for i := len(q) - 1; i >= f.c.wbHead; i-- {
+		if q[i].live && q[i].addr == addr {
+			return &f.queued[i]
+		}
+	}
+	if i := f.leaving; i >= 0 && q[i].addr == addr {
+		return &f.queued[i]
+	}
+	return nil
+}
+
+// install puts src into the line that a fill of addr into cache c has just
+// taken, first saving the line's previous bytes in victim: when the fill
+// evicted a block, its handler runs after the install and queues them.
+func (f *functional) install(c *cache.Cache, addr uint64, src *[BlockSize]byte) {
+	s := &f.slots(c)[c.Line(addr)]
+	f.victim = *s
+	*s = *src
+}
+
+// installFill installs the data block staged in fill into its L2 line.
+func (f *functional) installFill(addr uint64) { f.install(f.c.l2, addr, &f.fill) }
+
+// saveVictim saves the bytes of block addr's line in cache c, if it is
+// resident, as the next victim's, before an Invalidate frees the line.
+func (f *functional) saveVictim(c *cache.Cache, addr uint64) {
+	if s := f.resident(c, addr); s != nil {
+		f.victim = *s
+	}
+}
+
 // nodeContent returns a Merkle node's bytes, preferring the trusted on-chip
 // copy, and reports whether the copy was on-chip.
 func (f *functional) nodeContent(addr uint64, buf *[BlockSize]byte) (onChip bool) {
-	if m, ok := f.meta[addr]; ok {
-		*buf = *m
+	if s := f.onChip(f.c.nodeCache(), addr); s != nil {
+		*buf = *s
 		return true
 	}
 	f.c.mem.ReadBlock(addr, buf[:])
@@ -196,21 +287,20 @@ func isZero(b []byte) bool {
 
 // --- fill hooks -----------------------------------------------------------
 
+// onDataFill fetches, verifies and decrypts a data block into fill.
 func (f *functional) onDataFill(now sim.Time, addr uint64) {
-	var ct, pt [BlockSize]byte
+	var ct [BlockSize]byte
 	f.c.mem.ReadBlock(addr, ct[:])
 	if f.c.cfg.Auth != config.AuthNone {
 		f.verify(now, addr, ct[:], f.counterFor(addr)) //secmemlint:ignore verifydrop verify records the tamper; the simulator continues to observe post-tamper behavior
 	}
-	f.decrypt(pt[:], ct[:], addr, f.counterFor(addr))
-	f.plain[addr] = &pt
+	f.decrypt(f.fill[:], ct[:], addr, f.counterFor(addr))
 }
 
+// onMacFill fetches and verifies a Merkle node into node.
 func (f *functional) onMacFill(now sim.Time, addr uint64) {
-	var buf [BlockSize]byte
-	f.c.mem.ReadBlock(addr, buf[:])
-	f.verify(now, addr, buf[:], f.counterFor(addr)) //secmemlint:ignore verifydrop verify records the tamper; the simulator continues to observe post-tamper behavior
-	f.meta[addr] = &buf
+	f.c.mem.ReadBlock(addr, f.node[:])
+	f.verify(now, addr, f.node[:], f.counterFor(addr)) //secmemlint:ignore verifydrop verify records the tamper; the simulator continues to observe post-tamper behavior
 }
 
 func (f *functional) onCounterFill(now sim.Time, ctrBlk uint64) {
@@ -227,36 +317,30 @@ func (f *functional) onCounterFill(now sim.Time, ctrBlk uint64) {
 
 // --- write-back hooks ------------------------------------------------------
 
-func (f *functional) onDataWriteBack(now sim.Time, addr uint64) {
-	pt, ok := f.plain[addr]
-	if !ok {
-		// Every data block on-chip was filled through onDataFill, which
-		// installs its plaintext; encrypting anything else would corrupt
-		// memory silently.
-		panic(fmt.Sprintf("core: dirty data block %#x has no on-chip plaintext", addr))
+// leavingBytes returns the bytes of block addr that drain is writing back.
+func (f *functional) leavingBytes(addr uint64) *[BlockSize]byte {
+	if i := f.leaving; i >= 0 && f.c.wbQueue[i].addr == addr {
+		return &f.queued[i]
 	}
+	// Every block written back was queued with the bytes of the line it
+	// left; writing anything else would corrupt memory silently.
+	panic(fmt.Sprintf("core: block %#x is written back without its queued bytes", addr))
+}
+
+func (f *functional) onDataWriteBack(now sim.Time, addr uint64) {
 	var ct [BlockSize]byte
-	f.encrypt(ct[:], pt[:], addr, f.counterFor(addr))
+	f.encrypt(ct[:], f.leavingBytes(addr)[:], addr, f.counterFor(addr))
 	f.c.mem.WriteBlock(addr, ct[:])
-	delete(f.plain, addr)
 }
 
 func (f *functional) onMetaWriteBack(now sim.Time, addr uint64) {
 	switch f.c.lay.RegionOf(addr) {
 	case RegionMac:
-		if m, ok := f.meta[addr]; ok {
-			f.c.mem.WriteBlock(addr, m[:])
-			delete(f.meta, addr)
-		}
+		f.c.mem.WriteBlock(addr, f.leavingBytes(addr)[:])
 	default: // counter or derivative block: serialize current values
 		img := f.c.ctrs.PackBlock(addr)
 		f.c.mem.WriteBlock(addr, img[:])
 	}
-}
-
-func (f *functional) onCleanEvict(addr uint64) {
-	delete(f.plain, addr)
-	delete(f.meta, addr)
 }
 
 // updateParentSlot recomputes the MAC of the block just written at addr
@@ -272,8 +356,8 @@ func (f *functional) updateParentSlot(addr uint64) {
 		f.root.Set(mac[:n])
 		return
 	}
-	node, ok := f.meta[parent]
-	if !ok {
+	node := f.resident(f.c.nodeCache(), parent)
+	if node == nil {
 		// updateParentMac found the parent on-chip or fetched and verified
 		// it; adopting memory's copy here would trust unverified bytes.
 		panic(fmt.Sprintf("core: parent node %#x of %#x has no on-chip copy", parent, addr))
@@ -327,9 +411,8 @@ func (f *functional) reencryptAll(now sim.Time) {
 		if f.c.lay.RegionOf(addr) != RegionData {
 			return
 		}
-		var r rec
-		r.addr = addr
-		if p, ok := f.plain[addr]; ok {
+		r := rec{addr: addr}
+		if p := f.onChip(f.c.l2, addr); p != nil {
 			r.pt = *p
 		} else {
 			var ct [BlockSize]byte
@@ -341,7 +424,6 @@ func (f *functional) reencryptAll(now sim.Time) {
 	// Phase 2: switch epochs and re-encrypt, in address order.
 	f.epoch++
 	f.rekey()
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i].addr < blocks[j].addr })
 	for _, r := range blocks {
 		var ct [BlockSize]byte
 		f.encrypt(ct[:], r.pt[:], r.addr, f.counterFor(r.addr))
@@ -356,37 +438,49 @@ func (f *functional) reencryptAll(now sim.Time) {
 // epoch key change invalidates them all).
 func (f *functional) rebuildTree(now sim.Time) {
 	geo := f.c.lay.Geo
-	// Collect written in-tree blocks per level (-1 = leaves), including
-	// nodes that exist only as on-chip copies.
-	level := make(map[int][]uint64)
+	nc := f.c.nodeCache()
+	// Written in-tree blocks per level, leaves first (index level+1),
+	// including nodes that exist only on-chip: in a line of the node cache
+	// or in the write-back buffer.
+	levels := make([][]uint64, geo.NumLevels()+1)
 	add := func(addr uint64) {
-		if addr >= geo.LeafBytes {
-			if f.c.lay.RegionOf(addr) == RegionMac {
-				l := geo.LevelOf(addr)
-				if _, seen := sliceContains(level[l], addr); !seen {
-					level[l] = append(level[l], addr)
-				}
-			}
-			return
-		}
-		if _, seen := sliceContains(level[-1], addr); !seen {
-			level[-1] = append(level[-1], addr)
+		switch {
+		case addr < geo.LeafBytes:
+			levels[0] = append(levels[0], addr)
+		case f.c.lay.RegionOf(addr) == RegionMac:
+			l := geo.LevelOf(addr) + 1
+			levels[l] = append(levels[l], addr)
 		}
 	}
 	f.c.mem.ForEachBlock(add)
-	for addr := range f.meta {
-		add(addr)
+	addNode := func(addr uint64) {
+		if f.c.lay.RegionOf(addr) == RegionMac {
+			add(addr)
+		}
 	}
-	for l := -1; l < geo.NumLevels(); l++ {
-		blocks := level[l]
-		sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-		for _, addr := range blocks {
+	nc.ForEach(func(addr uint64, _ bool) { addNode(addr) })
+	for _, it := range f.c.wbQueue[f.c.wbHead:] {
+		if it.live {
+			addNode(it.addr)
+		}
+	}
+	for l := range levels {
+		// A parent written below is added once per child: sort and dedupe
+		// the level before computing its MACs.
+		slices.Sort(levels[l])
+		levels[l] = slices.Compact(levels[l])
+		for _, addr := range levels[l] {
 			var content [BlockSize]byte
-			if m, ok := f.meta[addr]; ok {
-				content = *m
-			} else if f.c.mem.HasBlock(addr) {
+			var s *[BlockSize]byte
+			if l > 0 {
+				s = f.onChip(nc, addr)
+			}
+			switch {
+			case s != nil:
+				content = *s
+			case f.c.mem.HasBlock(addr):
 				f.c.mem.ReadBlock(addr, content[:])
-			} else {
+			default:
 				continue
 			}
 			var mac [16]byte
@@ -397,39 +491,30 @@ func (f *functional) rebuildTree(now sim.Time) {
 				continue
 			}
 			lo, hi := geo.MacOffset(slot)
-			if m, okm := f.meta[parent]; okm {
-				copy(m[lo:hi], mac[:n])
+			if p := f.onChip(nc, parent); p != nil {
+				copy(p[lo:hi], mac[:n])
 				// The on-chip copy now differs from memory; it must be
-				// written back eventually or the new MAC is lost.
-				f.c.nodeCache().SetDirty(parent)
+				// written back eventually or the new MAC is lost. A queued
+				// copy will be.
+				nc.SetDirty(parent)
 			} else {
 				var pc [BlockSize]byte
 				f.c.mem.ReadBlock(parent, pc[:])
 				copy(pc[lo:hi], mac[:n])
 				f.c.mem.WriteBlock(parent, pc[:])
-				if _, seen := sliceContains(level[geo.LevelOf(parent)], parent); !seen {
-					level[geo.LevelOf(parent)] = append(level[geo.LevelOf(parent)], parent)
-				}
+				pl := geo.LevelOf(parent) + 1
+				levels[pl] = append(levels[pl], parent)
 			}
 		}
 	}
-}
-
-func sliceContains(s []uint64, v uint64) (int, bool) {
-	for i, x := range s {
-		if x == v {
-			return i, true
-		}
-	}
-	return 0, false
 }
 
 // Peek copies the current plaintext of an on-chip data block.
 //
 //secmemlint:secret out:dst
 func (f *functional) peek(addr uint64, dst []byte) bool {
-	p, ok := f.plain[addr]
-	if !ok {
+	p := f.resident(f.c.l2, addr)
+	if p == nil {
 		return false
 	}
 	copy(dst, p[:])
@@ -438,8 +523,8 @@ func (f *functional) peek(addr uint64, dst []byte) bool {
 
 // Poke overwrites bytes within an on-chip data block's plaintext.
 func (f *functional) poke(addr uint64, off int, src []byte) bool {
-	p, ok := f.plain[addr]
-	if !ok {
+	p := f.resident(f.c.l2, addr)
+	if p == nil {
 		return false
 	}
 	copy(p[off:], src)

@@ -82,12 +82,19 @@ func (m *MemSystem) Access(now sim.Time, addr uint64, write bool) AccessResult {
 		res = AccessResult{DataReady: t, AuthDone: t}
 	} else {
 		dataReady, authDone, forwarded := m.ctl.ReadBlock(now+l1Lat+l2Lat, blk)
+		ev, evicted := m.l2.Fill(blk, forwarded)
+		if fn := m.ctl.fn; fn != nil {
+			// The block's bytes go into its line before the victim is
+			// handled: a whole-memory re-encryption in the victim's
+			// write-back reads every on-chip data block.
+			fn.installFill(blk)
+		}
 		// Pin the demand block while its victim is handled: the victim's
 		// write-back can fetch Merkle nodes into this set and must not
 		// displace the line the requestor is waiting on (the MSHR holds
 		// it). Nothing later in the access allocates in L2, so the pin
 		// ends with the victim.
-		if ev, evicted := m.l2.Fill(blk, forwarded); evicted {
+		if evicted {
 			m.l2.Pin(blk)
 			m.evictL2(now, ev)
 			m.l2.Unpin(blk)
@@ -104,15 +111,14 @@ func (m *MemSystem) Access(now sim.Time, addr uint64, write bool) AccessResult {
 }
 
 // evictL2 handles an L2 victim: back-invalidate L1 (merging its dirty
-// state) and hand dirty blocks to the controller.
+// state) and hand dirty blocks to the controller. A clean block's bytes
+// are simply dropped with its line.
 func (m *MemSystem) evictL2(now sim.Time, ev cache.Eviction) {
 	if present, dirty := m.l1.Invalidate(ev.Addr); present && dirty {
 		ev.Dirty = true
 	}
 	if ev.Dirty {
 		m.ctl.HandleEviction(now, ev.Addr)
-	} else {
-		m.ctl.DropClean(ev.Addr)
 	}
 }
 
@@ -142,6 +148,7 @@ func (m *MemSystem) Drain(now sim.Time) {
 		var l2Blocks []uint64
 		m.l2.ForEach(func(addr uint64, _ bool) { l2Blocks = append(l2Blocks, addr) })
 		for _, a := range l2Blocks {
+			m.saveVictim(m.l2, a)
 			if present, dirty := m.l2.Invalidate(a); present {
 				m.evictL2(now, cache.Eviction{Addr: a, Dirty: dirty})
 			}
@@ -150,6 +157,7 @@ func (m *MemSystem) Drain(now sim.Time) {
 			var nodes []uint64
 			mc.ForEach(func(addr uint64, _ bool) { nodes = append(nodes, addr) })
 			for _, a := range nodes {
+				m.saveVictim(mc, a)
 				if present, dirty := mc.Invalidate(a); present {
 					m.ctl.onNodeVictim(now, cache.Eviction{Addr: a, Dirty: dirty})
 					m.ctl.drain()
@@ -191,6 +199,14 @@ func (m *MemSystem) Drain(now sim.Time) {
 		if !dirtyLeft {
 			return
 		}
+	}
+}
+
+// saveVictim keeps, in functional mode, the bytes of block addr's line in
+// cache c for the write-back that invalidating the line may queue.
+func (m *MemSystem) saveVictim(c *cache.Cache, addr uint64) {
+	if m.ctl.fn != nil {
+		m.ctl.fn.saveVictim(c, addr)
 	}
 }
 

@@ -247,6 +247,51 @@ func TestMissPathAllocationFree(t *testing.T) {
 	}
 }
 
+// TestFunctionalMissPathAllocationFree: on a functional machine an L2 miss
+// allocates nothing either, though it moves real bytes: the fill's
+// decryption and MAC checks, the victim's encryption, counter bump and
+// Merkle updates. Block bytes live in slots beside the cache lines and in
+// the write-back buffer, and the DRAM and counter store allocate only at a
+// block's first write. So the warm-up runs until a pass writes no new
+// block to DRAM; after that every metadata block the stream touches has
+// had its first write-back.
+func TestFunctionalMissPathAllocationFree(t *testing.T) {
+	for _, macCache := range []int{0, 64 << 10} {
+		cfg := config.Default()
+		cfg.Functional = true
+		cfg.MacCacheBytes = macCache
+		m := mustSystem(t, cfg)
+		const blocks = 32768
+		now := uint64(0)
+		pass := func() {
+			for i := uint64(0); i < blocks; i++ {
+				now = m.Access(now, i*BlockSize, true).DataReady
+			}
+		}
+		written := func() (n int) {
+			m.ctl.mem.ForEachBlock(func(uint64) { n++ })
+			return n
+		}
+		for warm, prev := 0, -1; ; warm++ {
+			if warm == 8 {
+				t.Fatalf("MAC cache %d B: still writing new blocks after %d passes", macCache, warm)
+			}
+			pass()
+			if n := written(); n != prev {
+				prev = n
+				continue
+			}
+			break
+		}
+		if n := testing.AllocsPerRun(1, pass); n != 0 {
+			t.Errorf("MAC cache %d B: %v heap allocations per pass of %d misses, want 0", macCache, n, blocks)
+		}
+		if n := m.ctl.Stats.TamperDetected; n != 0 {
+			t.Errorf("MAC cache %d B: %d false tampers", macCache, n)
+		}
+	}
+}
+
 // TestFunctionalRootsAllocationFree: a functional machine encrypts,
 // decrypts and MACs a block on every fill, write-back and tree step, and
 // on the GCM schemes none of the three allocates. SHA-1 is left out: its
@@ -277,17 +322,17 @@ func TestFunctionalRootsAllocationFree(t *testing.T) {
 }
 
 // TestWriteBackBufferQueuedTwice pins the write-back buffer's semantics
-// for a block queued twice: one forward squashes both copies, and without
-// a forward the block is written back once.
+// for a block queued twice: one forward squashes both copies and takes
+// the newest, and without a forward the block is written back once.
 func TestWriteBackBufferQueuedTwice(t *testing.T) {
 	ctl := mustSystem(t, config.Default()).Controller()
 	const blk = 0x4000
 	ctl.enqueueWB(100, blk)
 	ctl.enqueueWB(200, blk)
-	if !ctl.clearWB(blk) {
-		t.Fatal("forward of a queued block missed the buffer")
+	if i := ctl.clearWB(blk); i != 1 {
+		t.Fatalf("forward of a block queued twice took copy %d, want the newest, 1", i)
 	}
-	if ctl.clearWB(blk) {
+	if ctl.clearWB(blk) >= 0 {
 		t.Fatal("second forward hit the buffer: the first left a live copy")
 	}
 	ctl.drain()

@@ -107,13 +107,14 @@ func (c *Controller) updateParentMac(now sim.Time, addr uint64) {
 	}
 	nc := c.nodeCache()
 	if !nc.Contains(mac) {
-		if c.clearWB(mac) {
+		if i := c.clearWB(mac); i >= 0 {
 			// The parent's own write-back is still queued: forward it from
-			// the write-back buffer (its on-chip copy was never discarded)
-			// instead of reading stale memory.
-			if ev, evicted := nc.Fill(mac, true); evicted {
-				c.onNodeVictim(macDone, ev)
+			// the write-back buffer, where its on-chip copy waits, instead
+			// of reading stale memory.
+			if c.fn != nil {
+				c.fn.node = c.fn.queued[i]
 			}
+			c.fillNode(macDone, mac, true)
 		} else {
 			// Fetch, verify, and install the parent before updating it.
 			c.Stats.MacFetches++
@@ -121,9 +122,7 @@ func (c *Controller) updateParentMac(now sim.Time, addr uint64) {
 			if c.fn != nil {
 				c.fn.onMacFill(now, mac)
 			}
-			if ev, evicted := nc.Fill(mac, false); evicted {
-				c.onNodeVictim(arrive, ev)
-			}
+			c.fillNode(arrive, mac, false)
 			c.noteMerkleNode(mac, macDone, arrive, c.authChain(now, mac, arrive))
 		}
 	}

@@ -11,9 +11,10 @@ import (
 // trace recorder, wiring both through every shared timeline (bus, DRAM,
 // engines). This is the one place a histogram or a trace track is named,
 // as addCounters is for counters. Either argument may be nil; an
-// uninstrumented controller pays one predicted branch per hook. Counters
-// are not touched during the run: ExportObs adds them from the statistics
-// at its end.
+// uninstrumented controller pays one predicted branch per hook, since
+// every hook, the timelines' too, inlines as its nil check. Counters are
+// not touched during the run: ExportObs adds them from the statistics at
+// its end.
 //
 // The Registry and Recorder are not safe for concurrent use, so use one
 // pair per simulated machine.
@@ -41,11 +42,14 @@ func (c *Controller) Instrument(reg *obsv.Registry, rec *obsv.Recorder) {
 
 // noteMerkleNode counts one Merkle node fetch+verify against its level and
 // emits the two spans that make level overlap visible in the trace (fetch
-// issueAt..arrive, verify arrive..done).
+// issueAt..arrive, verify arrive..done). It inlines as its nil check.
 func (c *Controller) noteMerkleNode(mac uint64, issueAt, arrive, done sim.Time) {
-	if c.merkleFetch == nil {
-		return
+	if c.merkleFetch != nil {
+		c.countMerkleNode(mac, issueAt, arrive, done)
 	}
+}
+
+func (c *Controller) countMerkleNode(mac uint64, issueAt, arrive, done sim.Time) {
 	lvl := c.lay.Geo.LevelOf(mac)
 	if lvl < 0 || lvl >= len(c.merkleFetch) {
 		return

@@ -74,27 +74,30 @@ func (r *Recorder) add(e Event) {
 // Span records a completed occupancy interval [start, end) on a track.
 // Intervals with end <= start are recorded with zero duration.
 func (r *Recorder) Span(track, name string, start, end uint64) {
-	if r == nil {
-		return
+	if r != nil {
+		r.span(track, name, start, end, 0, false)
 	}
-	var dur uint64
-	if end > start {
-		dur = end - start
-	}
-	r.add(Event{Track: track, Name: name, Ph: 'X', Ts: start, Dur: dur})
 }
 
 // SpanID is Span with a transaction id argument, so a resource slice can be
 // traced back to the memory transaction that caused it.
 func (r *Recorder) SpanID(track, name string, start, end, id uint64) {
-	if r == nil {
-		return
+	if r != nil {
+		r.span(track, name, start, end, id, true)
 	}
+}
+
+// span records the event of Span and SpanID. It stays out of line so that
+// both inline at their call sites as the nil check: the shared timelines
+// call Span on every reservation, instrumented or not.
+//
+//go:noinline
+func (r *Recorder) span(track, name string, start, end, id uint64, hasID bool) {
 	var dur uint64
 	if end > start {
 		dur = end - start
 	}
-	r.add(Event{Track: track, Name: name, Ph: 'X', Ts: start, Dur: dur, ID: id, HasID: true})
+	r.add(Event{Track: track, Name: name, Ph: 'X', Ts: start, Dur: dur, ID: id, HasID: hasID})
 }
 
 // Instant records a point event (tamper detections, overflow events).

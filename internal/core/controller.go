@@ -79,9 +79,8 @@ type Controller struct {
 
 	// Observability state (see obs.go); all nil when uninstrumented, so
 	// the hot path pays one predicted branch per hook (each hook inlines
-	// as its nil check). merkleFetch counts
-	// the authentication walk's node fetches per tree level, the one
-	// exported count no statistic holds.
+	// as its nil check). merkleFetch counts the authentication walk's node
+	// fetches per tree level, the one exported count no statistic holds.
 	rec         *obsv.Recorder
 	hTxn        *obsv.Histogram
 	hRSR        *obsv.Histogram

@@ -303,7 +303,8 @@ func (c *Cache) find(addr uint64) int {
 // resident, without touching LRU or stats. The index lies in [0, Lines())
 // and stays fixed while the block is resident, so a caller can keep its own
 // per-line state beside the cache: the counter store keeps each counter
-// block's fetch-completion cycle this way.
+// block's fetch-completion cycle this way, and the functional layer each
+// resident block's bytes.
 func (c *Cache) Line(addr uint64) int { return c.find(addr) }
 
 // Lines returns the number of lines, sets times ways.

@@ -268,6 +268,51 @@ func TestPageReencryptionPreservesData(t *testing.T) {
 	}
 }
 
+// TestPageReencryptionDirtiesResidentBlocks: a page re-encryption leaves
+// a block of the page that is in the L2 to its lazy path (Section 4.2):
+// the block is dirtied, so its natural write-back re-encrypts it under the
+// new major counter. Here the page's other block stays resident and clean
+// while the first one overflows its minor counter on write-backs the L2's
+// set conflicts make, and is then evicted and read back. Without the
+// dirtying, memory keeps it under the old counter and the read fails
+// authentication.
+func TestPageReencryptionDirtiesResidentBlocks(t *testing.T) {
+	cfg := smallCfg()
+	cfg.MinorBits = 2
+	m := mustSystem(t, cfg)
+	const a, b = 0x4000, 0x4040 // one encryption page, different L2 sets
+	setStride := uint64(cfg.L2.SizeBytes / cfg.L2.Ways)
+	want := bytes.Repeat([]byte{0xB0}, 64)
+	m.WriteBytes(0, b, want)
+	m.Drain(100)
+	now := uint64(1000)
+	buf := make([]byte, 64)
+	for w := 0; w < 8; w++ {
+		m.ReadBytes(now, b, buf)
+		m.WriteBytes(now, a, bytes.Repeat([]byte{byte(w)}, 64))
+		for k := uint64(1); k <= 6; k++ {
+			m.ReadBytes(now, a+k*setStride, buf)
+		}
+		now += 1000
+	}
+	if m.Controller().RSRs().Stats.PageReencs == 0 {
+		t.Fatal("no page re-encryption happened")
+	}
+	for k := uint64(1); k <= 6; k++ {
+		m.ReadBytes(now, b+k*setStride, buf)
+	}
+	if m.L2().Contains(b) {
+		t.Fatal("block B is still resident; the read below would not reach memory")
+	}
+	m.ReadBytes(now+1000, b, buf)
+	if !bytes.Equal(buf, want) {
+		t.Fatal("block B corrupted after its page was re-encrypted")
+	}
+	if n := m.Controller().Stats.TamperDetected; n != 0 {
+		t.Fatalf("spurious tamper after page re-encryption: %d", n)
+	}
+}
+
 func TestMonoOverflowWholeMemoryReencrypt(t *testing.T) {
 	cfg := smallCfg()
 	cfg.Enc = config.EncCounterMono

@@ -304,7 +304,11 @@ func (s *Store) Major(pageAddr uint64) uint64 {
 // BumpMajor to advance the page; the returned overflow identifies the page.
 func (s *Store) Increment(addr uint64) (newValue uint64, ov Overflow) {
 	t, cb, off, w := s.locate(addr)
-	img := &t.Slot(cb).img
+	b := t.At(cb)
+	if b == nil {
+		b = t.Slot(cb)
+	}
+	img := &b.img
 	if s.isMeta(addr) {
 		s.Stats.DerivIncrements++
 		v := (field(img, off, w) + 1) & (1<<derivBits - 1)
@@ -348,7 +352,12 @@ func (s *Store) Increment(addr uint64) (newValue uint64, ov Overflow) {
 // reset per block as the RSR processes them (ResetMinor), matching Section
 // 4.2's lazy ordering. It returns the old and new major values.
 func (s *Store) BumpMajor(pageAddr uint64) (oldMajor, newMajor uint64) {
-	img := &s.direct.Slot(pageAddr / BlockSize >> s.perShift).img
+	cb := pageAddr / BlockSize >> s.perShift
+	b := s.direct.At(cb)
+	if b == nil {
+		b = s.direct.Slot(cb)
+	}
+	img := &b.img
 	oldMajor = field(img, 0, 64)
 	setField(img, 0, 64, oldMajor+1)
 	return oldMajor, oldMajor + 1

@@ -71,7 +71,11 @@ func (s *Store) UnpackBlock(ctrBlock uint64, img []byte) {
 		panic("counterstore: short counter block image")
 	}
 	t, i := s.image(ctrBlock)
-	dst := &t.Slot(i).img
+	b := t.At(i)
+	if b == nil {
+		b = t.Slot(i)
+	}
+	dst := &b.img
 	copy(dst[:], img)
 	if end := s.first + s.width<<s.perShift; t == &s.direct && end < BlockSize*8 {
 		dst[end/8] &^= 0xFF >> (end % 8)

@@ -104,7 +104,11 @@ func (d *DRAM) WriteBlock(addr uint64, src []byte) {
 	if !d.functional {
 		panic("dram: functional store disabled")
 	}
-	copy(d.blocks.Slot(addr / BlockSize)[:], src)
+	b := d.blocks.At(addr / BlockSize)
+	if b == nil {
+		b = d.blocks.Slot(addr / BlockSize)
+	}
+	copy(b[:], src)
 }
 
 // Functional reports whether the backing store is enabled.

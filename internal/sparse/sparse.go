@@ -23,7 +23,9 @@ func (t *Table[T]) At(i uint64) *T {
 	return nil
 }
 
-// Slot returns entry i, allocating it, zeroed, if need be.
+// Slot returns entry i, allocating it, zeroed, if need be. Slot is too
+// large to inline, so a hot path reaches a written entry through At and
+// calls Slot only when At returns nil.
 func (t *Table[T]) Slot(i uint64) *T {
 	l := i / leafLen
 	if l >= uint64(len(t.leaves)) {

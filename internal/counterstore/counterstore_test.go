@@ -1,6 +1,7 @@
 package counterstore
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -190,12 +191,17 @@ func TestDerivativeCounterWraps(t *testing.T) {
 
 // TestSteadyStateAllocationFree: once a counter block has been written,
 // incrementing, reading, packing and unpacking its counters allocates
-// nothing, on every organization.
+// nothing, on every organization, also for a block whose write-back count
+// is past wideCount.
 func TestSteadyStateAllocationFree(t *testing.T) {
 	for _, cfg := range []Config{splitConfig(), monoConfig(8),
 		{Org: OrgGlobal, Bits: 32, Regions: regions(), Cache: snc()}} {
 		s := New(cfg)
-		blocks := []uint64{0x40, 300 * 4096, macBase + 128, regions().DirectBase + 64}
+		const hot = 0x80
+		for i := 0; i < wideCount; i++ {
+			s.Increment(hot)
+		}
+		blocks := []uint64{0x40, hot, 300 * 4096, macBase + 128, regions().DirectBase + 64}
 		step := func() {
 			for _, a := range blocks {
 				s.Increment(a)
@@ -209,6 +215,29 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 		if n := testing.AllocsPerRun(100, step); n != 0 {
 			t.Errorf("org %d: %v allocations per step, want 0", cfg.Org, n)
 		}
+		if n, blk := s.FastestCounter(); n <= wideCount || blk != hot {
+			t.Errorf("org %d: fastest = (%d, %#x), want past %d at %#x", cfg.Org, n, blk, wideCount, hot)
+		}
+	}
+}
+
+// TestWrittenPageFootprint bounds the heap that a page's first write-back
+// allocates on the default split geometry: its counter block in the
+// 96-byte size class, 64 one-byte counts and its 8-byte share of a 4 KB
+// pointer leaf, 168 bytes. TotalAlloc counts whole size classes and does
+// not depend on GC timing. Counts of four bytes each, 96 + 256 bytes a
+// page, fail it.
+func TestWrittenPageFootprint(t *testing.T) {
+	const pages, bound = 4096, 192
+	s := New(Config{Org: OrgSplit, MinorBits: 7, PageBlocks: 64, Regions: oracleRegions(), Cache: snc()})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for p := uint64(0); p < pages; p++ {
+		s.Increment(p * 64 * BlockSize)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / pages; per > bound {
+		t.Errorf("a written page allocates %d bytes, want at most %d", per, bound)
 	}
 }
 

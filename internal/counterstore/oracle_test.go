@@ -400,8 +400,8 @@ func decodeStoreOps(data []byte) (Config, []storeOp) {
 // FastestCounter and the write-back counts ForEachIncrement visits, which
 // must come in ascending block order; at the
 // end it compares every pooled counter's value and every pooled counter
-// block's image.
-func checkStoreOracle(t *testing.T, c Config, ops []storeOp) {
+// block's image. It returns the largest write-back count the ops reached.
+func checkStoreOracle(t *testing.T, c Config, ops []storeOp) (fastest uint64) {
 	t.Helper()
 	s, r := New(c), newRefStore(c)
 	name := geometryName(c)
@@ -488,15 +488,22 @@ func checkStoreOracle(t *testing.T, c Config, ops []storeOp) {
 			}
 		}
 	}
+	return r.maxIncr
 }
 
 // TestStoreMatchesOracle checks the store against the reference model over
-// random operation sequences on every geometry the simulator can build.
+// random operation sequences on every geometry the simulator can build. On
+// each geometry a hot block's write-back count must pass wideCount, so the
+// counts kept in the wide table are checked too.
 func TestStoreMatchesOracle(t *testing.T) {
 	for gi, c := range oracleGeometries() {
+		var fastest uint64
 		for seed := int64(1); seed <= 2; seed++ {
 			rng := rand.New(rand.NewSource(seed*1000 + int64(gi)))
-			checkStoreOracle(t, c, randomStoreOps(c, rng, 2500))
+			fastest = max(fastest, checkStoreOracle(t, c, randomStoreOps(c, rng, 2500)))
+		}
+		if fastest <= wideCount {
+			t.Errorf("%s: the largest write-back count is %d; no block passed %d", geometryName(c), fastest, wideCount)
 		}
 	}
 }
@@ -505,6 +512,17 @@ func TestStoreMatchesOracle(t *testing.T) {
 // the same differential check.
 func FuzzStoreOracle(f *testing.F) {
 	f.Add([]byte{0x00})
+	// The default geometry, with the first data blocks of counter blocks 0
+	// and 1024 written back 300 times each: both counts pass wideCount.
+	for g, c := range oracleGeometries() {
+		if geometryName(c) == "split-m7-p64" {
+			seed := []byte{byte(g)}
+			for i := 0; i < 300; i++ {
+				seed = append(seed, opIncData, 0, 0, opIncData, 7, 0)
+			}
+			f.Add(seed)
+		}
+	}
 	rng := rand.New(rand.NewSource(1))
 	for g := range oracleGeometries() {
 		if g%4 != 0 {

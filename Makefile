@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt-check test bench-test race vet lint lint-bench lint-fix-audit fuzz-smoke bench bench-check trace-smoke metrics-baseline metrics-compare ci
+.PHONY: all build fmt-check test bench-test race vet inline-check lint lint-bench lint-fix-audit fuzz-smoke bench bench-check trace-smoke metrics-baseline metrics-compare ci
 
 all: build
 
@@ -26,6 +26,33 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Inlining gate. An uninstrumented run pays for each observability hook
+# only its nil check, and the counter store and the functional DRAM reach
+# a written sparse.Table entry without a call, because the compiler inlines
+# these functions at every call site. For each function, every call that
+# grep finds in a non-test file (for At, in the files that import sparse)
+# must be a line where `go build -gcflags=-m` reports "inlining call to"
+# it; the target names each call site where it does not.
+INLINE_SRC = find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './bench/*' ! -path './.bench_build/*'
+inline-check:
+	@m=$$($(GO) build -gcflags=-m ./... 2>&1) || { echo "$$m"; exit 1; }; \
+	all=$$($(INLINE_SRC)); sparse=$$(grep -l '"secmem/internal/sparse"' $$all); \
+	fail=0; n=0; \
+	check() { \
+		inlined=$$(printf '%s\n' "$$m" | grep -E ": inlining call to $$1\$$" | cut -d: -f1,2); \
+		sites=$$(grep -HnoE "\.$$2\(" $$3 | cut -d: -f1,2 | sed 's|^\./||'); \
+		[ -n "$$sites" ] || { echo "inline-check: no call of $$2 found"; fail=1; }; \
+		for s in $$sites; do \
+			n=$$((n + 1)); \
+			printf '%s\n' "$$inlined" | grep -qxF "$$s" || { echo "inline-check: $$s: $$2 is not inlined"; fail=1; }; \
+		done; \
+	}; \
+	check 'obsv\.\(\*Recorder\)\.Span' Span "$$all"; \
+	check 'obsv\.\(\*Recorder\)\.SpanID' SpanID "$$all"; \
+	check '\(\*Controller\)\.noteMerkleNode' noteMerkleNode "$$all"; \
+	check 'sparse\.\(\*Table\[.*\]\)\.At' At "$$sparse"; \
+	[ $$fail -eq 0 ] && echo "inline-check: ok ($$n call sites inlined)"
 
 # Domain-specific crypto-invariant analyzers; see internal/lint and the
 # "Static analysis & invariants" sections of README.md / DESIGN.md.
@@ -125,4 +152,4 @@ metrics-compare:
 	$(GO) run ./cmd/secmemsim -bench swim -instr 200000 -metrics $(SMOKE_DIR)-fresh.json >/dev/null
 	$(GO) run ./cmd/secmemobs -compare -tol $(METRICS_TOL) BENCH_metrics.json $(SMOKE_DIR)-fresh.json
 
-ci: build fmt-check vet lint test bench-test race fuzz-smoke trace-smoke metrics-compare bench-check
+ci: build fmt-check vet inline-check lint test bench-test race fuzz-smoke trace-smoke metrics-compare bench-check

@@ -41,7 +41,7 @@ inline-check:
 	fail=0; n=0; \
 	check() { \
 		inlined=$$(printf '%s\n' "$$m" | grep -E ": inlining call to $$1\$$" | cut -d: -f1,2); \
-		sites=$$(grep -HnoE "\.$$2\(" $$3 | cut -d: -f1,2 | sed 's|^\./||'); \
+		sites=$$(grep -HnoE "\.$$2\(" $$3 </dev/null | cut -d: -f1,2 | sed 's|^\./||'); \
 		[ -n "$$sites" ] || { echo "inline-check: no call of $$2 found"; fail=1; }; \
 		for s in $$sites; do \
 			n=$$((n + 1)); \

@@ -283,6 +283,11 @@ func (c SystemConfig) Validate() error {
 			return err
 		}
 	}
+	if c.Auth != AuthNone && c.MacCacheBytes == 0 && c.L2.Ways < 2 {
+		// A miss pins its demand block in the L2 while the block's Merkle
+		// walk fills nodes into the same set.
+		return fmt.Errorf("config: a %d-way L2 cannot hold Merkle nodes beside a pinned demand block", c.L2.Ways)
+	}
 	return nil
 }
 

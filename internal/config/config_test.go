@@ -65,6 +65,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"GCM-only no RSRs", func(c *SystemConfig) { c.Enc = EncNone; c.RSRs = 0 }},
 		{"GCM-only minors overflow the block", func(c *SystemConfig) { c.Enc = EncNone; c.MinorBits = 16 }},
 		{"Direct+GCM minors overflow the block", func(c *SystemConfig) { c.Enc = EncDirect; c.MinorBits = 16 }},
+		{"one-way L2 holding Merkle nodes", func(c *SystemConfig) { c.L2.Ways = 1 }},
 	}
 	for _, m := range mutations {
 		c := Default()

@@ -15,48 +15,64 @@ import (
 // random working set, drain, corrupt a random *written* data or counter
 // block in DRAM, and read everything back. Authentication must fire.
 func TestRandomTamperAlwaysDetected(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := mustSystemQ(smallCfg())
-		// Write 32 random blocks scattered over 256 KB.
-		var addrs []uint64
-		for i := 0; i < 32; i++ {
-			a := uint64(rng.Intn(4096)) * 64
-			data := make([]byte, 64)
-			rng.Read(data)
-			if _, err := m.WriteBytes(uint64(i)*500, a, data); err != nil {
-				return false
-			}
-			addrs = append(addrs, a)
-		}
-		m.Drain(100_000)
-
-		// Corrupt one written block: either a data block or the counter
-		// block of one of them.
-		atk := dram.NewAttacker(m.Controller().DRAM())
-		victim := addrs[rng.Intn(len(addrs))]
-		if rng.Intn(2) == 0 {
-			victim = m.Controller().Counters().CounterBlockAddr(victim)
-			// Drain leaves counter blocks resident (clean) in the counter
-			// cache; churn it so the corrupted block is actually refetched
-			// from memory — otherwise the tamper is unexercised, not
-			// undetected.
-			for i := uint64(0); i < 64; i++ {
-				m.ReadBytes(150_000+i*300, 0x40000+i*4096, make([]byte, 8))
-			}
-		}
-		atk.FlipBit(victim, rng.Intn(512))
-
-		// Read everything back; detection must fire somewhere.
-		buf := make([]byte, 64)
-		for i, a := range addrs {
-			m.ReadBytes(uint64(200_000+i*500), a, buf)
-		}
-		return m.Controller().Stats.TamperDetected > 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
+	if err := quick.Check(tamperDetected, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestTamperSweepOnEvictedParents runs the sweep on the first five seeds
+// of 0-19,999 whose write-backs, on smallCfg's 4-way L2, fetch a parent
+// node that its own authentication walk evicts before updateParentMac
+// dirties it. Without the re-install they panic: the parent has no
+// on-chip copy to take the child's MAC.
+func TestTamperSweepOnEvictedParents(t *testing.T) {
+	for _, seed := range []int64{1131, 1255, 1455, 1639, 1670} {
+		if !tamperDetected(seed) {
+			t.Errorf("seed %d: tamper not detected", seed)
+		}
+	}
+}
+
+// tamperDetected runs one seed of the sweep and reports whether
+// authentication fired.
+func tamperDetected(seed int64) bool {
+	rng := rand.New(rand.NewSource(seed))
+	m := mustSystemQ(smallCfg())
+	// Write 32 random blocks scattered over 256 KB.
+	var addrs []uint64
+	for i := 0; i < 32; i++ {
+		a := uint64(rng.Intn(4096)) * 64
+		data := make([]byte, 64)
+		rng.Read(data)
+		if _, err := m.WriteBytes(uint64(i)*500, a, data); err != nil {
+			return false
+		}
+		addrs = append(addrs, a)
+	}
+	m.Drain(100_000)
+
+	// Corrupt one written block: either a data block or the counter
+	// block of one of them.
+	atk := dram.NewAttacker(m.Controller().DRAM())
+	victim := addrs[rng.Intn(len(addrs))]
+	if rng.Intn(2) == 0 {
+		victim = m.Controller().Counters().CounterBlockAddr(victim)
+		// Drain leaves counter blocks resident (clean) in the counter
+		// cache; churn it so the corrupted block is actually refetched
+		// from memory — otherwise the tamper is unexercised, not
+		// undetected.
+		for i := uint64(0); i < 64; i++ {
+			m.ReadBytes(150_000+i*300, 0x40000+i*4096, make([]byte, 8))
+		}
+	}
+	atk.FlipBit(victim, rng.Intn(512))
+
+	// Read everything back; detection must fire somewhere.
+	buf := make([]byte, 64)
+	for i, a := range addrs {
+		m.ReadBytes(uint64(200_000+i*500), a, buf)
+	}
+	return m.Controller().Stats.TamperDetected > 0
 }
 
 // TestFunctionalReadBack checks read-back through the serial Merkle walk in

@@ -17,12 +17,12 @@ const machineHeader = 6
 // over several subtrees.
 const fuzzWindow = 64 << 10
 
-// fuzzMachine decodes a machine from the fuzz header. The L1, and an L2
-// that holds only data, go down to one way and one set. A cache that holds
-// Merkle nodes keeps more ways than a fetched parent's authentication walk
-// can fill above it: one per tree level, plus the pinned demand block in
-// the L2. With fewer, updateParentMac's walk can evict the parent it has
-// just fetched and then finds no on-chip copy to put the child's MAC in.
+// fuzzMachine decodes a machine from the fuzz header. The L1, an L2 that
+// holds only data and a MAC cache go down to one way and one set. An L2
+// that holds Merkle nodes keeps two ways, one for the pinned demand block,
+// as Validate requires. So a fetched parent's authentication walk, which
+// fills up to one node per tree level above it, can evict that parent
+// before updateParentMac dirties it.
 //
 //	h[0]  L1:        ways 1<<(h&3), sets 1<<((h>>2)%6)
 //	h[1]  L2:        ways 1<<(h&3), sets 1<<((h>>2)%8)
@@ -65,18 +65,8 @@ func fuzzMachine(h []byte) (config.SystemConfig, *cache.Config) {
 		mc = &g
 		cfg.MacCacheBytes = 8 * BlockSize // replaced by mc
 	}
-	if cfg.Auth != config.AuthNone {
-		// A fetched parent must survive its own authentication walk, which
-		// fills up to one node per tree level above it into the cache that
-		// holds nodes, where the demand block may be pinned too.
-		levels := NewLayout(cfg).Geo.NumLevels()
-		nodes, need := &cfg.L2, levels+1
-		if mc != nil {
-			nodes, need = mc, levels
-		}
-		for nodes.Ways < need && nodes.Ways < 8 {
-			nodes.Ways, nodes.SizeBytes = 2*nodes.Ways, 2*nodes.SizeBytes
-		}
+	if cfg.Auth != config.AuthNone && mc == nil && cfg.L2.Ways == 1 {
+		cfg.L2.Ways, cfg.L2.SizeBytes = 2, 2*cfg.L2.SizeBytes
 	}
 	return cfg, mc
 }
@@ -115,11 +105,11 @@ func FuzzMachine(f *testing.F) {
 	}
 	// The geometries of TestHonestWorkloadNeverTrips (minor bits 3),
 	// TestShadowConsistencyAcrossSchemes and TestInclusionProperty: smallCfg
-	// is a 2-way 8-set L1 over a 4-way 32-set L2 with nodes in the L2 (8
-	// ways with 64-bit MACs, 4 with 32-bit ones); the storm is a 1-way
-	// 8-set L1 over a 2-way 16-set L2, which keeps its two ways when nodes
-	// have a MAC cache. Then TestMonoOverflowRebuildKeepsMacCacheNodes' 4 KB
-	// MAC cache (8 ways, 8 sets) and the smallest one, one set.
+	// is a 2-way 8-set L1 over a 4-way 32-set L2 with nodes in the L2; the
+	// storm is a 1-way 8-set L1 over a 2-way 16-set L2, with nodes in the
+	// L2 (a parent's walk evicts it there) and in a MAC cache. Then
+	// TestMonoOverflowRebuildKeepsMacCacheNodes' 4 KB MAC cache (8 ways, 8
+	// sets) and the smallest one, one set.
 	seeds := [][]byte{
 		machineSeed(1, 3, 2, 5, -1, 0, config.EncCounterSplit, config.AuthGCM, 1, 0),
 		machineSeed(1, 3, 2, 5, -1, 0, config.EncCounterSplit, config.AuthGCM, 5, 0),

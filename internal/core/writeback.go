@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"secmem/internal/config"
 	"secmem/internal/counterstore"
 	"secmem/internal/engine"
@@ -126,7 +128,19 @@ func (c *Controller) updateParentMac(now sim.Time, addr uint64) {
 			c.noteMerkleNode(mac, macDone, arrive, c.authChain(now, mac, arrive))
 		}
 	}
-	nc.SetDirty(mac)
+	if !nc.SetDirty(mac) {
+		// The parent's own authentication walk filled the nodes above it
+		// into its set and evicted it, clean. No write-back runs inside
+		// drain, so memory still holds the copy just verified: re-read,
+		// re-verify and re-install it, dirty.
+		if c.fn != nil {
+			c.fn.onMacFill(now, mac)
+		}
+		c.fillNode(macDone, mac, true)
+		if !nc.Contains(mac) {
+			panic(fmt.Sprintf("core: parent node %#x of %#x cannot be re-installed", mac, addr))
+		}
+	}
 	if c.fn != nil {
 		c.fn.updateParentSlot(addr)
 	}

@@ -7,6 +7,11 @@
 //	paperbench -scalars        # Section 6.1 scalar results
 //	paperbench -quick          # reduced instruction count for a fast pass
 //	paperbench -instr 20000000 # longer runs (closer to the paper's 1B)
+//
+// Stdout carries only the tables, which are deterministic; each line that
+// reports host time goes to stderr. So a run's stdout can be compared byte
+// for byte with results_full.txt or results_ablations.txt (make
+// results-check).
 package main
 
 import (
@@ -39,7 +44,7 @@ func main() {
 		memProf = flag.String("memprofile", "", "write a heap profile taken after the campaign to this file")
 	)
 	flag.Parse()
-	if err := checkSelectors(*fig, *table); err != nil {
+	if err := checkSelectors(*fig, *table, *instr); err != nil {
 		fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
 		os.Exit(2)
 	}
@@ -173,7 +178,7 @@ func main() {
 		}
 		t0 := time.Now()
 		j.run()
-		fmt.Printf("[%s regenerated in %.1fs]\n\n", j.name, time.Since(t0).Seconds())
+		fmt.Fprintf(os.Stderr, "[%s regenerated in %.1fs]\n", j.name, time.Since(t0).Seconds())
 		ran++
 	}
 	if ran == 0 && *metrics == "" {
@@ -200,7 +205,7 @@ func main() {
 			os.Exit(1)
 		}
 		f.Close()
-		fmt.Printf("per-benchmark metric deltas (Split+GCM vs baseline) written to %s in %.1fs\n",
+		fmt.Fprintf(os.Stderr, "per-benchmark metric deltas (Split+GCM vs baseline) written to %s in %.1fs\n",
 			*metrics, time.Since(t0).Seconds())
 	}
 	if *svgDir != "" {
@@ -236,8 +241,12 @@ func main() {
 }
 
 // checkSelectors rejects a -fig or -table that names nothing paperbench
-// regenerates, before any run starts. Zero means the flag was not given.
-func checkSelectors(fig, table int) error {
+// regenerates, and an -instr of zero, before any run starts. A zero -fig
+// or -table means the flag was not given.
+func checkSelectors(fig, table int, instr uint64) error {
+	if instr == 0 {
+		return fmt.Errorf("-instr 0: no instructions to run (valid: 1 or more)")
+	}
 	if fig != 0 && (fig < 4 || fig > 10) {
 		return fmt.Errorf("-fig %d: no such figure (valid: 4, 5, 6, 7, 8, 9, 10)", fig)
 	}

@@ -1,6 +1,6 @@
-// Command secmemobs renders, validates, and diffs the observability
-// artifacts that secmemsim emits: the metrics registry JSON (-metrics) and
-// the Chrome trace-event timeline (-trace).
+// Command secmemobs renders and validates the observability artifacts that
+// secmemsim emits: the metrics registry JSON (-metrics) and the Chrome
+// trace-event timeline (-trace).
 //
 // By default it prints plain-text tables: utilization/derived gauges,
 // counters, latency histograms with interpolated percentiles, and per-track
@@ -8,14 +8,13 @@
 // shape an instrumented protected run must have (nonzero ctrcache.*,
 // merkle.*, and aes.* series; a loadable trace with overlapped Merkle-level
 // work, monotone counter tracks, and no dropped events) and exits non-zero
-// on violation — CI's trace-smoke target runs this. With -compare it diffs
-// two metrics snapshots as a regression gate and exits non-zero when any
-// series moved by more than -tol.
+// on violation — CI's trace-smoke target runs this. A metrics file is
+// deterministic, so a regression gate compares it byte for byte with
+// diff (make metrics-compare).
 //
 //	secmemsim -bench swim -metrics m.json -trace t.json -sample 1000
 //	secmemobs -metrics m.json -trace t.json
 //	secmemobs -metrics m.json -trace t.json -validate -wanttracks bus.util,dram.util
-//	secmemobs -compare -tol 0.05 BENCH_metrics.json fresh.json
 package main
 
 import (
@@ -37,30 +36,8 @@ func main() {
 		trace      = flag.String("trace", "", "Chrome trace-event JSON written by secmemsim -trace")
 		validate   = flag.Bool("validate", false, "validate artifact shape instead of rendering tables")
 		wantTracks = flag.String("wanttracks", "", "comma-separated counter tracks that -validate requires in the trace")
-		compare    = flag.Bool("compare", false, "regression gate: diff two metrics JSON files (old new) given as arguments")
-		tol        = flag.Float64("tol", 0.05, "with -compare: maximum relative drift per series before failing")
 	)
 	flag.Parse()
-
-	if *compare {
-		if flag.NArg() != 2 {
-			fatalf("-compare needs exactly two arguments: old.json new.json (got %d)", flag.NArg())
-		}
-		old := loadSnapshot(flag.Arg(0))
-		cur := loadSnapshot(flag.Arg(1))
-		viols := compareSnapshots(old, cur, *tol)
-		if len(viols) > 0 {
-			for _, v := range viols {
-				fmt.Fprintf(os.Stderr, "secmemobs: REGRESSION: %s\n", v)
-			}
-			fmt.Fprintf(os.Stderr, "secmemobs: %d series drifted beyond tol=%.3g between %s and %s\n",
-				len(viols), *tol, flag.Arg(0), flag.Arg(1))
-			os.Exit(1)
-		}
-		fmt.Printf("secmemobs: metrics match within tol=%.3g (%d counters, %d gauges, %d histograms)\n",
-			*tol, len(cur.Counters), len(cur.Gauges), len(cur.Histograms))
-		return
-	}
 
 	if *metrics == "" {
 		fatalf("-metrics is required")
@@ -294,98 +271,6 @@ func validateTrace(events []traceEvent, dropped uint64, want []string) []string 
 		errs = append(errs, "no overlapping spans on distinct merkle levels (expected with parallel authentication)")
 	}
 	return errs
-}
-
-// relDrift is |new-old| normalized by |old| (clamped to 1 for fractional
-// baselines so sub-unit gauges compare on absolute drift). A baseline of
-// exactly zero has no scale to drift against: an identical zero reading is
-// clean (drift 0), while any nonzero reading is a new signal — the series
-// started firing after the baseline was cut — and returns +Inf so it trips
-// every finite tolerance instead of silently dividing by the clamp.
-func relDrift(old, cur float64) float64 {
-	d := math.Abs(cur - old)
-	if d == 0 {
-		return 0
-	}
-	if old == 0 {
-		return math.Inf(1)
-	}
-	base := math.Abs(old)
-	if base < 1 {
-		base = 1
-	}
-	return d / base
-}
-
-// driftViolation renders one over-tolerance drift. A +Inf drift means the
-// series fired from a zero baseline — a new signal, not a scaled drift — so
-// it is named as such instead of printing "+Inf".
-func driftViolation(kind, name string, d float64, old, cur string) string {
-	if math.IsInf(d, 1) {
-		return fmt.Sprintf("%s %s fired from zero baseline (new signal, now %s)", kind, name, cur)
-	}
-	return fmt.Sprintf("%s %s drifted %.3g (old %s, new %s)", kind, name, d, old, cur)
-}
-
-// compareSnapshots diffs two metrics snapshots as a regression gate:
-// counters and gauges must agree within tol relative drift, histograms must
-// agree in count and sum, and both files must expose the same series set —
-// a vanished or new series is a violation regardless of tolerance, because
-// it means the instrumentation itself changed. Violations are sorted.
-func compareSnapshots(old, cur obsv.Snapshot, tol float64) []string {
-	var viols []string
-	for _, name := range sortedKeys(old.Counters) {
-		ov := old.Counters[name]
-		nv, ok := cur.Counters[name]
-		if !ok {
-			viols = append(viols, fmt.Sprintf("counter %s missing from new snapshot (was %d)", name, ov))
-			continue
-		}
-		if d := relDrift(float64(ov), float64(nv)); d > tol {
-			viols = append(viols, driftViolation("counter", name, d, fmt.Sprint(ov), fmt.Sprint(nv)))
-		}
-	}
-	for _, name := range sortedKeys(cur.Counters) {
-		if _, ok := old.Counters[name]; !ok {
-			viols = append(viols, fmt.Sprintf("counter %s new in snapshot (%d); regenerate the baseline", name, cur.Counters[name]))
-		}
-	}
-	for _, name := range sortedKeys(old.Gauges) {
-		ov := old.Gauges[name]
-		nv, ok := cur.Gauges[name]
-		if !ok {
-			viols = append(viols, fmt.Sprintf("gauge %s missing from new snapshot (was %g)", name, ov))
-			continue
-		}
-		if d := relDrift(ov, nv); d > tol {
-			viols = append(viols, driftViolation("gauge", name, d, fmt.Sprintf("%g", ov), fmt.Sprintf("%g", nv)))
-		}
-	}
-	for _, name := range sortedKeys(cur.Gauges) {
-		if _, ok := old.Gauges[name]; !ok {
-			viols = append(viols, fmt.Sprintf("gauge %s new in snapshot (%g); regenerate the baseline", name, cur.Gauges[name]))
-		}
-	}
-	for _, name := range sortedKeys(old.Histograms) {
-		oh := old.Histograms[name]
-		nh, ok := cur.Histograms[name]
-		if !ok {
-			viols = append(viols, fmt.Sprintf("histogram %s missing from new snapshot", name))
-			continue
-		}
-		if d := relDrift(float64(oh.Count), float64(nh.Count)); d > tol {
-			viols = append(viols, driftViolation("histogram", name+" count", d, fmt.Sprint(oh.Count), fmt.Sprint(nh.Count)))
-		}
-		if d := relDrift(float64(oh.Sum), float64(nh.Sum)); d > tol {
-			viols = append(viols, driftViolation("histogram", name+" sum", d, fmt.Sprint(oh.Sum), fmt.Sprint(nh.Sum)))
-		}
-	}
-	for _, name := range sortedKeys(cur.Histograms) {
-		if _, ok := old.Histograms[name]; !ok {
-			viols = append(viols, fmt.Sprintf("histogram %s new in snapshot; regenerate the baseline", name))
-		}
-	}
-	return viols
 }
 
 // render prints the snapshot (and trace summary) as plain-text tables.

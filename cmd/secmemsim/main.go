@@ -116,6 +116,10 @@ func main() {
 		return
 	}
 
+	if *instr == 0 {
+		// harness.New would run its 2M default instead.
+		fatalf("-instr 0: no instructions to run (valid: 1 or more)")
+	}
 	benches := []string{*bench}
 	if *bench == "all" {
 		benches = trace.Names()

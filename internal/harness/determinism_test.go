@@ -1,37 +1,25 @@
 package harness
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"testing"
 
 	"secmem/internal/stats"
 )
 
-// Campaign-output fingerprints captured BEFORE the fast crypto kernels
-// (table-driven GHASH, T-table AES, zero-alloc MAC paths) landed. Pinning
-// the rendered tables byte-identical proves the optimizations changed only
-// wall time, never a simulated number: the fast paths compute the same
-// functions as the oracles they replaced, and the timing model charges
-// fixed hardware latencies that are independent of host-side crypto speed.
-//
-// If a deliberate model change moves these numbers, regenerate with:
-//
-//	go test ./internal/harness -run TestCampaignDeterminism -v
-//
-// and paste the printed sha256/length pairs here, noting the change in the
-// commit message. An unexplained mismatch is a correctness bug in a kernel.
+// Campaign outputs, each pinned byte for byte by testdata/<name>.golden
+// (checkGolden). They were captured before the fast crypto kernels
+// (table-driven GHASH, T-table AES, zero-alloc MAC paths) landed, so they
+// prove that the optimizations changed only wall time, never a simulated
+// number: the fast paths compute the same functions as the oracles they
+// replaced, and the timing model charges fixed hardware latencies that are
+// independent of host-side crypto speed.
 var campaignGoldens = []struct {
-	name   string
-	sha256 string
-	length int
-	run    func(t *testing.T) string
+	name string
+	run  func(t *testing.T) string
 }{
 	{
-		name:   "Fig4",
-		sha256: "34afa652fddb588f0a86cb71964dc129760529c0a59619f78d626629daa7b6ea",
-		length: 978,
+		name: "Fig4",
 		run: func(*testing.T) string {
 			r := New(Options{Instructions: 300_000, Seed: 1,
 				Benches: []string{"swim", "mcf", "crafty"}})
@@ -40,9 +28,7 @@ var campaignGoldens = []struct {
 		},
 	},
 	{
-		name:   "Scalars",
-		sha256: "59be9f609fd0885cb65ec6cae55d5c09f2f21394cd995ba19ecc9bdb3f898fde",
-		length: 771,
+		name: "Scalars",
 		// The data carries the work ratio at full precision; the table
 		// rounds it to 0.1%.
 		run: func(t *testing.T) string {
@@ -52,32 +38,26 @@ var campaignGoldens = []struct {
 			return tableAndJSON(t, tbl, res)
 		},
 	},
-	// The rows below fingerprint the rendered table and the returned data:
+	// The rows below pin the rendered table and the returned data:
 	// json.Marshal writes every float at full precision, which the table's
 	// rounding hides. They were captured before the figures shared one run
 	// cache, which must not move a number.
 	{
-		name:   "Table2",
-		sha256: "13322353bda337712591fea330eae6bc01d8d261f815787d62f43f613893e5c2",
-		length: 1791,
+		name: "Table2",
 		run: func(t *testing.T) string {
 			tbl, data := goldenRunner().Table2()
 			return tableAndJSON(t, tbl, data)
 		},
 	},
 	{
-		name:   "Fig5",
-		sha256: "56ff58520d0e2dd161c3c9c6185d57da4d24c5d685ae6540eb3609279d69d262",
-		length: 1221,
+		name: "Fig5",
 		run: func(t *testing.T) string {
 			tbl, data := goldenRunner().Fig5()
 			return tableAndJSON(t, tbl, data)
 		},
 	},
 	{
-		name:   "Fig6a",
-		sha256: "18be65e8860565fb269508eb6c197c09426d76e406e12e9024b7c6177f1a466b",
-		length: 757,
+		name: "Fig6a",
 		run: func(t *testing.T) string {
 			tbl, res := goldenRunner().Fig6a()
 			return tableAndJSON(t, tbl, res)
@@ -86,54 +66,42 @@ var campaignGoldens = []struct {
 	{
 		// Figure 6(b)'s windowed runs bypass the run cache and fan out
 		// over benchmarks; this row was captured with the cache in place.
-		name:   "Fig6b",
-		sha256: "1eef60f2229ae3112db5c9078ddd43d5877fc53276fd4fe9cf517c08080532d3",
-		length: 653,
+		name: "Fig6b",
 		run: func(t *testing.T) string {
 			tbl, series := goldenRunner().Fig6b(5)
 			return tableAndJSON(t, tbl, series)
 		},
 	},
 	{
-		name:   "Fig7",
-		sha256: "b573f804c72199d87e49b8e514dc56ccc22845277254709e82c2c47dcbf05bfd",
-		length: 1846,
+		name: "Fig7",
 		run: func(t *testing.T) string {
 			tbl, data := goldenRunner().Fig7()
 			return tableAndJSON(t, tbl, data)
 		},
 	},
 	{
-		name:   "Fig8",
-		sha256: "63b04ba5fa203e682d4983a6079b0ce80bf40dace0505a80bcc2a6b30d9cdb1d",
-		length: 1629,
+		name: "Fig8",
 		run: func(t *testing.T) string {
 			tbl, data := goldenRunner().Fig8()
 			return tableAndJSON(t, tbl, data)
 		},
 	},
 	{
-		name:   "Fig9",
-		sha256: "7e192bf36a23c9c3c40d58493eeb0068429427d638138aab70391b43df39d632",
-		length: 1663,
+		name: "Fig9",
 		run: func(t *testing.T) string {
 			tbl, data := goldenRunner().Fig9()
 			return tableAndJSON(t, tbl, data)
 		},
 	},
 	{
-		name:   "Fig10",
-		sha256: "87ee8a9e223f9f7a5adbda41e6665d7cbe394deaa67c38d82c64aeb781faa214",
-		length: 5088,
+		name: "Fig10",
 		run: func(t *testing.T) string {
 			tbl, data := goldenRunner().Fig10()
 			return tableAndJSON(t, tbl, data)
 		},
 	},
 	{
-		name:   "AblateMonoCharge",
-		sha256: "af5240cb5422850b27a06b6cc80de13d6bb777b0322fc35546ec75791722335b",
-		length: 848,
+		name: "AblateMonoCharge",
 		run: func(t *testing.T) string {
 			tbl, rows := goldenRunner().AblateMonoCharge()
 			return tableAndJSON(t, tbl, rows)
@@ -141,7 +109,7 @@ var campaignGoldens = []struct {
 	},
 }
 
-// goldenRunner is the campaign the table-and-data rows fingerprint.
+// goldenRunner is the campaign the table-and-data rows pin.
 func goldenRunner() *Runner {
 	return New(Options{Instructions: 200_000, Seed: 1,
 		Benches: []string{"swim", "mcf", "crafty"}})
@@ -159,7 +127,7 @@ func tableAndJSON(t *testing.T, tbl stats.Table, data any) string {
 // TestFig4RunToRunDeterminism runs the Figure 4 campaign twice in-process
 // and requires byte-identical output — the rendered table AND the raw
 // normalized-IPC grid. The golden test above pins the numbers to a
-// committed fingerprint; this meta-test pins the property the determinism
+// committed file; this meta-test pins the property the determinism
 // analyzer enforces statically: with parallelFor fanning the campaign out
 // across goroutines, no map-iteration order, scheduling interleaving, or
 // float-merge order may reach the output. It keeps failing on
@@ -199,14 +167,7 @@ func TestCampaignDeterminism(t *testing.T) {
 		g := g
 		t.Run(g.name, func(t *testing.T) {
 			t.Parallel()
-			out := g.run(t)
-			sum := sha256.Sum256([]byte(out))
-			got := hex.EncodeToString(sum[:])
-			t.Logf("%s: sha256=%s length=%d", g.name, got, len(out))
-			if got != g.sha256 || len(out) != g.length {
-				t.Errorf("%s output changed: sha256=%s length=%d, want sha256=%s length=%d\n"+
-					"rendered table:\n%s", g.name, got, len(out), g.sha256, g.length, out)
-			}
+			checkGolden(t, g.name, g.run(t))
 		})
 	}
 }

@@ -1,72 +1,59 @@
 package harness
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"secmem/internal/config"
 )
 
+// checkGolden compares a deterministic output with the committed file
+// testdata/<name>.golden, byte for byte. On a mismatch it writes out over
+// the file and fails naming it, so `git diff` shows which numbers moved and
+// by how much; the next run passes. A deliberate model change commits the
+// rewritten files and says why they moved. An unexplained diff is a bug.
+func checkGolden(t *testing.T, name, out string) {
+	t.Helper()
+	path := filepath.Join("testdata", name+".golden")
+	if want, err := os.ReadFile(path); err == nil && string(want) == out {
+		return
+	}
+	if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Errorf("%s did not match this run, which has been written over it: git diff shows what moved", path)
+}
+
 // TestGoldenOutputs pins exact simulator outputs for three representative
-// workloads. The simulator is deterministic, so any drift here means a
-// timing-model change: if the change was intentional, regenerate the
-// values (instructions below); if not, a regression slipped in.
-//
-// Regenerate by running the three pairs below at 300k instructions, seed 1,
-// and printing base.CPU.Cycles, base.CPU.L2Misses, split.CPU.Cycles,
-// split.Ctl.MacFetches.
+// workloads at 300k instructions, seed 1: the baseline's cycles and L2
+// misses, Split+GCM's cycles and Merkle fetches, and, for Figure 6's
+// counter-prediction baseline at one and two AES engines, cycles, correct
+// predictions and timely pads. mcf is the only one of the three that
+// writes back, so its Pred rows also pin the baseline's write-back timing.
+// Each line of testdata/GoldenOutputs.golden holds one number.
 func TestGoldenOutputs(t *testing.T) {
-	golden := []struct {
-		bench                 string
-		baseCycles, baseMiss  uint64
-		splitCycles, macFetch uint64
-	}{
-		{"swim", 637163, 13420, 1082942, 2676},
-		{"mcf", 3019256, 38016, 11537616, 44415},
-		{"crafty", 365612, 5483, 412059, 881},
-	}
 	r := New(Options{Instructions: 300_000, Seed: 1})
-	for _, g := range golden {
-		base := r.Run(g.bench, config.Baseline())
-		split := r.Run(g.bench, Combined("Split+GCM"))
-		if base.CPU.Cycles != g.baseCycles {
-			t.Errorf("%s: baseline cycles = %d, golden %d", g.bench, base.CPU.Cycles, g.baseCycles)
-		}
-		if base.CPU.L2Misses != g.baseMiss {
-			t.Errorf("%s: baseline L2 misses = %d, golden %d", g.bench, base.CPU.L2Misses, g.baseMiss)
-		}
-		if split.CPU.Cycles != g.splitCycles {
-			t.Errorf("%s: Split+GCM cycles = %d, golden %d", g.bench, split.CPU.Cycles, g.splitCycles)
-		}
-		if split.Ctl.MacFetches != g.macFetch {
-			t.Errorf("%s: Merkle fetches = %d, golden %d", g.bench, split.Ctl.MacFetches, g.macFetch)
+	var b strings.Builder
+	row := func(bench, machine, stat string, v uint64) {
+		fmt.Fprintf(&b, "%-7s %-12s %-19s %d\n", bench, machine, stat, v)
+	}
+	for _, bench := range []string{"swim", "mcf", "crafty"} {
+		base := r.Run(bench, config.Baseline())
+		row(bench, "base", "cycles", base.CPU.Cycles)
+		row(bench, "base", "L2 misses", base.CPU.L2Misses)
+		split := r.Run(bench, Combined("Split+GCM"))
+		row(bench, "Split+GCM", "cycles", split.CPU.Cycles)
+		row(bench, "Split+GCM", "Merkle fetches", split.Ctl.MacFetches)
+		for _, engines := range []int{1, 2} {
+			pred := r.Run(bench, Predict(engines))
+			machine := fmt.Sprintf("Pred (%d AES)", engines)
+			row(bench, machine, "cycles", pred.CPU.Cycles)
+			row(bench, machine, "correct predictions", pred.Predicted)
+			row(bench, machine, "timely pads", pred.Ctl.TimelyPads)
 		}
 	}
-	// Figure 6's counter-prediction baseline at one and two AES engines.
-	// mcf is the only one of the three that writes back, so its rows also
-	// pin the baseline's write-back timing. Regenerate by printing the
-	// cycles, correct predictions and timely pads of each run.
-	pred := []struct {
-		bench                     string
-		engines                   int
-		cycles, predicted, timely uint64
-	}{
-		{"swim", 1, 1349215, 13420, 1410},
-		{"swim", 2, 780464, 13420, 6862},
-		{"mcf", 1, 4720348, 37693, 24752},
-		{"mcf", 2, 3637271, 37693, 36875},
-		{"crafty", 1, 604926, 5483, 1361},
-		{"crafty", 2, 416960, 5483, 3498},
-	}
-	for _, g := range pred {
-		out := r.Run(g.bench, Predict(g.engines))
-		if out.CPU.Cycles != g.cycles {
-			t.Errorf("%s Pred (%d engines): cycles = %d, golden %d", g.bench, g.engines, out.CPU.Cycles, g.cycles)
-		}
-		if out.Predicted != g.predicted {
-			t.Errorf("%s Pred (%d engines): correct predictions = %d, golden %d", g.bench, g.engines, out.Predicted, g.predicted)
-		}
-		if out.Ctl.TimelyPads != g.timely {
-			t.Errorf("%s Pred (%d engines): timely pads = %d, golden %d", g.bench, g.engines, out.Ctl.TimelyPads, g.timely)
-		}
-	}
+	checkGolden(t, "GoldenOutputs", b.String())
 }

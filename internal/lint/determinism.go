@@ -8,8 +8,8 @@ import (
 
 // Determinism is the reproducibility gate: two runs of the simulator with
 // the same configuration must produce byte-identical artifacts (the
-// campaign fingerprints in internal/harness pin this end to end; this
-// analyzer pins the code patterns that break it). Two rules:
+// campaign golden files in internal/harness/testdata pin this end to end;
+// this analyzer pins the code patterns that break it). Two rules:
 //
 //  1. Map iteration order is randomized per run, so a `range` over a map
 //     must not reach an ordered sink. Flagged inside a map-range body:

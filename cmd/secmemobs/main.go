@@ -6,15 +6,15 @@
 // counters, latency histograms with interpolated percentiles, and per-track
 // trace summaries. With -validate it instead checks the artifacts for the
 // shape an instrumented protected run must have (nonzero ctrcache.*,
-// merkle.*, and aes.* series; a loadable trace with overlapped Merkle-level
-// work, monotone counter tracks, and no dropped events) and exits non-zero
-// on violation — CI's trace-smoke target runs this. A metrics file is
-// deterministic, so a regression gate compares it byte for byte with
+// merkle.*, and aes.* series; a loadable trace with closed transaction
+// ranges, overlapped Merkle-level work, and no dropped events) and exits
+// non-zero on violation — CI's trace-smoke target runs this. A metrics file
+// is deterministic, so a regression gate compares it byte for byte with
 // diff (make metrics-compare).
 //
-//	secmemsim -bench swim -metrics m.json -trace t.json -sample 1000
+//	secmemsim -bench swim -metrics m.json -trace t.json
 //	secmemobs -metrics m.json -trace t.json
-//	secmemobs -metrics m.json -trace t.json -validate -wanttracks bus.util,dram.util
+//	secmemobs -metrics m.json -trace t.json -validate
 package main
 
 import (
@@ -32,10 +32,9 @@ import (
 
 func main() {
 	var (
-		metrics    = flag.String("metrics", "", "metrics registry JSON written by secmemsim -metrics")
-		trace      = flag.String("trace", "", "Chrome trace-event JSON written by secmemsim -trace")
-		validate   = flag.Bool("validate", false, "validate artifact shape instead of rendering tables")
-		wantTracks = flag.String("wanttracks", "", "comma-separated counter tracks that -validate requires in the trace")
+		metrics  = flag.String("metrics", "", "metrics registry JSON written by secmemsim -metrics")
+		trace    = flag.String("trace", "", "Chrome trace-event JSON written by secmemsim -trace")
+		validate = flag.Bool("validate", false, "validate artifact shape instead of rendering tables")
 	)
 	flag.Parse()
 
@@ -53,7 +52,7 @@ func main() {
 	if *validate {
 		errs := validateSnapshot(snap)
 		if *trace != "" {
-			errs = append(errs, validateTrace(events, dropped, splitTracks(*wantTracks))...)
+			errs = append(errs, validateTrace(events, dropped)...)
 		}
 		if len(errs) > 0 {
 			for _, e := range errs {
@@ -73,17 +72,6 @@ func main() {
 	render(snap, events)
 }
 
-// splitTracks parses the -wanttracks list, dropping empty entries.
-func splitTracks(s string) []string {
-	var out []string
-	for _, t := range strings.Split(s, ",") {
-		if t = strings.TrimSpace(t); t != "" {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // loadSnapshot parses a registry snapshot JSON file.
 func loadSnapshot(path string) obsv.Snapshot {
 	b, err := os.ReadFile(path)
@@ -98,16 +86,14 @@ func loadSnapshot(path string) obsv.Snapshot {
 }
 
 // traceEvent is the subset of the Chrome trace-event wire format the
-// validator and renderer need. Cat carries the track name; counter ("C")
-// events carry their value in Args.
+// validator and renderer need. Cat carries the track name.
 type traceEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat"`
-	Ph   string         `json:"ph"`
-	Ts   uint64         `json:"ts"`
-	Dur  *uint64        `json:"dur"`
-	ID   string         `json:"id"`
-	Args map[string]any `json:"args"`
+	Name string  `json:"name"`
+	Cat  string  `json:"cat"`
+	Ph   string  `json:"ph"`
+	Ts   uint64  `json:"ts"`
+	Dur  *uint64 `json:"dur"`
+	ID   string  `json:"id"`
 }
 
 // loadTrace parses the trace file, returning its events and the recorder's
@@ -168,14 +154,11 @@ func validateSnapshot(snap obsv.Snapshot) []string {
 // validateTrace checks that the timeline is non-trivial, that every async
 // range opened by a 'b' event is closed by a matching 'e' event (same
 // cat/name/id, end ts >= begin ts — otherwise Perfetto renders the range at
-// a bogus time or never closes it), that it shows at least one pair of
+// a bogus time or never closes it), and that it shows at least one pair of
 // overlapping spans on different Merkle levels — the parallel level
-// authentication the trace exists to make visible — and that the counter
-// tracks the sampler merged in are well-formed: each track's timestamps
-// monotone non-decreasing, every sample carrying a numeric value, and every
-// track named in want present. A nonzero dropped count is a failure: a
-// truncated trace must not validate as complete.
-func validateTrace(events []traceEvent, dropped uint64, want []string) []string {
+// authentication the trace exists to make visible. A nonzero dropped count
+// is a failure: a truncated trace must not validate as complete.
+func validateTrace(events []traceEvent, dropped uint64) []string {
 	var errs []string
 	if dropped > 0 {
 		errs = append(errs, fmt.Sprintf("trace dropped %d events at the recorder cap; raise -tracelimit", dropped))
@@ -188,10 +171,6 @@ func validateTrace(events []traceEvent, dropped uint64, want []string) []string 
 	var merkle []span
 	type rangeKey struct{ cat, name, id string }
 	open := map[rangeKey]uint64{}
-	lastTs := map[string]uint64{}    // counter track -> last seen ts
-	counterN := map[string]int{}     // counter track -> samples
-	badValue := map[string]bool{}    // counter track -> missing/mistyped value arg
-	nonMonotone := map[string]bool{} // counter track -> ts went backwards
 	for _, e := range events {
 		switch e.Ph {
 		case "X":
@@ -221,17 +200,6 @@ func validateTrace(events []traceEvent, dropped uint64, want []string) []string 
 					e.Cat, e.Name, e.ID, e.Ts, begin))
 			}
 			delete(open, k)
-		case "C":
-			if last, seen := lastTs[e.Name]; seen && e.Ts < last {
-				nonMonotone[e.Name] = true
-			}
-			lastTs[e.Name] = e.Ts
-			counterN[e.Name]++
-			if v, ok := e.Args["value"]; !ok {
-				badValue[e.Name] = true
-			} else if _, isNum := v.(float64); !isNum {
-				badValue[e.Name] = true
-			}
 		}
 	}
 	var unclosed []string
@@ -245,17 +213,6 @@ func validateTrace(events []traceEvent, dropped uint64, want []string) []string 
 	}
 	if txns == 0 {
 		errs = append(errs, "trace has no transaction ('b') events")
-	}
-	for _, name := range sortedKeys(nonMonotone) {
-		errs = append(errs, fmt.Sprintf("counter track %s has non-monotone timestamps", name))
-	}
-	for _, name := range sortedKeys(badValue) {
-		errs = append(errs, fmt.Sprintf("counter track %s has samples without a numeric value arg", name))
-	}
-	for _, name := range want {
-		if counterN[name] == 0 {
-			errs = append(errs, fmt.Sprintf("required counter track %s absent from trace (did the run pass -sample?)", name))
-		}
 	}
 	overlap := false
 	for i := 0; i < len(merkle) && !overlap; i++ {
@@ -321,17 +278,8 @@ func render(snap obsv.Snapshot, events []traceEvent) {
 	}
 	if len(events) > 0 {
 		perTrack := map[string]int{}
-		counters := map[string]int{}
-		counterLast := map[string]float64{}
 		for _, e := range events {
-			switch e.Ph {
-			case "M":
-			case "C":
-				counters[e.Name]++
-				if v, ok := e.Args["value"].(float64); ok {
-					counterLast[e.Name] = v
-				}
-			default:
+			if e.Ph != "M" {
 				perTrack[e.Cat]++
 			}
 		}
@@ -343,18 +291,6 @@ func render(snap obsv.Snapshot, events []traceEvent) {
 			tbl.AddRow(name, fmt.Sprintf("%d", perTrack[name]))
 		}
 		fmt.Print(tbl.String())
-		if len(counters) > 0 {
-			fmt.Println()
-			ctbl := stats.Table{
-				Title: "Counter tracks (sampled time-series)",
-				Cols:  []string{"track", "samples", "last value"},
-			}
-			for _, name := range sortedKeys(counters) {
-				ctbl.AddRow(name, fmt.Sprintf("%d", counters[name]),
-					fmt.Sprintf("%g", counterLast[name]))
-			}
-			fmt.Print(ctbl.String())
-		}
 	}
 }
 

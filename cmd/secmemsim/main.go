@@ -7,8 +7,12 @@
 //	secmemsim -bench swim -enc split -auth gcm
 //	secmemsim -bench mcf -enc mono -bits 16 -auth sha -shalat 320 -req safe
 //	secmemsim -bench art -enc direct -instr 5000000
-//	secmemsim -bench swim -trace t.json -sample 1000 -timeseries ts.json
+//	secmemsim -bench swim -metrics m.json -trace t.json
 //	secmemsim -bench all -metrics m.json
+//
+// -metrics writes the run's registry (counters, gauges and histograms at
+// its final cycle) and -trace its event timeline; cmd/secmemobs renders
+// and validates both.
 package main
 
 import (
@@ -47,10 +51,6 @@ func main() {
 		metricsOut = flag.String("metrics", "", "write the observability registry (counters/gauges/histograms) as JSON to this file")
 		traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON timeline (chrome://tracing, Perfetto) to this file")
 		traceLimit = flag.Int("tracelimit", 0, "cap on recorded trace events (0 = default cap)")
-		sample     = flag.Uint64("sample", 0, "snapshot metric time-series every N simulated cycles (0 = off; single benchmark only)")
-		sampleCap  = flag.Int("samplecap", 0, "time-series ring capacity in samples (0 = default; ring keeps the newest window)")
-		tsOut      = flag.String("timeseries", "", "write the sampled time-series as sorted-column JSON to this file (requires -sample)")
-		tsCSV      = flag.String("timeseriescsv", "", "write the sampled time-series as CSV to this file (requires -sample)")
 	)
 	flag.Parse()
 
@@ -120,6 +120,10 @@ func main() {
 		// harness.New would run its 2M default instead.
 		fatalf("-instr 0: no instructions to run (valid: 1 or more)")
 	}
+	if *traceLimit < 0 {
+		// obsv.NewRecorder would record up to its default cap instead.
+		fatalf("-tracelimit %d: negative event cap (valid: 0 for the default cap, or a positive cap)", *traceLimit)
+	}
 	benches := []string{*bench}
 	if *bench == "all" {
 		benches = trace.Names()
@@ -127,19 +131,11 @@ func main() {
 		fatalf("unknown benchmark %q; available: %s, all", *bench, strings.Join(trace.Names(), " "))
 	}
 
-	// The trace recorder and the time-series sampler are single-benchmark
-	// only — every run restarts at cycle 0, so a second run's spans and
-	// samples would overlap the first's on the same timeline.
-	if len(benches) > 1 {
-		switch {
-		case *traceOut != "":
-			fatalf("-trace requires a single benchmark (runs restart at cycle 0 and would overlap in the timeline); pick one with -bench")
-		case *sample > 0:
-			fatalf("-sample requires a single benchmark (runs restart at cycle 0); pick one with -bench")
-		}
-	}
-	if (*tsOut != "" || *tsCSV != "") && *sample == 0 {
-		fatalf("-timeseries/-timeseriescsv require -sample N")
+	// The trace recorder is single-benchmark only — every run restarts at
+	// cycle 0, so a second run's spans would overlap the first's on the
+	// same timeline.
+	if len(benches) > 1 && *traceOut != "" {
+		fatalf("-trace requires a single benchmark (runs restart at cycle 0 and would overlap in the timeline); pick one with -bench")
 	}
 
 	var obs harness.Obs
@@ -148,9 +144,6 @@ func main() {
 	}
 	if *traceOut != "" {
 		obs.Rec = obsv.NewRecorder(*traceLimit)
-	}
-	if *sample > 0 {
-		obs.Smp = obsv.NewSampler(*sample, *sampleCap)
 	}
 
 	r := harness.New(harness.Options{Instructions: *instr, Seed: *seed, Benches: benches,
@@ -192,23 +185,6 @@ func main() {
 			fatalf("writing metrics: %v", err)
 		}
 		fmt.Printf("metrics written to %s\n", *metricsOut)
-	}
-	if obs.Smp != nil {
-		if *tsOut != "" {
-			if err := writeTo(*tsOut, obs.Smp.WriteJSON); err != nil {
-				fatalf("writing timeseries: %v", err)
-			}
-			fmt.Printf("timeseries written to %s (%s)\n", *tsOut, obs.Smp)
-		}
-		if *tsCSV != "" {
-			if err := writeTo(*tsCSV, obs.Smp.WriteCSV); err != nil {
-				fatalf("writing timeseries CSV: %v", err)
-			}
-			fmt.Printf("timeseries CSV written to %s\n", *tsCSV)
-		}
-		if over := obs.Smp.Overwritten(); over > 0 {
-			fmt.Fprintf(os.Stderr, "secmemsim: warning: time-series ring overwrote %d oldest samples (raise -samplecap or -sample)\n", over)
-		}
 	}
 	if obs.Rec != nil {
 		if err := writeTo(*traceOut, obs.Rec.WriteJSON); err != nil {

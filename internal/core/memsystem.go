@@ -33,10 +33,8 @@ type MemSystem struct {
 	l2  *cache.Cache
 	ctl *Controller
 
-	// reg is non-nil once Instrument has run; smp is non-nil once
-	// AttachSampler has run (see obs.go).
+	// reg is non-nil once Instrument has run (see obs.go).
 	reg *obsv.Registry
-	smp *obsv.Sampler
 }
 
 // NewMemSystem builds the hierarchy for a configuration.
@@ -61,12 +59,6 @@ func (m *MemSystem) L2() *cache.Cache { return m.l2 }
 // Access performs one load or store at cycle now. Stores are write-allocate
 // write-back; a store miss costs a fill like a load.
 func (m *MemSystem) Access(now sim.Time, addr uint64, write bool) AccessResult {
-	// Cycle-driven sampling: accesses are the points where simulated time
-	// advances, so crossing a sample boundary here snapshots the metric
-	// trajectories. The uninstrumented cost is the nil check inside Due.
-	if m.smp.Due(uint64(now)) {
-		m.smp.Tick(uint64(now))
-	}
 	blk := m.l1.BlockAddr(addr)
 	l1Lat := m.cfg.L1.LatencyCycles
 	l2Lat := m.cfg.L2.LatencyCycles

@@ -62,54 +62,11 @@ func (c *Controller) countMerkleNode(mac uint64, issueAt, arrive, done sim.Time)
 	}
 }
 
-// RegisterProbes wires the controller's dynamic state into a time-series
-// sampler: the trajectories behind the paper's figures (counter-cache hit
-// rate over time, RSR occupancy, bus/DRAM utilization, Merkle verify
-// traffic, re-encryption and tamper progress) rather than their end-of-run
-// averages. Probes only read state owned by the simulation goroutine and
-// never allocate. No-op on a nil sampler.
-func (c *Controller) RegisterProbes(s *obsv.Sampler) {
-	if s == nil {
-		return
-	}
-	s.Series("bus.util", func(cycle uint64) float64 {
-		return c.bus.Utilization(sim.Time(cycle))
-	})
-	s.Series("dram.util", func(cycle uint64) float64 {
-		return c.mem.Utilization(sim.Time(cycle))
-	})
-	s.Series("ctl.fills", func(uint64) float64 { return float64(c.Stats.Fills) })
-	s.Series("merkle.fetches", func(uint64) float64 { return float64(c.Stats.MacFetches) })
-	s.Series("ctl.tampers", func(uint64) float64 { return float64(c.Stats.TamperDetected) })
-	if c.ctrs != nil {
-		s.Series("ctrcache.hitrate", func(uint64) float64 { return c.ctrs.Stats.HitRate() })
-	}
-	if c.rsrs != nil {
-		s.Series("rsr.occupancy", func(cycle uint64) float64 {
-			return float64(c.rsrs.BusyCount(sim.Time(cycle)))
-		})
-		s.Series("rsr.pagereencs", func(uint64) float64 { return float64(c.rsrs.Stats.PageReencs) })
-	}
-}
-
 // Instrument wires the whole hierarchy (L1, L2, controller and its
 // substrates) into reg/rec. Either argument may be nil.
 func (m *MemSystem) Instrument(reg *obsv.Registry, rec *obsv.Recorder) {
 	m.reg = reg
 	m.ctl.Instrument(reg, rec)
-}
-
-// AttachSampler hooks a time-series sampler into the access path and
-// registers the controller's probes with it. Sampling is timing-neutral:
-// the hook only reads counters at sample boundaries and never touches the
-// resource timelines, so an attached sampler changes no simulated number.
-// No-op on a nil sampler.
-func (m *MemSystem) AttachSampler(s *obsv.Sampler) {
-	if s == nil {
-		return
-	}
-	m.smp = s
-	m.ctl.RegisterProbes(s)
 }
 
 // ExportObs writes the run's counters and its end-of-run gauges

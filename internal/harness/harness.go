@@ -38,14 +38,6 @@ type Options struct {
 	Seed int64
 	// Benches lists the workloads; nil means all 21.
 	Benches []string
-	// Parallelism bounds concurrent simulation runs within a campaign.
-	// Zero and negative values both mean "use GOMAXPROCS workers" — the
-	// zero value of Options must behave like DefaultOptions here, and a
-	// negative value (e.g. from a miscomputed flag) is clamped rather than
-	// silently serializing or panicking. Any positive value is honoured
-	// exactly, even above GOMAXPROCS. Parallelism never affects results,
-	// only wall time: every run is deterministic in (bench, config, seed).
-	Parallelism int
 	// Functional runs every campaign simulation with the byte-level
 	// crypto layer enabled (real AES pads, GHASH MACs, and tree updates
 	// per transfer) on top of the timing model. The simulated numbers are
@@ -127,6 +119,10 @@ type Runner struct {
 	// Opt must not change after New: the cache keys a run by benchmark and
 	// configuration only.
 	Opt Options
+	// workers bounds concurrent simulation runs within a campaign; zero
+	// means GOMAXPROCS. Tests set it to show that the worker count never
+	// changes a result.
+	workers int
 
 	mu       sync.Mutex
 	runs     map[runKey]RunOut
@@ -174,15 +170,13 @@ func New(opt Options) *Runner {
 	return &Runner{Opt: opt, runs: make(map[runKey]RunOut)}
 }
 
-// Obs bundles the observability sinks of an instrumented run. Any field
-// may be nil; the zero Obs means "uninstrumented". Smp attaches a cycle-
-// driven time-series sampler; when both Smp and Rec are set, the sampled
-// trajectories are merged into the trace as Perfetto counter tracks after
-// the run.
+// Obs bundles the two records of an instrumented run: the registry gets
+// its counters, gauges and histograms at the end of the run, and the
+// recorder its trace events as they happen. Either field may be nil; the
+// zero Obs means "uninstrumented".
 type Obs struct {
 	Reg *obsv.Registry
 	Rec *obsv.Recorder
-	Smp *obsv.Sampler
 }
 
 // Run simulates one (benchmark, configuration) pair, or returns the cached
@@ -241,19 +235,9 @@ func (r *Runner) RunObserved(bench string, cfg config.SystemConfig, obs Obs) Run
 	if obs.Reg != nil || obs.Rec != nil {
 		mem.Instrument(obs.Reg, obs.Rec)
 	}
-	if obs.Smp != nil {
-		mem.AttachSampler(obs.Smp)
-	}
 	gen := trace.NewGenerator(trace.Get(bench), r.Opt.Seed)
 	c := cpu.New(cfg, mem)
 	res := c.Run(gen, r.Opt.Instructions)
-	if obs.Smp != nil {
-		// Close the series at the run's final cycle, then merge the
-		// trajectories into the trace as counter tracks (before ExportObs
-		// so the trace.dropped gauge counts these events too).
-		obs.Smp.SampleAt(uint64(res.Cycles))
-		obs.Smp.EmitTrace(obs.Rec)
-	}
 	if obs.Reg != nil {
 		mem.ExportObs(res.Cycles)
 	}
@@ -337,19 +321,14 @@ func (r *Runner) NormIPC(bench string, cfg config.SystemConfig) float64 {
 	return r.Run(bench, cfg).IPC / base
 }
 
-// workerCount resolves Options.Parallelism to an actual worker count,
-// implementing the contract documented on the field: <= 0 maps to
-// GOMAXPROCS, positive values pass through.
-func (r *Runner) workerCount() int {
-	if r.Opt.Parallelism <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return r.Opt.Parallelism
-}
-
-// parallelFor runs fn(0..n-1) across a bounded worker pool.
+// parallelFor runs fn(0..n-1) on r.workers workers, or on GOMAXPROCS
+// when r.workers is zero.
 func (r *Runner) parallelFor(n int, fn func(i int)) {
-	parallelDo(r.workerCount(), n, fn)
+	workers := r.workers
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	parallelDo(workers, n, fn)
 }
 
 // parallelDo runs fn(0..n-1) on up to workers goroutines. Which worker runs

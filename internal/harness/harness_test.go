@@ -3,7 +3,6 @@ package harness
 import (
 	"bytes"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"secmem/internal/config"
@@ -179,7 +178,8 @@ func TestWithCounterCache(t *testing.T) {
 }
 
 func TestParallelForCoversAll(t *testing.T) {
-	r := New(Options{Instructions: 1, Parallelism: 4})
+	r := New(Options{Instructions: 1})
+	r.workers = 4
 	seen := make([]bool, 100)
 	r.parallelFor(len(seen), func(i int) { seen[i] = true })
 	for i, s := range seen {
@@ -242,13 +242,13 @@ func TestParallelismDoesNotChangeResults(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			run := func(par int) any {
+			run := func(workers int) any {
 				r := New(Options{
 					Instructions: 50_000,
 					Seed:         1,
 					Benches:      []string{"swim", "crafty", "twolf"},
-					Parallelism:  par,
 				})
+				r.workers = workers
 				return c.run(r)
 			}
 			serial, parallel := run(1), run(4)
@@ -256,36 +256,5 @@ func TestParallelismDoesNotChangeResults(t *testing.T) {
 				t.Errorf("%s: results differ between 1 and 4 workers:\nserial   %+v\nparallel %+v", c.name, serial, parallel)
 			}
 		})
-	}
-}
-
-// TestWorkerCountContract pins the Options.Parallelism resolution rule:
-// zero and negative both mean GOMAXPROCS (the zero value must behave like
-// DefaultOptions; a negative value is clamped, not serialized), positive
-// values pass through untouched.
-func TestWorkerCountContract(t *testing.T) {
-	max := runtime.GOMAXPROCS(0)
-	cases := []struct{ par, want int }{
-		{0, max},
-		{-1, max},
-		{-100, max},
-		{1, 1},
-		{3, 3},
-		{max + 5, max + 5},
-	}
-	for _, c := range cases {
-		r := New(Options{Parallelism: c.par})
-		if got := r.workerCount(); got != c.want {
-			t.Errorf("Parallelism=%d: workerCount()=%d, want %d", c.par, got, c.want)
-		}
-	}
-	// A negative setting must still drive parallelFor over every index.
-	r := New(Options{Parallelism: -2})
-	seen := make([]bool, 50)
-	r.parallelFor(len(seen), func(i int) { seen[i] = true })
-	for i, s := range seen {
-		if !s {
-			t.Fatalf("Parallelism=-2: index %d not visited", i)
-		}
 	}
 }

@@ -38,12 +38,11 @@ type Recorder struct {
 type Event struct {
 	Track string
 	Name  string
-	Ph    byte   // 'X' complete, 'i' instant, 'b'/'e' async begin/end, 'C' counter
+	Ph    byte   // 'X' complete, 'i' instant, 'b'/'e' async begin/end
 	Ts    uint64 // start cycle
 	Dur   uint64 // 'X' only
 	ID    uint64 // async events and span arguments
 	HasID bool
-	Val   float64 // 'C' only: the counter-track value at Ts
 }
 
 // NewRecorder builds a recorder holding at most maxEvents events;
@@ -60,13 +59,9 @@ func (r *Recorder) add(e Event) {
 		r.dropped++
 		return
 	}
-	if e.Ph != 'C' {
-		// Counter events render on per-process counter tracks named by the
-		// event itself; they never claim a thread row.
-		if _, ok := r.tids[e.Track]; !ok {
-			r.tids[e.Track] = len(r.tracks) + 1
-			r.tracks = append(r.tracks, e.Track)
-		}
+	if _, ok := r.tids[e.Track]; !ok {
+		r.tids[e.Track] = len(r.tracks) + 1
+		r.tracks = append(r.tracks, e.Track)
 	}
 	r.events = append(r.events, e)
 }
@@ -123,18 +118,6 @@ func (r *Recorder) End(track, name string, id, ts uint64) {
 		return
 	}
 	r.add(Event{Track: track, Name: name, Ph: 'e', Ts: ts, ID: id, HasID: true})
-}
-
-// CounterValue records one point of a Perfetto counter track: a "C"-phase
-// event whose args carry the track's value at ts. Each distinct name is
-// its own counter track in the viewer, drawn as a stepped area chart —
-// this is how sampled metric trajectories (hit rates, occupancies,
-// utilizations) merge into the span timeline.
-func (r *Recorder) CounterValue(name string, ts uint64, v float64) {
-	if r == nil {
-		return
-	}
-	r.add(Event{Track: "counter", Name: name, Ph: 'C', Ts: ts, Val: v})
 }
 
 // Len reports how many events are stored (zero for nil).
@@ -213,11 +196,6 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 			}
 			if e.Ph == 'i' {
 				je.S = "t" // thread-scoped instant marker
-			}
-			if e.Ph == 'C' {
-				// Counter tracks are per-process: no tid, value in args.
-				je.Tid = 0
-				je.Args = map[string]any{"value": e.Val}
 			}
 			if e.HasID {
 				if e.Ph == 'b' || e.Ph == 'e' {

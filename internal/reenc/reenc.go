@@ -93,19 +93,6 @@ func NewFile(n, pageBlocks int) *File {
 	return f
 }
 
-// BusyCount reports how many registers are still re-encrypting at time
-// now: the RSR occupancy the time-series sampler plots against the
-// paper's "8 RSRs suffice" claim.
-func (f *File) BusyCount(now sim.Time) int {
-	n := 0
-	for i := range f.regs {
-		if r := &f.regs[i]; r.inUse && r.FreeAt > now {
-			n++
-		}
-	}
-	return n
-}
-
 // Busy returns the register currently re-encrypting page, if any is still
 // in flight at time now.
 func (f *File) Busy(now sim.Time, page uint64) *Register {
